@@ -51,7 +51,7 @@ impl Default for Config {
             n: 1 << 17,
             horizon: 4.0,
             seed: 42,
-            threads: crate::default_threads(),
+            threads: gcs_sim::threads_from_env(),
         }
     }
 }

@@ -57,7 +57,7 @@ impl Default for Config {
             n: 1 << 20,
             horizon: 2.0,
             seed: 42,
-            threads: crate::default_threads(),
+            threads: gcs_sim::threads_from_env(),
         }
     }
 }

@@ -3,14 +3,13 @@
 //!
 //! PR 5 made drift state lazy (E13, `n = 2^20`); the ceiling that
 //! remained was the automaton plane itself: per-neighbor `f64` pairs in
-//! every `Γ_u`, a privately sampled budget curve per node, and hot
-//! engine-side state for every node that was ever touched, *forever*.
+//! every `Γ_u`, a private parameter copy per node, and hot engine-side
+//! state for every node that was ever touched, *forever*.
 //! This scenario runs **eight times** E13's width — `n = 8 388 608` —
 //! on the compact plane:
 //!
-//! * all automata resolve budgets against **one shared
-//!   [`gcs_core::GradientShared`]** (quantized curve table, exact-path
-//!   fallback), so the curve is sampled once for the whole run,
+//! * all automata share **one [`gcs_core::GradientShared`]**, so the
+//!   parameters are stored once for the whole run,
 //! * **idle parking** is on: a node with empty `Υ_u` holds no armed
 //!   tick timer, so the untouched majority never enters the event loop
 //!   (protocol-invisible — empty `Υ` forces `L = Lmax` anyway),
@@ -79,7 +78,7 @@ impl Default for Config {
             // 10 chunks of 1.8 s — each comfortably dominates D + T.
             horizon: 18.0,
             seed: 42,
-            threads: crate::default_threads(),
+            threads: gcs_sim::threads_from_env(),
         }
     }
 }
@@ -337,7 +336,7 @@ impl Scenario for Experiment {
         "compact automaton plane — evictable cold tier at n = 2^23"
     }
     fn claim(&self) -> &'static str {
-        "§3/§5 at scale — shared budget table, quiescent-node eviction"
+        "§3/§5 at scale — shared parameters, quiescent-node eviction"
     }
     fn meta(&self) -> ScenarioMeta {
         ScenarioMeta {

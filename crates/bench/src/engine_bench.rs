@@ -102,8 +102,8 @@ impl Workload {
     }
 
     /// Builds the workload on the engine with this workload's threads.
-    /// All `n` automata share one budget plane (`Arc<GradientShared>`) —
-    /// the curve table is sampled once, not per node.
+    /// All `n` automata share one parameter plane
+    /// (`Arc<GradientShared>`), stored once, not per node.
     pub fn build(&self) -> Simulator<GradientNode> {
         let shared = std::sync::Arc::new(gcs_core::GradientShared::new(self.params()));
         SimBuilder::topology(self.model(), ScheduleSource::new(self.schedule()))

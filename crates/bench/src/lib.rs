@@ -68,19 +68,6 @@ pub mod scenario;
 
 use gcs_sim::ModelParams;
 
-/// Default worker count for the scale-experiment configs: the engine's
-/// `GCS_SIM_THREADS` variable (floored at 1), so the CI smoke matrix can
-/// drive the same binaries through both the batched-serial and the
-/// pooled parallel dispatch paths. Explicit `Config { threads, .. }`
-/// always wins.
-pub fn default_threads() -> usize {
-    std::env::var(gcs_sim::THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|t| t.max(1))
-        .unwrap_or(1)
-}
-
 /// The model parameters shared by the experiments unless a claim needs a
 /// different drift regime: `ρ = 0.01`, `T = 1`, `D = 2`.
 pub fn default_model() -> ModelParams {

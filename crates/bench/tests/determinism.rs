@@ -248,18 +248,17 @@ fn random_delay_traces_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn e13_churn_walk_traces_bit_identical_across_threads_and_backends() {
+fn e13_churn_walk_traces_bit_identical_across_thread_counts() {
     // The E13 "churn-walk" family (lazily pulled `ChurnSource` chords +
     // random-walk drift) keeps the topology batch path warm for the whole
-    // run. Pin that the persistent pool, the retained
-    // fork/join backend, and every thread count agree bit-for-bit —
-    // including the batch counters, which are trace-relevant and part of
+    // run. Pin that every thread count agrees bit-for-bit — including
+    // the batch counters, which are trace-relevant and part of
     // `SimStats` equality.
     let n = 64;
     let horizon = 6.0;
     let model = gcs_bench::default_model();
     let params = AlgoParams::with_minimal_b0(model, n, 0.5);
-    let build = |threads: usize, pool: bool| {
+    let build = |threads: usize| {
         let source = ChurnSource::new(
             n,
             generators::path(n),
@@ -279,21 +278,14 @@ fn e13_churn_walk_traces_bit_identical_across_threads_and_backends() {
             .delay(DelayStrategy::Max)
             .seed(4242)
             .threads(threads)
-            .persistent_pool(pool)
             .build_with(|_| GradientNode::new(params))
     };
-    let mut sims = [
-        build(1, true),
-        build(2, true),
-        build(8, true),
-        build(8, false),
-    ];
-    let labels = ["1t/pool", "2t/pool", "8t/pool", "8t/forkjoin"];
+    let mut sims = THREAD_COUNTS.map(build);
     let mut t = 0.0;
     while t < horizon {
         t = (t + 1.0_f64).min(horizon);
         let mut reference: Option<Vec<f64>> = None;
-        for (sim, label) in sims.iter_mut().zip(labels) {
+        for (sim, threads) in sims.iter_mut().zip(THREAD_COUNTS) {
             sim.run_until(at(t));
             let snap = sim.logical_snapshot();
             match &reference {
@@ -302,7 +294,7 @@ fn e13_churn_walk_traces_bit_identical_across_threads_and_backends() {
                     for (i, (x, y)) in r.iter().zip(&snap).enumerate() {
                         assert!(
                             x.to_bits() == y.to_bits(),
-                            "t={t}: node {i} diverged under {label}: {y:?} vs {x:?}"
+                            "t={t}: node {i} diverged at {threads} threads: {y:?} vs {x:?}"
                         );
                     }
                 }
@@ -310,8 +302,12 @@ fn e13_churn_walk_traces_bit_identical_across_threads_and_backends() {
         }
     }
     let reference_stats = *sims[0].stats();
-    for (sim, label) in sims.iter().zip(labels) {
-        assert_eq!(*sim.stats(), reference_stats, "counters diverged: {label}");
+    for (sim, threads) in sims.iter().zip(THREAD_COUNTS) {
+        assert_eq!(
+            *sim.stats(),
+            reference_stats,
+            "counters diverged: {threads} threads"
+        );
     }
     // The batch counters are trace-relevant (compared above via `SimStats`
     // equality); check the workload actually exercised the batch path.

@@ -110,31 +110,20 @@ impl Automaton for MaxSyncNode {
     }
 
     // Compact-plane cold tier: the baseline's only heap state is Υ, and
-    // the inline clocks survive the drain. The baseline never parks its
-    // tick timer, so the engine's eviction sweep (which requires no armed
-    // timer) will not evict live MaxSync nodes — the encoding exists for
-    // crashed ones and for symmetry with [`crate::GradientNode`].
+    // only a quiescent node (`Υ = ∅`) may pack, so packing releases the
+    // empty set's capacity and writes nothing; the inline clocks stay.
+    // The baseline never parks its tick timer, so the engine's eviction
+    // sweep (which requires no armed timer) evicts only crashed nodes.
     fn quiescent(&self) -> bool {
         self.upsilon.is_empty()
     }
 
-    fn pack_cold(&mut self, out: &mut Vec<u8>) -> bool {
-        out.extend_from_slice(&(self.upsilon.len() as u32).to_le_bytes());
-        for v in self.upsilon.iter() {
-            out.extend_from_slice(&(v.index() as u32).to_le_bytes());
+    fn pack_cold(&mut self, _out: &mut Vec<u8>) -> bool {
+        if !self.quiescent() {
+            return false;
         }
         self.upsilon = IdSet::new();
         true
-    }
-
-    fn unpack_cold(&mut self, bytes: &[u8]) {
-        let n = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        assert_eq!(bytes.len(), 4 + 4 * n, "malformed cold blob");
-        for i in 0..n {
-            let at = 4 + 4 * i;
-            let id = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-            self.upsilon.insert(NodeId::from_index(id as usize));
-        }
     }
 
     fn heap_bytes(&self) -> usize {
@@ -240,45 +229,43 @@ mod tests {
     }
 
     #[test]
-    fn cold_roundtrip_preserves_upsilon_and_clocks() {
+    fn cold_pack_refuses_live_neighbors_and_writes_nothing_when_quiescent() {
         let mut n = MaxSyncNode::new(0.5);
         let mut actions = Vec::new();
         let mut rng = StdRng::seed_from_u64(0);
-        for i in [4usize, 1, 9] {
-            n.on_discover(
-                &mut ctx_at(0.0, &mut actions, &mut rng),
-                LinkChange {
-                    kind: LinkChangeKind::Added,
-                    edge: Edge::between(0, i),
-                },
-            );
-        }
+        n.on_discover(
+            &mut ctx_at(0.0, &mut actions, &mut rng),
+            LinkChange {
+                kind: LinkChangeKind::Added,
+                edge: Edge::between(0, 4),
+            },
+        );
         n.on_receive(
             &mut ctx_at(1.0, &mut actions, &mut rng),
-            node(1),
+            node(4),
             Message {
                 logical: 7.0,
                 max_estimate: 7.0,
             },
         );
-        let before = n.clone();
         let mut blob = Vec::new();
-        assert!(n.pack_cold(&mut blob));
-        assert!(n.quiescent());
+        assert!(!n.pack_cold(&mut blob), "Υ ≠ ∅ must refuse");
+        assert!(blob.is_empty());
+        assert_eq!(n.upsilon().collect::<Vec<_>>(), vec![node(4)]);
+
+        n.on_discover(
+            &mut ctx_at(2.0, &mut actions, &mut rng),
+            LinkChange {
+                kind: LinkChangeKind::Removed,
+                edge: Edge::between(0, 4),
+            },
+        );
+        let (l, lmax) = (n.logical_clock(3.0), n.max_estimate(3.0));
+        assert!(n.pack_cold(&mut blob), "quiescent node must pack");
+        assert!(blob.is_empty(), "nothing to encode: {blob:?}");
         assert_eq!(n.heap_bytes(), 0);
-        assert_eq!(
-            n.logical_clock(3.0).to_bits(),
-            before.logical_clock(3.0).to_bits()
-        );
-        n.unpack_cold(&blob);
-        assert_eq!(
-            n.upsilon().collect::<Vec<_>>(),
-            before.upsilon().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            n.max_estimate(2.0).to_bits(),
-            before.max_estimate(2.0).to_bits()
-        );
+        assert_eq!(n.logical_clock(3.0).to_bits(), l.to_bits());
+        assert_eq!(n.max_estimate(3.0).to_bits(), lmax.to_bits());
     }
 
     #[test]

@@ -35,99 +35,6 @@ pub fn settle_age(b0: f64, g: f64, rho: f64, tau: f64) -> f64 {
     (5.0 * g + t1) * t1 / b0
 }
 
-/// A shared sampling of a budget curve on a uniform grid of subjective
-/// ages — the one `B(·)` table behind the compact automaton plane.
-///
-/// Storing the aging budget per neighbor costs two `f64`s per edge; at
-/// `n = 2^23` that term dominates memory. Instead, every node holding an
-/// `Arc` of one `BudgetTable` resolves an edge age `Δt` against the
-/// shared curve:
-///
-/// * **on-grid** ages — `Δt == k·q` *bit-for-bit* for the grid quantum
-///   `q` and some `k < len` — read `values[k]`, which was computed by
-///   evaluating the *exact same* budget expression at the *exact same*
-///   float `k·q`, so a table hit reproduces the direct evaluation
-///   bit-for-bit by construction (the exact-float contract; pinned by
-///   tests here and in `gradient`),
-/// * **off-grid** ages fall back to the exact evaluation path
-///   ([`lookup`](Self::lookup) returns `None` and the caller evaluates
-///   directly), so oracle and model-checker results are unchanged for
-///   every input.
-///
-/// The grid quantum is chosen as a fraction of the tick interval `ΔH`:
-/// under perfect drift and deterministic delays, hardware readings — and
-/// with them edge ages `H_u − C^v_u` — land on multiples of the event
-/// grid, so the table absorbs the hot path while arbitrary drifted ages
-/// stay exact via the fallback.
-#[derive(Clone, Debug)]
-pub struct BudgetTable {
-    /// Grid spacing in subjective time.
-    quantum: f64,
-    /// `values[k] = f(k as f64 * quantum)` for the sampled curve `f`.
-    values: Vec<f64>,
-}
-
-impl BudgetTable {
-    /// Samples `f` (the unfloored budget of some
-    /// `AlgoParams`) at `k·quantum` for `k in 0..len`. The closure is
-    /// evaluated at exactly the float `(k as f64) * quantum` that
-    /// [`lookup`](Self::lookup) later reconstructs, which is what makes
-    /// table hits bit-identical to direct evaluation.
-    pub fn sample(quantum: f64, len: usize, f: impl Fn(f64) -> f64) -> Self {
-        assert!(
-            quantum.is_finite() && quantum > 0.0,
-            "grid quantum must be positive, got {quantum}"
-        );
-        assert!(len >= 1, "table needs at least one entry");
-        let values = (0..len).map(|k| f(k as f64 * quantum)).collect();
-        BudgetTable { quantum, values }
-    }
-
-    /// Grid spacing.
-    #[inline]
-    pub fn quantum(&self) -> f64 {
-        self.quantum
-    }
-
-    /// Number of sampled grid points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if the table holds no entries (never, by construction).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The grid index of `dt`, if `dt` is **exactly** `k·quantum` for
-    /// some sampled `k`: the reconstruction `(k as f64) * quantum == dt`
-    /// is checked bitwise-equivalently (f64 `==`), so a `Some(k)` answer
-    /// guarantees `values[k]` was computed at precisely this age.
-    #[inline]
-    pub fn grid_index(&self, dt: f64) -> Option<usize> {
-        let r = dt / self.quantum;
-        if !(r >= 0.0 && r < self.values.len() as f64) {
-            return None;
-        }
-        let k = r.round() as usize;
-        (k < self.values.len() && (k as f64) * self.quantum == dt).then_some(k)
-    }
-
-    /// The sampled value at `dt` when `dt` lies exactly on the grid,
-    /// `None` otherwise (callers fall back to the exact evaluation).
-    #[inline]
-    pub fn lookup(&self, dt: f64) -> Option<f64> {
-        self.grid_index(dt).map(|k| self.values[k])
-    }
-
-    /// Heap bytes held by the sample array (plane accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.values.capacity() * std::mem::size_of::<f64>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,58 +90,5 @@ mod tests {
             aging_budget(-1e-12, B0, G, RHO, TAU),
             aging_budget(0.0, B0, G, RHO, TAU)
         );
-    }
-
-    fn unfloored(dt: f64) -> f64 {
-        let t1 = (1.0 + RHO) * TAU;
-        5.0 * G + t1 + B0 - B0 / t1 * dt.max(0.0)
-    }
-
-    #[test]
-    fn table_hits_are_bit_exact_on_the_grid() {
-        let table = BudgetTable::sample(0.125, 256, unfloored);
-        for k in 0..256usize {
-            let dt = k as f64 * 0.125;
-            let hit = table.lookup(dt).expect("grid point must hit");
-            assert_eq!(
-                hit.to_bits(),
-                unfloored(dt).to_bits(),
-                "grid point k={k} must reproduce the exact evaluation"
-            );
-        }
-    }
-
-    #[test]
-    fn off_grid_ages_fall_back_to_exact_path() {
-        let table = BudgetTable::sample(0.125, 256, unfloored);
-        assert_eq!(table.lookup(0.1), None);
-        assert_eq!(table.lookup(0.125 + 1e-12), None);
-        assert_eq!(table.lookup(f64::NAN), None);
-        assert_eq!(table.lookup(f64::INFINITY), None);
-    }
-
-    #[test]
-    fn out_of_range_ages_miss() {
-        let table = BudgetTable::sample(0.125, 256, unfloored);
-        assert_eq!(table.lookup(-0.125), None);
-        assert_eq!(table.lookup(256.0 * 0.125), None, "one past the end");
-        assert_eq!(table.lookup(1e9), None);
-        // Index 0 covers zero (and negative zero normalises onto it).
-        assert!(table.lookup(0.0).is_some());
-        assert_eq!(table.grid_index(-0.0), Some(0));
-    }
-
-    #[test]
-    fn grid_index_survives_awkward_quanta() {
-        // A non-dyadic quantum: dt/q may round either way, but the
-        // reconstruction check keeps every Some() answer exact.
-        let q = 0.1;
-        let table = BudgetTable::sample(q, 1000, unfloored);
-        for k in 0..1000usize {
-            let dt = k as f64 * q;
-            if let Some(j) = table.grid_index(dt) {
-                assert_eq!(j, k, "a hit must land on the generating index");
-            }
-        }
     }
 }

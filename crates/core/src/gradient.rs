@@ -25,7 +25,6 @@
 //! identical to the old `BTreeMap` order, so execution traces are
 //! unchanged.
 
-use crate::budget::BudgetTable;
 use crate::neighbors::{FlatMap, IdSet};
 use crate::params::AlgoParams;
 use crate::predicate;
@@ -45,33 +44,20 @@ pub struct NeighborState {
 }
 
 /// Immutable configuration shared by every [`GradientNode`] of a run: the
-/// algorithm parameters, the one sampled `B(·)` curve of the compact
-/// automaton plane, and the idle-parking policy. One `Arc` replaces the
-/// inline 72-byte `AlgoParams` copy (plus a per-node curve) in each of the
-/// `n = 2^23` automata.
+/// algorithm parameters and the idle-parking policy. One `Arc` replaces
+/// the inline 72-byte `AlgoParams` copy in each of the `n = 2^23`
+/// automata.
 #[derive(Debug)]
 pub struct GradientShared {
     params: AlgoParams,
-    table: BudgetTable,
     park_idle: bool,
 }
 
 impl GradientShared {
-    /// Builds the shared plane for `params`: the budget curve is sampled
-    /// at quantum `ΔH/4` (the engine's event grid) out to the settle age,
-    /// so steady-state edge ages resolve by table hit while anything
-    /// off-grid falls back to the exact `budget_unfloored` path.
+    /// Builds the shared plane for `params`, idle parking off.
     pub fn new(params: AlgoParams) -> Self {
-        let quantum = params.delta_h / 4.0;
-        let settle = params.budget_settle_age();
-        let len = if settle.is_finite() && settle > 0.0 {
-            ((settle / quantum).ceil() as usize + 2).clamp(64, 4096)
-        } else {
-            64
-        };
         GradientShared {
             params,
-            table: BudgetTable::sample(quantum, len, |dt| params.budget_unfloored(dt)),
             park_idle: false,
         }
     }
@@ -93,25 +79,9 @@ impl GradientShared {
         &self.params
     }
 
-    /// The shared budget curve table.
-    pub fn table(&self) -> &BudgetTable {
-        &self.table
-    }
-
     /// Whether idle parking is enabled.
     pub fn parks_idle(&self) -> bool {
         self.park_idle
-    }
-
-    /// The unfloored budget at subjective age `dt`: table hit when `dt`
-    /// is exactly on the sampled grid (bit-identical by the
-    /// [`BudgetTable`] contract), exact evaluation otherwise.
-    #[inline]
-    fn unfloored(&self, dt: f64) -> f64 {
-        match self.table.lookup(dt) {
-            Some(b) => b,
-            None => self.params.budget_unfloored(dt),
-        }
     }
 }
 
@@ -147,7 +117,7 @@ impl GradientNode {
     ///
     /// Builds a private [`GradientShared`]; scale scenarios should build
     /// one shared plane and use [`GradientNode::with_shared`] so the
-    /// sampled curve is paid for once, not `n` times.
+    /// parameters are stored once, not `n` times.
     pub fn new(params: AlgoParams) -> Self {
         Self::with_shared(Arc::new(GradientShared::new(params)))
     }
@@ -196,7 +166,7 @@ impl GradientNode {
     /// `max{B0·w_v, unfloored B(dt)}`.
     fn budget_at(&self, v: NodeId, dt: f64) -> f64 {
         predicate::effective_budget(
-            self.shared.unfloored(dt),
+            self.shared.params.budget_unfloored(dt),
             self.shared.params.b0 * self.weight_of(v),
         )
     }
@@ -303,127 +273,6 @@ impl GradientNode {
             ctx.set_timer(self.shared.params.delta_h, TimerKind::Tick);
         }
     }
-
-    /// Packs `Γ_u` and `Υ_u` into `out` and drains them, leaving a hollow
-    /// node whose inline scalars (`L`, `Lmax`, jump count, parked flag)
-    /// still answer [`Automaton::logical_clock`] exactly. Refuses (and
-    /// leaves the node untouched) when edge weights are configured —
-    /// weighted nodes are rare and stay hot. Returns whether it packed.
-    ///
-    /// Encoding (little-endian): `Γ` length (`u32`), then per neighbor
-    /// `id:u32`, an age code for `C^v_u` — tag `1` + `u32` grid index
-    /// when the join stamp sits exactly on the shared table's quantum
-    /// grid, else tag `0` + raw `f64` bits — and the raw bits of the
-    /// estimate offset; then `Υ` length (`u32`) and its ids.
-    fn pack_cold_impl(&mut self, out: &mut Vec<u8>) -> bool {
-        if self.weights.is_some() {
-            return false;
-        }
-        let q = self.shared.table.quantum();
-        out.extend_from_slice(&(self.gamma.len() as u32).to_le_bytes());
-        for (v, st) in self.gamma.iter() {
-            out.extend_from_slice(&(v.index() as u32).to_le_bytes());
-            match hw_grid_code(q, st.joined_hw) {
-                Some(k) => {
-                    out.push(1);
-                    out.extend_from_slice(&k.to_le_bytes());
-                }
-                None => {
-                    out.push(0);
-                    out.extend_from_slice(&st.joined_hw.to_bits().to_le_bytes());
-                }
-            }
-            out.extend_from_slice(&st.estimate.offset().to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&(self.upsilon.len() as u32).to_le_bytes());
-        for v in self.upsilon.iter() {
-            out.extend_from_slice(&(v.index() as u32).to_le_bytes());
-        }
-        self.gamma = FlatMap::new();
-        self.upsilon = IdSet::new();
-        true
-    }
-
-    /// Rebuilds `Γ_u` and `Υ_u` from a [`Self::pack_cold_impl`] blob.
-    /// Exact inverse: grid-coded join stamps decode to the identical
-    /// float by the quantum-reconstruction contract, raw-coded ones by
-    /// bit transport.
-    fn unpack_cold_impl(&mut self, bytes: &[u8]) {
-        let q = self.shared.table.quantum();
-        let mut r = ColdReader::new(bytes);
-        let glen = r.u32() as usize;
-        for _ in 0..glen {
-            let id = NodeId::from_index(r.u32() as usize);
-            let joined_hw = match r.u8() {
-                1 => r.u32() as f64 * q,
-                _ => f64::from_bits(r.u64()),
-            };
-            let offset = f64::from_bits(r.u64());
-            // Entries were packed in ascending id order, so each insert
-            // appends at the end of the flat map.
-            self.gamma.insert(
-                id,
-                NeighborState {
-                    joined_hw,
-                    estimate: ClockVar::with_value(offset, 0.0),
-                },
-            );
-        }
-        let ulen = r.u32() as usize;
-        for _ in 0..ulen {
-            self.upsilon.insert(NodeId::from_index(r.u32() as usize));
-        }
-        r.finish();
-    }
-}
-
-/// The `u32` grid code of `hw` on quantum `q`, if `k·q` reproduces `hw`
-/// bit-for-bit (same reconstruction contract as
-/// [`BudgetTable::grid_index`], but over the full `u32` index range so it
-/// covers join *stamps*, not just ages).
-fn hw_grid_code(q: f64, hw: f64) -> Option<u32> {
-    let r = hw / q;
-    if !(r >= 0.0 && r <= u32::MAX as f64) {
-        return None;
-    }
-    let k = r.round();
-    ((k * q).to_bits() == hw.to_bits()).then_some(k as u32)
-}
-
-/// Little-endian cursor over a cold blob; panics on truncation (a packed
-/// blob is produced and consumed by the same code, so truncation is a
-/// bug, not an input condition).
-struct ColdReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ColdReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        ColdReader { bytes, pos: 0 }
-    }
-
-    fn take<const N: usize>(&mut self) -> [u8; N] {
-        let out: [u8; N] = self.bytes[self.pos..self.pos + N].try_into().unwrap();
-        self.pos += N;
-        out
-    }
-
-    fn u8(&mut self) -> u8 {
-        self.take::<1>()[0]
-    }
-
-    fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take())
-    }
-
-    fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take())
-    }
-
-    fn finish(self) {
-        assert_eq!(self.pos, self.bytes.len(), "cold blob has trailing bytes");
-    }
 }
 
 impl Automaton for GradientNode {
@@ -525,18 +374,23 @@ impl Automaton for GradientNode {
         self.lmax.value(hw)
     }
 
-    // The compact-plane cold tier (PR 8): quiescence, pack, rehydrate.
+    // The compact-plane cold tier. Only a quiescent node (`Γ_u = Υ_u =
+    // ∅`) may pack, so there is no per-neighbor state to encode: packing
+    // releases the empty containers' capacity and writes nothing, and
+    // rehydration (the trait's default `unpack_cold`) restores nothing.
+    // Weighted nodes are rare and stay hot.
 
     fn quiescent(&self) -> bool {
         self.gamma.is_empty() && self.upsilon.is_empty()
     }
 
-    fn pack_cold(&mut self, out: &mut Vec<u8>) -> bool {
-        self.pack_cold_impl(out)
-    }
-
-    fn unpack_cold(&mut self, bytes: &[u8]) {
-        self.unpack_cold_impl(bytes);
+    fn pack_cold(&mut self, _out: &mut Vec<u8>) -> bool {
+        if !self.quiescent() || self.weights.is_some() {
+            return false;
+        }
+        self.gamma = FlatMap::new();
+        self.upsilon = IdSet::new();
+        true
     }
 
     fn heap_bytes(&self) -> usize {
@@ -827,32 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_table_hits_match_exact_budget_bitwise() {
-        let p = params();
-        let shared = GradientShared::new(p);
-        let q = shared.table().quantum();
-        // Every grid age must resolve to the exact evaluation bit-for-bit,
-        // and off-grid ages must take the exact path (trivially equal).
-        for k in 0..shared.table().len() {
-            let dt = k as f64 * q;
-            assert_eq!(
-                shared.unfloored(dt).to_bits(),
-                p.budget_unfloored(dt).to_bits(),
-                "grid age {dt}"
-            );
-        }
-        for dt in [0.01, 1.0 / 3.0, 7.7, 1e6, -0.5] {
-            assert_eq!(
-                shared.unfloored(dt).to_bits(),
-                p.budget_unfloored(dt).to_bits(),
-                "off-grid age {dt}"
-            );
-        }
-        // The table must cover the whole pre-settle ramp.
-        assert!(shared.table().len() as f64 * q >= p.budget_settle_age());
-    }
-
-    #[test]
     fn idle_parking_arms_no_tick_until_contact() {
         let shared = Arc::new(GradientShared::new(params()).with_idle_parking(true));
         let mut n = GradientNode::with_shared(shared);
@@ -908,13 +736,10 @@ mod tests {
     }
 
     #[test]
-    fn cold_roundtrip_restores_identical_state() {
-        let p = params();
-        let mut n = GradientNode::new(p);
+    fn cold_pack_refuses_live_neighbors_and_writes_nothing_when_quiescent() {
+        let mut n = GradientNode::new(params());
         let mut actions = Vec::new();
         let mut rng = StdRng::seed_from_u64(0);
-        // One on-grid join stamp (0.125-multiples of ΔH/4) and one
-        // off-grid stamp, so both age codes are exercised.
         n.on_receive(
             &mut ctx_at(1.0, &mut actions, &mut rng),
             node(3),
@@ -923,70 +748,36 @@ mod tests {
                 max_estimate: 9.0,
             },
         );
-        n.on_receive(
-            &mut ctx_at(2.0 + 1e-3, &mut actions, &mut rng),
-            node(7),
-            Message {
-                logical: 1.75,
-                max_estimate: 11.0,
-            },
-        );
-        n.on_discover(
-            &mut ctx_at(2.5, &mut actions, &mut rng),
-            LinkChange {
-                kind: LinkChangeKind::Added,
-                edge: Edge::between(0, 9),
-            },
-        );
-        let before = n.clone();
         let mut blob = Vec::new();
-        assert!(n.pack_cold(&mut blob), "unweighted node must pack");
-        assert!(n.quiescent(), "packed node is drained");
-        assert_eq!(n.heap_bytes(), 0, "drained node holds no heap");
-        assert_eq!(
-            n.logical_clock(5.0).to_bits(),
-            before.logical_clock(5.0).to_bits(),
-            "inline clocks must survive the drain"
+        assert!(!n.pack_cold(&mut blob), "Γ ≠ ∅ must refuse");
+        assert!(blob.is_empty());
+        assert_eq!(n.gamma().collect::<Vec<_>>(), vec![node(3)]);
+        assert_eq!(n.upsilon().collect::<Vec<_>>(), vec![node(3)]);
+        assert_eq!(n.neighbor_state(node(3)).unwrap().joined_hw, 1.0);
+
+        n.on_discover(
+            &mut ctx_at(2.0, &mut actions, &mut rng),
+            LinkChange {
+                kind: LinkChangeKind::Removed,
+                edge: Edge::between(0, 3),
+            },
         );
-        n.unpack_cold(&blob);
-        let hw = 6.0;
-        assert_eq!(
-            n.upsilon().collect::<Vec<_>>(),
-            before.upsilon().collect::<Vec<_>>()
-        );
-        let caps_a: Vec<_> = n.neighbor_caps(hw).collect();
-        let caps_b: Vec<_> = before.neighbor_caps(hw).collect();
-        assert_eq!(caps_a.len(), caps_b.len());
-        for ((la, ba), (lb, bb)) in caps_a.iter().zip(&caps_b) {
-            assert_eq!(la.to_bits(), lb.to_bits(), "estimate bits");
-            assert_eq!(ba.to_bits(), bb.to_bits(), "budget bits");
-        }
-        for v in [node(3), node(7)] {
-            assert_eq!(
-                n.neighbor_state(v).unwrap().joined_hw.to_bits(),
-                before.neighbor_state(v).unwrap().joined_hw.to_bits()
-            );
-        }
-        assert_eq!(n.is_blocked(hw), before.is_blocked(hw));
+        let (l, lmax) = (n.logical_clock(5.0), n.max_estimate(5.0));
+        assert!(n.pack_cold(&mut blob), "quiescent node must pack");
+        assert!(blob.is_empty(), "nothing to encode: {blob:?}");
+        assert_eq!(n.heap_bytes(), 0, "packed node holds no heap");
+        assert_eq!(n.logical_clock(5.0).to_bits(), l.to_bits());
+        assert_eq!(n.max_estimate(5.0).to_bits(), lmax.to_bits());
     }
 
     #[test]
     fn weighted_nodes_refuse_to_pack() {
         let mut n = GradientNode::with_weights(params(), [(node(1), 0.25)].into_iter().collect());
-        let mut actions = Vec::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        n.on_receive(
-            &mut ctx_at(0.0, &mut actions, &mut rng),
-            node(1),
-            Message {
-                logical: 0.0,
-                max_estimate: 0.0,
-            },
-        );
+        assert!(n.quiescent());
         let mut blob = Vec::new();
         assert!(!n.pack_cold(&mut blob));
         assert!(blob.is_empty());
-        assert_eq!(n.gamma().count(), 1, "refusal must not drain");
+        assert_eq!(n.weight_of(node(1)), 0.25, "refusal keeps the weights");
     }
 
     #[test]

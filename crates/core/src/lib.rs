@@ -31,9 +31,8 @@
 //! * [`params`] — [`AlgoParams`]: `ρ, T, D, ΔH, B0` plus every derived
 //!   quantity of the analysis (`ΔT`, `ΔT′`, `τ`, `G(n)`, `W`, the dynamic
 //!   local skew function of Corollary 6.13).
-//! * [`budget`] — the budget function `B` in isolation, plus the shared
-//!   [`BudgetTable`] curve sampling behind the compact automaton plane
-//!   (bit-exact on its grid, exact-path fallback off it).
+//! * [`budget`] — the budget function `B` in isolation (the closed form
+//!   behind [`AlgoParams::budget`]).
 //! * [`gradient`] — [`GradientNode`], Algorithm 2 as a
 //!   [`gcs_sim::Automaton`].
 //! * [`baseline`] — [`baseline::MaxSyncNode`] (chase the max estimate
@@ -76,7 +75,6 @@ pub mod neighbors;
 pub mod params;
 pub mod predicate;
 
-pub use budget::BudgetTable;
 pub use gradient::{GradientNode, GradientShared, NeighborState};
 pub use invariants::InvariantMonitor;
 pub use neighbors::{FlatMap, IdSet};

@@ -1,88 +1,45 @@
 //! Replayable dynamic-graph state.
 //!
 //! [`DynamicGraph`] is the *live* view the simulator maintains while
-//! replaying a [`TopologySchedule`]: current adjacency plus the full
-//! presence history of every edge ever seen, which supports the
-//! `exists_throughout` queries used by analysis and invariant checking.
+//! replaying a [`TopologySchedule`]: the current adjacency and edge set.
+//! Interval queries ("exists throughout `[t1, t2]`") are answered by
+//! [`TopologySchedule::exists_throughout`] on the event log itself.
 
 use crate::ids::{Edge, NodeId};
 use crate::schedule::{TopologyEventKind, TopologySchedule};
 use gcs_clocks::Time;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// One presence interval of an edge: `[added, removed)` where `removed` is
-/// `None` while the edge is still up.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PresenceInterval {
-    /// When the edge (re)appeared.
-    pub added: Time,
-    /// When it was removed, if it has been.
-    pub removed: Option<Time>,
-}
-
-/// Live dynamic-graph state with (optional) history.
+/// Live dynamic-graph state.
 #[derive(Clone, Debug)]
 pub struct DynamicGraph {
     n: usize,
     adjacency: Vec<BTreeSet<NodeId>>,
     present: BTreeSet<Edge>,
-    history: BTreeMap<Edge, Vec<PresenceInterval>>,
-    /// Whether presence intervals are recorded. History costs `O(total
-    /// events)` memory over a run — the streaming engine disables it by
-    /// default so peak memory stays independent of the churn volume.
-    retain_history: bool,
     now: Time,
 }
 
 impl DynamicGraph {
-    /// A graph over `n` isolated nodes at time 0 (history retained).
+    /// A graph over `n` isolated nodes at time 0.
     pub fn empty(n: usize) -> Self {
         DynamicGraph {
             n,
             adjacency: vec![BTreeSet::new(); n],
             present: BTreeSet::new(),
-            history: BTreeMap::new(),
-            retain_history: true,
             now: Time::ZERO,
         }
     }
 
-    /// Enables or disables presence-history recording. Disabling clears
-    /// any history already accumulated; while disabled,
-    /// [`history`](Self::history) returns empty slices and
-    /// [`existed_throughout`](Self::existed_throughout) /
-    /// [`up_since`](Self::up_since) cannot answer.
-    pub fn set_retain_history(&mut self, retain: bool) {
-        self.retain_history = retain;
-        if !retain {
-            self.history.clear();
-        }
-    }
-
-    /// Whether presence history is being recorded.
-    pub fn retains_history(&self) -> bool {
-        self.retain_history
-    }
-
-    /// Approximate heap bytes of the live adjacency, presence set and
-    /// retained history (the topology plane's memory meter). B-tree node
-    /// overhead is not observable from outside `std`, so set and map
-    /// entries are counted at payload size.
+    /// Approximate heap bytes of the live adjacency and presence set (the
+    /// topology plane's memory meter). B-tree node overhead is not
+    /// observable from outside `std`, so set entries are counted at
+    /// payload size.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let degree_total: usize = self.adjacency.iter().map(|s| s.len()).sum();
         self.adjacency.capacity() * size_of::<BTreeSet<NodeId>>()
             + degree_total * size_of::<NodeId>()
             + self.present.len() * size_of::<Edge>()
-            + self
-                .history
-                .values()
-                .map(|v| {
-                    size_of::<Edge>()
-                        + size_of::<Vec<PresenceInterval>>()
-                        + v.capacity() * size_of::<PresenceInterval>()
-                })
-                .sum::<usize>()
     }
 
     /// A graph initialized with `E₀` at time 0.
@@ -123,12 +80,6 @@ impl DynamicGraph {
         );
         self.adjacency[e.lo().index()].insert(e.hi());
         self.adjacency[e.hi().index()].insert(e.lo());
-        if self.retain_history {
-            self.history.entry(e).or_default().push(PresenceInterval {
-                added: t,
-                removed: None,
-            });
-        }
         self.now = t;
     }
 
@@ -138,15 +89,6 @@ impl DynamicGraph {
         assert!(self.present.remove(&e), "edge {e:?} not present at {t:?}");
         self.adjacency[e.lo().index()].remove(&e.hi());
         self.adjacency[e.hi().index()].remove(&e.lo());
-        if self.retain_history {
-            let intervals = self
-                .history
-                .get_mut(&e)
-                .expect("present edge must have history");
-            let last = intervals.last_mut().expect("present edge has an interval");
-            debug_assert!(last.removed.is_none());
-            last.removed = Some(t);
-        }
         self.now = t;
     }
 
@@ -182,32 +124,6 @@ impl DynamicGraph {
     pub fn edge_count(&self) -> usize {
         self.present.len()
     }
-
-    /// Presence history of an edge (empty slice if never seen).
-    pub fn history(&self, e: Edge) -> &[PresenceInterval] {
-        self.history.get(&e).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// True if `e` was present at `t1` and not removed during `[t1, t2]`
-    /// (the paper's "exists throughout" predicate, evaluated on history).
-    pub fn existed_throughout(&self, e: Edge, t1: Time, t2: Time) -> bool {
-        assert!(t1 <= t2 && t2 <= self.now, "interval must lie in the past");
-        self.history(e).iter().any(|iv| {
-            iv.added <= t1
-                && match iv.removed {
-                    None => true,
-                    Some(r) => r > t2,
-                }
-        })
-    }
-
-    /// The time the current presence interval of `e` began, if `e` is up.
-    pub fn up_since(&self, e: Edge) -> Option<Time> {
-        if !self.contains(e) {
-            return None;
-        }
-        self.history(e).last().map(|iv| iv.added)
-    }
 }
 
 #[cfg(test)]
@@ -234,40 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn history_records_intervals() {
-        let mut g = DynamicGraph::empty(2);
-        g.add_edge(e(0, 1), at(1.0));
-        g.remove_edge(e(0, 1), at(5.0));
-        g.add_edge(e(0, 1), at(8.0));
-        let h = g.history(e(0, 1));
-        assert_eq!(h.len(), 2);
-        assert_eq!(h[0].added, at(1.0));
-        assert_eq!(h[0].removed, Some(at(5.0)));
-        assert_eq!(h[1].added, at(8.0));
-        assert_eq!(h[1].removed, None);
-        assert_eq!(g.up_since(e(0, 1)), Some(at(8.0)));
-    }
-
-    #[test]
-    fn existed_throughout_queries_history() {
-        let mut g = DynamicGraph::empty(2);
-        g.add_edge(e(0, 1), at(1.0));
-        g.remove_edge(e(0, 1), at(5.0));
-        g.add_edge(e(0, 1), at(8.0));
-        // advance `now` so queries up to 10 are legal
-        g.remove_edge(e(0, 1), at(10.0));
-        assert!(g.existed_throughout(e(0, 1), at(1.0), at(4.9)));
-        assert!(!g.existed_throughout(e(0, 1), at(1.0), at(5.0)));
-        assert!(!g.existed_throughout(e(0, 1), at(6.0), at(7.0)));
-        assert!(g.existed_throughout(e(0, 1), at(8.0), at(9.9)));
-        assert!(!g.existed_throughout(e(0, 1), at(8.0), at(10.0)));
-    }
-
-    #[test]
     fn with_initial_sets_time_zero_edges() {
         let g = DynamicGraph::with_initial(3, [e(0, 1), e(1, 2)]);
         assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.up_since(e(0, 1)), Some(Time::ZERO));
+        assert!(g.contains(e(0, 1)) && g.contains(e(1, 2)));
+        assert_eq!(g.now(), Time::ZERO);
     }
 
     #[test]
@@ -284,21 +171,6 @@ mod tests {
         let mut g = DynamicGraph::empty(2);
         g.add_edge(e(0, 1), at(1.0));
         g.add_edge(e(0, 1), at(2.0));
-    }
-
-    #[test]
-    fn history_retention_can_be_disabled() {
-        let mut g = DynamicGraph::empty(2);
-        g.set_retain_history(false);
-        assert!(!g.retains_history());
-        g.add_edge(e(0, 1), at(1.0));
-        g.remove_edge(e(0, 1), at(5.0));
-        g.add_edge(e(0, 1), at(8.0));
-        // Live state is fully tracked; history is not.
-        assert!(g.contains(e(0, 1)));
-        assert_eq!(g.degree(node(0)), 1);
-        assert!(g.history(e(0, 1)).is_empty());
-        assert_eq!(g.up_since(e(0, 1)), None);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`TopologySchedule`] — the timed add/remove event log that defines a
 //!   dynamic graph `E(t)`, with validation (no simultaneous add+remove of
 //!   the same edge, adds only for absent edges, …),
-//! * [`DynamicGraph`] — replayable graph state with full presence history
-//!   and the `exists_throughout` predicate from Section 3.2,
+//! * [`DynamicGraph`] — the live edge set and adjacency a replay
+//!   maintains (the Section 3.2 `exists_throughout` predicate is
+//!   [`TopologySchedule::exists_throughout`], on the event log itself),
 //! * [`generators`] — static topologies (paths, rings, grids, trees,
 //!   G(n,p), random geometric, and the paper's two-chain lower-bound
 //!   network),

@@ -70,31 +70,27 @@ proptest! {
         }
     }
 
-    /// `exists_throughout` agrees between schedule queries and replayed
-    /// graph history.
+    /// `exists_throughout` agrees with a brute-force `edges_at` oracle:
+    /// the edge is up at `t1` and at every event time in `(t1, t2]` (the
+    /// edge set only changes at event times).
     #[test]
     fn exists_throughout_agrees(sched in arb_schedule(4), t1 in 0.0f64..80.0, gap in 0.0f64..40.0) {
-        let t2 = t1 + gap;
-
-        let mut g = DynamicGraph::from_schedule_initial(&sched);
-        for ev in sched.events() {
-            g.apply(ev.kind, ev.edge, ev.time);
-        }
-        // Advance history to the horizon by a no-op removal guard: the
-        // graph's `now` is the last event; only query if in range.
-        if at(t2) <= g.now() {
-            for i in 0..4usize {
-                for j in i + 1..4 {
-                    let e = Edge::between(i, j);
-                    prop_assert_eq!(
-                        g.existed_throughout(e, at(t1), at(t2)),
-                        sched.exists_throughout(e, at(t1), at(t2)),
-                        "edge {:?} interval [{}, {}]",
-                        e,
-                        t1,
-                        t2
-                    );
-                }
+        let (t1, t2) = (at(t1), at(t1 + gap));
+        let probes: Vec<_> = std::iter::once(t1)
+            .chain(sched.events().iter().map(|ev| ev.time).filter(|&t| t > t1 && t <= t2))
+            .collect();
+        for i in 0..4usize {
+            for j in i + 1..4 {
+                let e = Edge::between(i, j);
+                let oracle = probes.iter().all(|&t| sched.edges_at(t).contains(&e));
+                prop_assert_eq!(
+                    sched.exists_throughout(e, t1, t2),
+                    oracle,
+                    "edge {:?} interval [{:?}, {:?}]",
+                    e,
+                    t1,
+                    t2
+                );
             }
         }
     }

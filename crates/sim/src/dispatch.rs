@@ -50,8 +50,7 @@ use rand::rngs::StdRng;
 /// than this run inline on the coordinating thread — handing a few
 /// events to the pool costs more than running them. The threshold
 /// affects scheduling only — traces are identical either way — and is
-/// tunable per run via `SimBuilder::par_threshold` or the
-/// `GCS_SIM_PAR_MIN` environment variable.
+/// tunable per run via `SimBuilder::par_threshold`.
 pub(crate) const PAR_MIN_EVENTS: usize = 64;
 
 /// A deferred engine effect: an event to enqueue once the segment's
@@ -488,11 +487,10 @@ struct Worker {
 
 /// A persistent pool of shard-pinned worker lanes.
 ///
-/// The pre-pool dispatcher paid a `std::thread::scope` spawn/join for
-/// every wide segment — tens of microseconds of thread creation per
-/// barrier, dominating segment cost under sustained churn. The pool
-/// spawns its threads once (lazily, at the first wide segment) and feeds
-/// them per-barrier jobs over plain `mpsc` channels.
+/// Spawning threads per wide segment would cost tens of microseconds of
+/// thread creation per barrier, dominating segment cost under sustained
+/// churn. The pool spawns its threads once (lazily, at the first wide
+/// segment) and feeds them per-barrier jobs over plain `mpsc` channels.
 ///
 /// **Leader participation**: lane 0 *is* the submitting thread. The
 /// coordinator would otherwise block in `recv` while its workers run, so
@@ -504,9 +502,9 @@ struct Worker {
 /// lane `w`, so the shard → lane assignment is fixed for the life of
 /// the simulator (warm caches, and no cross-lane migration of shard
 /// state). Pinning — like everything else about the pool — is
-/// scheduling only: traces are bit-identical to the inline and fork/join
-/// paths because jobs run the same `run_shard`/`apply_batch` bodies over
-/// the same disjoint `&mut` partitions.
+/// scheduling only: traces are bit-identical to the inline path because
+/// jobs run the same `run_shard`/`apply_batch` bodies over the same
+/// disjoint `&mut` partitions.
 ///
 /// **Soundness**: jobs capture non-`'static` borrows of the simulator's
 /// shards; [`run`](Self::run) transmutes that lifetime away to cross the

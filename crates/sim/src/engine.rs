@@ -1,7 +1,8 @@
 //! The deterministic parallel discrete-event simulation engine.
 //!
 //! [`Simulator`] replays a topology stream — any [`TopologySource`], with
-//! eager [`TopologySchedule`]s adapted through [`ScheduleSource`] —
+//! eager [`TopologySchedule`](gcs_net::TopologySchedule)s adapted
+//! through [`ScheduleSource`](gcs_net::ScheduleSource) —
 //! against a set of protocol [`Automaton`]s, enforcing the model
 //! guarantees of Section 3.2:
 //!
@@ -55,8 +56,8 @@
 //! [`DriftSource`] instead of `n` materialized `RateSchedule`s, and the
 //! only per-node drift state is an O(1) cursor in the owning shard,
 //! created the first time a node's clock is evaluated past time 0
-//! (`H(0) = 0` needs nothing). Eager `.clocks(...)` constructions are
-//! adapted through `ScheduleDrift` (stateless — no cursors at all), and
+//! (`H(0) = 0` needs nothing). Eager per-node clocks are adapted
+//! through `ScheduleDrift` (stateless — no cursors at all), and
 //! node-local engine state lives in a struct-of-arrays table sized by
 //! the touched-node watermark, so untouched nodes cost zero bytes of
 //! clock, RNG, timer, and peer state. Every evaluation path produces
@@ -80,18 +81,15 @@
 //! all events inside a segment target node-exclusive state, so a
 //! segment is dispatched **sharded by owning [`NodeId`]** — round-robin
 //! over [`SimBuilder::threads`] worker shards. Wide segments and wide
-//! batches (at least [`SimBuilder::par_threshold`] events, default 64,
-//! env [`PAR_MIN_ENV`]) run on a **persistent worker pool** (the
-//! `dispatch` module): shard-pinned lanes spawned once at the first
-//! wide segment, lane 0 on the coordinating thread, fed per-barrier
-//! jobs over channels — the per-segment `std::thread::scope`
-//! spawn/join it replaces survives behind
-//! [`SimBuilder::persistent_pool`]`(false)` as the A/B baseline.
+//! batches (at least [`SimBuilder::par_threshold`] events, default 64)
+//! run on a **persistent worker pool** (the `dispatch` module):
+//! shard-pinned lanes spawned once at the first wide segment, lane 0 on
+//! the coordinating thread, fed per-barrier jobs over channels.
 //! Handler-emitted actions are buffered and merged back
 //! into the wheel in the canonical `(triggering event seq, emission
 //! index)` order, and every random draw comes from the consuming node's
 //! private stream, so the trace is **bit-identical for every thread
-//! count and both backends** — pinned by
+//! count and threshold** — pinned by
 //! `crates/bench/tests/determinism.rs` and `crates/sim/tests/pool.rs`,
 //! with eager-vs-streaming equivalence pinned by
 //! `crates/bench/tests/streaming.rs`.
@@ -105,52 +103,47 @@ use crate::model::ModelParams;
 use crate::shard::{EdgeStore, Shards};
 use crate::stats::SimStats;
 use crate::wheel::TimeWheel;
-use gcs_clocks::{
-    DriftModel, DriftSource, Duration, HardwareClock, ModelDrift, ScheduleDrift, Time,
-};
+use gcs_clocks::{DriftModel, DriftSource, Duration, ModelDrift, Time};
 use gcs_net::schedule::TopologyEventKind;
-use gcs_net::{
-    DynamicGraph, Edge, NodeId, ScheduleSource, TopologyEvent, TopologySchedule, TopologySource,
-};
+use gcs_net::{DynamicGraph, Edge, NodeId, TopologyEvent, TopologySource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// Environment variable consulted for the default worker count, so a CI
 /// matrix (or an operator) can exercise the parallel path without touching
-/// code: `GCS_SIM_THREADS=8 cargo test`.
+/// code: `GCS_SIM_THREADS=8 cargo test`. Read by [`threads_from_env`].
 pub const THREADS_ENV: &str = "GCS_SIM_THREADS";
 
-/// Environment variable consulted for the default parallel threshold
-/// (minimum events in a segment or topology batch before it is handed to
-/// the worker pool): `GCS_SIM_PAR_MIN=128 cargo bench` tunes the
-/// crossover on a real host without rebuilding. Overridden by
-/// [`SimBuilder::par_threshold`]; scheduling only — traces are identical
-/// for every value.
-pub const PAR_MIN_ENV: &str = "GCS_SIM_PAR_MIN";
-
 /// Hard cap on worker shards — far above any sensible host, it only guards
-/// against a malformed environment value allocating absurd shard counts.
+/// against absurd shard counts.
 const MAX_THREADS: usize = 64;
 
-fn threads_from_env() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .map(|t| t.min(MAX_THREADS))
-        .unwrap_or(1)
+/// The worker count [`THREADS_ENV`] asks for: 1 when the variable is
+/// unset. The default of [`SimBuilder::threads`], and the one parser of
+/// the variable for every binary that honours it.
+///
+/// # Panics
+/// When the variable is set to anything but an integer in `1..=64`
+/// (surrounding whitespace allowed); the message names the variable and
+/// its value, so a typo cannot silently run single-threaded.
+pub fn threads_from_env() -> usize {
+    // Invalid UTF-8 turns into U+FFFD, which never parses as a count.
+    std::env::var_os(THREADS_ENV).map_or(1, |value| parse_threads(&value.to_string_lossy()))
 }
 
-fn par_min_from_env() -> Option<usize> {
-    std::env::var(PAR_MIN_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
+/// Parses one [`THREADS_ENV`] value; see [`threads_from_env`].
+fn parse_threads(value: &str) -> usize {
+    match value.trim().parse::<usize>() {
+        Ok(t) if (1..=MAX_THREADS).contains(&t) => t,
+        _ => panic!("{THREADS_ENV}={value:?} is not a worker count in 1..={MAX_THREADS}"),
+    }
 }
 
 /// How long the environment waits before telling an endpoint about a
-/// topology change. All variants are validated against the bound `D`.
+/// topology change. Every variant is validated against the bound `D`
+/// when the simulator is built: values must be finite, `0 < delay ≤ D`
+/// and `0 < lo ≤ hi ≤ D`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DiscoveryDelay {
     /// Every change discovered exactly `delay` after it happens.
@@ -165,6 +158,21 @@ pub enum DiscoveryDelay {
 }
 
 impl DiscoveryDelay {
+    /// Panics unless every latency this model can produce lies in
+    /// `(0, d_bound]` — the model's discovery bound `D`.
+    fn validate(&self, d_bound: f64) {
+        let ok = |v: f64| v.is_finite() && v > 0.0 && v <= d_bound;
+        match *self {
+            DiscoveryDelay::Constant(d) => {
+                assert!(ok(d), "discovery delay {d} outside (0, D = {d_bound}]")
+            }
+            DiscoveryDelay::Uniform { lo, hi } => assert!(
+                ok(lo) && ok(hi) && lo <= hi,
+                "discovery range [{lo}, {hi}] outside 0 < lo <= hi <= D = {d_bound}"
+            ),
+        }
+    }
+
     /// True when [`sample`](Self::sample) may draw from the RNG — same
     /// contract as [`DelayStrategy::draws`]: the engine only materializes
     /// a node's lazy stream for drawing models.
@@ -266,9 +274,6 @@ struct StagedFault {
 enum DriftSpec {
     /// Perfect clocks (the default).
     Perfect,
-    /// Explicit per-node clocks, served through the eager
-    /// [`ScheduleDrift`] adapter.
-    Clocks(Vec<HardwareClock>),
     /// A [`DriftModel`] evaluated lazily ([`ModelDrift`]), keyed by the
     /// builder's *final* seed.
     Model { model: DriftModel, horizon: f64 },
@@ -288,9 +293,6 @@ enum DriftSpec {
 ///   [`DriftModel`]s),
 /// * [`faults`](Self::faults) takes the fault plane (any
 ///   [`FaultSource`]).
-///
-/// The pre-fault constructors (`new`, `from_source`, `clocks`,
-/// `drift_source`) survive as thin deprecated adapters over these forms.
 pub struct SimBuilder {
     params: ModelParams,
     source: Box<dyn TopologySource>,
@@ -302,24 +304,16 @@ pub struct SimBuilder {
     seed: u64,
     threads: Option<usize>,
     par_threshold: Option<usize>,
-    persistent_pool: bool,
-    record_history: bool,
 }
 
 impl SimBuilder {
-    /// Starts a builder over an eagerly materialized schedule.
-    #[deprecated(note = "use SimBuilder::topology(params, ScheduleSource::new(schedule))")]
-    pub fn new(params: ModelParams, schedule: TopologySchedule) -> Self {
-        Self::topology(params, ScheduleSource::new(schedule))
-    }
-
     /// Starts a builder over a topology stream — the canonical
-    /// constructor. Eager [`TopologySchedule`]s adapt through
-    /// [`ScheduleSource`]; lazy sources keep peak memory independent of
-    /// the total churn-event count. Defaults: perfect clocks, no faults,
-    /// maximum delays, worst-case (`= D`) discovery latency, seed 0,
-    /// worker count from [`THREADS_ENV`] (1 when unset), presence
-    /// history off.
+    /// constructor. Eager [`TopologySchedule`](gcs_net::TopologySchedule)s
+    /// adapt through [`ScheduleSource`](gcs_net::ScheduleSource); lazy
+    /// sources keep peak memory independent of the total churn-event
+    /// count. Defaults: perfect clocks, no faults, maximum delays,
+    /// worst-case (`= D`) discovery latency, seed 0, worker count from
+    /// [`threads_from_env`].
     pub fn topology(params: ModelParams, source: impl TopologySource + 'static) -> Self {
         let n = source.n();
         SimBuilder {
@@ -333,34 +327,13 @@ impl SimBuilder {
             seed: 0,
             threads: None,
             par_threshold: None,
-            persistent_pool: true,
-            record_history: false,
         }
-    }
-
-    /// Starts a builder over any lazily generated topology stream.
-    #[deprecated(note = "renamed to SimBuilder::topology")]
-    pub fn from_source(params: ModelParams, source: impl TopologySource + 'static) -> Self {
-        Self::topology(params, source)
-    }
-
-    /// Uses explicit per-node hardware clocks.
-    #[deprecated(note = "use .drift(ScheduleDrift::new(clocks))")]
-    pub fn clocks(mut self, clocks: Vec<HardwareClock>) -> Self {
-        assert_eq!(
-            clocks.len(),
-            self.n,
-            "need one clock per node ({} != {})",
-            clocks.len(),
-            self.n
-        );
-        self.drift = DriftSpec::Clocks(clocks);
-        self
     }
 
     /// Uses a caller-supplied drift plane (any [`DriftSource`]) — the
     /// canonical clock input, mirroring [`topology`](Self::topology).
-    /// Eager per-node [`HardwareClock`]s adapt through [`ScheduleDrift`];
+    /// Eager per-node [`HardwareClock`](gcs_clocks::HardwareClock)s adapt
+    /// through [`ScheduleDrift`](gcs_clocks::ScheduleDrift);
     /// [`DriftModel`]s through [`drift_model`](Self::drift_model) (which
     /// defers seeding to build time — prefer it for models).
     pub fn drift(mut self, source: impl DriftSource + 'static) -> Self {
@@ -387,13 +360,6 @@ impl SimBuilder {
         self
     }
 
-    /// Uses a caller-supplied drift plane.
-    #[deprecated(note = "renamed to SimBuilder::drift")]
-    pub fn drift_source(mut self, source: impl DriftSource + 'static) -> Self {
-        self.drift = DriftSpec::Source(Box::new(source));
-        self
-    }
-
     /// Attaches a fault plane (any [`FaultSource`]): crash/restart,
     /// message-loss and delay-spike windows, and drift excursions, pulled
     /// lazily and applied as serial barriers in `(time, class, seq)`
@@ -404,22 +370,14 @@ impl SimBuilder {
         self
     }
 
-    /// Records full per-edge presence history on the live
-    /// [`DynamicGraph`] (off by default: history costs `O(total events)`
-    /// memory over a run, which is exactly the term the streaming
-    /// pipeline removes).
-    pub fn record_history(mut self, record: bool) -> Self {
-        self.record_history = record;
-        self
-    }
-
     /// Sets the delay adversary.
     pub fn delay(mut self, delay: DelayStrategy) -> Self {
         self.delay = delay;
         self
     }
 
-    /// Sets the discovery-latency model.
+    /// Sets the discovery-latency model (validated against `D` by
+    /// [`build_with`](Self::build_with)).
     pub fn discovery(mut self, discovery: DiscoveryDelay) -> Self {
         self.discovery = discovery;
         self
@@ -442,25 +400,13 @@ impl SimBuilder {
     }
 
     /// Minimum events in a segment or topology batch before it is handed
-    /// to the parallel backend (≥ 1); narrower ones run inline.
-    /// Overrides [`PAR_MIN_ENV`]; defaults to 64. Scheduling only — the
-    /// trace is bit-identical for every value (pinned by the boundary
-    /// proptest in `crates/sim/tests/pool.rs`). The effective value is
-    /// recorded in [`SimStats::par_min_events`].
+    /// to the worker pool (≥ 1); narrower ones run inline. Defaults to
+    /// 64. Scheduling only — the trace is bit-identical for every value
+    /// (pinned by the boundary proptest in `crates/sim/tests/pool.rs`).
+    /// The effective value is recorded in [`SimStats::par_min_events`].
     pub fn par_threshold(mut self, events: usize) -> Self {
         assert!(events >= 1, "threshold of 0 would parallelize empty work");
         self.par_threshold = Some(events);
-        self
-    }
-
-    /// Chooses the wide-segment dispatch backend: the persistent
-    /// shard-pinned worker pool (default, `true`) or the pre-pool
-    /// per-segment `std::thread::scope` fork/join (`false`), kept
-    /// selectable so benches and tests can A/B the two. Traces are
-    /// bit-identical either way; with fork/join, topology batches apply
-    /// serially.
-    pub fn persistent_pool(mut self, on: bool) -> Self {
-        self.persistent_pool = on;
         self
     }
 
@@ -469,15 +415,18 @@ impl SimBuilder {
     /// discovery of the initial edge set at time 0. Scheduled topology is
     /// **not** pre-loaded — it streams from the source as the simulation
     /// advances.
+    ///
+    /// # Panics
+    /// When the discovery model violates the bound `D` (see
+    /// [`DiscoveryDelay`]), when the source's initial edges are not
+    /// sorted and distinct, or when [`THREADS_ENV`] is malformed and no
+    /// explicit [`threads`](Self::threads) was given.
     pub fn build_with<A: Automaton>(mut self, make_node: impl FnMut(usize) -> A) -> Simulator<A> {
+        self.discovery.validate(self.params.d);
         let n = self.n;
-        let workers = self.threads.unwrap_or_else(threads_from_env).max(1);
+        let workers = self.threads.unwrap_or_else(threads_from_env);
         let shard_count = workers.min(n.max(1));
-        let par_min = self
-            .par_threshold
-            .or_else(par_min_from_env)
-            .unwrap_or(PAR_MIN_EVENTS)
-            .max(1);
+        let par_min = self.par_threshold.unwrap_or(PAR_MIN_EVENTS);
         // Resolve the drift spec into the one plane every evaluation goes
         // through. The model plane's stream seed keeps the historical
         // `seed ^ GOLDEN` domain separation from node streams.
@@ -488,7 +437,6 @@ impl SimBuilder {
                 1.0,
                 self.seed,
             )),
-            DriftSpec::Clocks(clocks) => Box::new(ScheduleDrift::new(clocks)),
             DriftSpec::Model { model, horizon } => Box::new(ModelDrift::new(
                 model,
                 self.params.rho,
@@ -507,11 +455,10 @@ impl SimBuilder {
         // handful of buckets, timers a few more.
         let mut queue = TimeWheel::new(self.params.t / 4.0);
         let mut graph = DynamicGraph::empty(n);
-        graph.set_retain_history(self.record_history);
 
         // Initial edges exist (and are discovered) at time 0.
         let initial = self.source.initial_edges();
-        debug_assert!(
+        assert!(
             initial.windows(2).all(|w| w[0] < w[1]),
             "source initial edges must be sorted and distinct"
         );
@@ -576,7 +523,6 @@ impl SimBuilder {
             touched_buf: Vec::new(),
             pool: None,
             pool_spawns: 0,
-            use_pool: self.persistent_pool,
             par_min,
             topology_apply: std::time::Duration::ZERO,
         };
@@ -704,9 +650,6 @@ pub struct Simulator<A: Automaton> {
     /// Times the pool has been (re-)spawned — 1 for the life of a
     /// simulator unless it never went wide (test observability).
     pool_spawns: u64,
-    /// Dispatch backend toggle: persistent pool (default) vs per-segment
-    /// scoped fork/join (see [`SimBuilder::persistent_pool`]).
-    use_pool: bool,
     /// Effective parallel threshold (events) for segments and topology
     /// batches; see [`SimBuilder::par_threshold`].
     par_min: usize,
@@ -937,16 +880,16 @@ impl<A: Automaton> Simulator<A> {
     }
 
     /// Wall-clock seconds spent applying topology batches so far (graph
-    /// mirror plus canonical edge state, whichever backend applied it).
-    /// Host- and backend-dependent by nature — this is a performance
-    /// meter, not part of the deterministic trace.
+    /// mirror plus canonical edge state, serial or on the pool).
+    /// Host-dependent by nature — this is a performance meter, not part
+    /// of the deterministic trace.
     pub fn topology_apply_seconds(&self) -> f64 {
         self.topology_apply.as_secs_f64()
     }
 
     /// Worker threads currently alive in the persistent pool (0 until
-    /// the first wide segment spawns it, and always 0 with the fork/join
-    /// backend or `threads == 1`).
+    /// the first wide segment spawns it, and always 0 with
+    /// `threads == 1`).
     pub fn pool_workers(&self) -> usize {
         self.pool.as_ref().map_or(0, WorkerPool::size)
     }
@@ -1311,13 +1254,11 @@ impl<A: Automaton> Simulator<A> {
     /// Dispatches one topology-free segment and merges its effects.
     ///
     /// Wide segments (≥ `par_min` events, more than one shard) go to the
-    /// parallel backend: by default the persistent pool — shard chunk
-    /// `w` always runs on pool worker `w`, so the shard → worker pinning
-    /// is fixed for the simulator's lifetime — or, when configured, the
-    /// legacy per-segment `std::thread::scope` fork/join. Both backends
-    /// run the same dispatch body over the same disjoint `&mut` shard
-    /// partition and merge effects in the same canonical order, so the
-    /// choice (like the threshold) is scheduling only.
+    /// persistent pool — shard chunk `w` always runs on pool worker `w`,
+    /// so the shard → worker pinning is fixed for the simulator's
+    /// lifetime. Inline and pooled dispatch run the same body over the
+    /// same disjoint `&mut` shard partition and merge effects in the
+    /// same canonical order, so the threshold is scheduling only.
     fn run_segment(&mut self, seg: &[QueuedEvent]) {
         let shard_count = self.shards.count();
         let parallel = shard_count > 1 && seg.len() >= self.par_min;
@@ -1358,46 +1299,28 @@ impl<A: Automaton> Simulator<A> {
             shard_count,
             observing: self.observing,
         };
-        if self.use_pool {
-            if self.pool.is_none() {
-                self.pool = Some(WorkerPool::spawn(os_workers));
-                self.pool_spawns += 1;
-            }
-            let pool = self.pool.as_mut().expect("spawned above");
-            let mut jobs: Vec<(usize, ScopedJob<'_>)> = Vec::with_capacity(os_workers);
-            for (w, chunk) in self.shards.shards.chunks_mut(per_worker).enumerate() {
-                if chunk.iter().all(|s| s.events.is_empty()) {
-                    continue;
-                }
-                jobs.push((
-                    w,
-                    Box::new(move || {
-                        for shard in chunk.iter_mut() {
-                            if !shard.events.is_empty() {
-                                dispatch::run_shard(&ctx, shard);
-                            }
-                        }
-                    }),
-                ));
-            }
-            pool.run(jobs);
-        } else {
-            std::thread::scope(|scope| {
-                for chunk in self.shards.shards.chunks_mut(per_worker) {
-                    if chunk.iter().all(|s| s.events.is_empty()) {
-                        continue;
-                    }
-                    let ctx = &ctx;
-                    scope.spawn(move || {
-                        for shard in chunk.iter_mut() {
-                            if !shard.events.is_empty() {
-                                dispatch::run_shard(ctx, shard);
-                            }
-                        }
-                    });
-                }
-            });
+        if self.pool.is_none() {
+            self.pool = Some(WorkerPool::spawn(os_workers));
+            self.pool_spawns += 1;
         }
+        let pool = self.pool.as_mut().expect("spawned above");
+        let mut jobs: Vec<(usize, ScopedJob<'_>)> = Vec::with_capacity(os_workers);
+        for (w, chunk) in self.shards.shards.chunks_mut(per_worker).enumerate() {
+            if chunk.iter().all(|s| s.events.is_empty()) {
+                continue;
+            }
+            jobs.push((
+                w,
+                Box::new(move || {
+                    for shard in chunk.iter_mut() {
+                        if !shard.events.is_empty() {
+                            dispatch::run_shard(&ctx, shard);
+                        }
+                    }
+                }),
+            ));
+        }
+        pool.run(jobs);
         self.merge_effects();
     }
 
@@ -1574,7 +1497,7 @@ impl<A: Automaton> Simulator<A> {
     /// endpoint: wide batches are partitioned per [`crate::shard::EdgeShard`]
     /// and applied on each shard's pinned pool worker, each shard in
     /// `(seq)` order — disjoint rows, so the result is bit-identical to
-    /// the serial loop (narrow batches, fork/join mode, and `step`).
+    /// the serial loop (narrow batches and `step`).
     fn apply_topology_batch(&mut self, batch: &[QueuedEvent]) {
         let started = std::time::Instant::now();
         self.stats.topology_events += batch.len() as u64;
@@ -1592,7 +1515,7 @@ impl<A: Automaton> Simulator<A> {
             }
         }
         let shard_count = self.edges.shard_count();
-        let wide = self.use_pool && shard_count > 1 && batch.len() >= self.par_min;
+        let wide = shard_count > 1 && batch.len() >= self.par_min;
         if !wide {
             for ev in batch {
                 let EventPayload::Topology {
@@ -1643,5 +1566,31 @@ impl<A: Automaton> Simulator<A> {
             pool.run(jobs);
         }
         self.topology_apply += started.elapsed();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_threads;
+
+    #[test]
+    fn thread_counts_in_range_parse() {
+        assert_eq!(parse_threads("1"), 1);
+        assert_eq!(parse_threads(" 8\n"), 8);
+        assert_eq!(parse_threads("64"), 64);
+    }
+
+    #[test]
+    fn malformed_thread_counts_panic_naming_variable_and_value() {
+        for bad in ["0", "65", "abc", "", "-1", "2.5"] {
+            let err = std::panic::catch_unwind(|| parse_threads(bad)).expect_err(bad);
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert_eq!(
+                *msg,
+                format!("GCS_SIM_THREADS={bad:?} is not a worker count in 1..=64")
+            );
+        }
     }
 }

@@ -3,6 +3,7 @@
 use gcs_clocks::Time;
 use gcs_net::{Edge, NodeId};
 use std::cmp::Ordering;
+#[cfg(test)]
 use std::collections::BinaryHeap;
 
 /// The message format of Algorithm 2: `⟨L_u, Lmax_u⟩`. All protocols in
@@ -406,13 +407,17 @@ impl PayloadArena {
     }
 }
 
-/// Deterministic priority queue of events.
+/// Deterministic priority queue of events: a plain binary heap over the
+/// `(time, class, seq)` key, kept as the differential oracle the
+/// [`TimeWheel`](crate::wheel::TimeWheel) tests compare against.
+#[cfg(test)]
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<QueuedEvent>,
     next_seq: u64,
 }
 
+#[cfg(test)]
 impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {

@@ -86,7 +86,9 @@ pub mod wheel;
 
 pub use automaton::{Action, Automaton, Context, RebootUnsupported};
 pub use delay::{DelayScript, DelayStrategy};
-pub use engine::{DiscoveryDelay, PlaneBytes, SimBuilder, Simulator, PAR_MIN_ENV, THREADS_ENV};
+pub use engine::{
+    threads_from_env, DiscoveryDelay, PlaneBytes, SimBuilder, Simulator, THREADS_ENV,
+};
 pub use event::{LinkChange, LinkChangeKind, Message, TimerKind};
 pub use fault::{CrashRestartSource, FaultEvent, FaultKind, FaultPlan, FaultSource};
 pub use model::ModelParams;

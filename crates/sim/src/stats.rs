@@ -73,7 +73,7 @@ pub struct SimStats {
     /// Widest topology batch applied (events in one instant's batch).
     /// Trace-relevant like [`topology_batches`](Self::topology_batches).
     pub peak_batch_len: u64,
-    /// Segments dispatched to the parallel backend (pool or fork/join).
+    /// Segments dispatched to the worker pool.
     /// **Scheduling only** — depends on the thread count and the
     /// parallel threshold, excluded from equality.
     pub segments_parallel: u64,
@@ -81,8 +81,8 @@ pub struct SimStats {
     /// excluded from equality.
     pub segments_inline: u64,
     /// The effective parallel threshold this run was built with (see
-    /// `SimBuilder::par_threshold` / `GCS_SIM_PAR_MIN`). Configuration
-    /// echo, excluded from equality.
+    /// `SimBuilder::par_threshold`). Configuration echo, excluded from
+    /// equality.
     pub par_min_events: u64,
 }
 

@@ -1,8 +1,8 @@
 //! A bucketed calendar queue ("time wheel") for the hot event path.
 //!
-//! [`TimeWheel`] replaces the global [`std::collections::BinaryHeap`]
-//! of [`EventQueue`](crate::event::EventQueue) with an array of time
-//! buckets of width `width` (chosen from the model's delay bound `T`, so
+//! [`TimeWheel`] replaces a global [`std::collections::BinaryHeap`]
+//! (the test-only `EventQueue` it is checked against) with an array of
+//! time buckets of width `width` (chosen from the model's delay bound `T`, so
 //! one bucket spans a fraction of a message delay). A push lands in
 //!
 //! * the **current heap** when the event falls into the bucket being

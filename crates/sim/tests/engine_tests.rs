@@ -5,9 +5,11 @@
 //! subjective timers — independently of the clock-sync algorithm itself.
 
 use gcs_clocks::time::at;
-use gcs_clocks::{DriftModel, HardwareClock, RateSchedule, ScheduleDrift};
+use gcs_clocks::{DriftModel, HardwareClock, RateSchedule, ScheduleDrift, Time};
 use gcs_net::schedule::{add_at, remove_at};
-use gcs_net::{generators, node, Edge, NodeId, ScheduleSource, TopologySchedule};
+use gcs_net::{
+    generators, node, Edge, NodeId, ScheduleSource, TopologyEvent, TopologySchedule, TopologySource,
+};
 use gcs_sim::engine::DiscoveryDelay;
 use gcs_sim::{
     Automaton, Context, DelayStrategy, LinkChange, LinkChangeKind, Message, ModelParams,
@@ -441,4 +443,78 @@ fn alarms_cancelled_before_firing_are_stale() {
     sim.run_until(at(50.0));
     assert_eq!(sim.stats().alarms_stale, 2); // one per node
     assert_eq!(sim.stats().alarms_fired, 2);
+}
+
+/// Builds a two-node path under `discovery` with `D = 2`.
+fn build_with_discovery(discovery: DiscoveryDelay) {
+    let schedule = TopologySchedule::static_graph(2, generators::path(2));
+    SimBuilder::topology(params(), ScheduleSource::new(schedule))
+        .discovery(discovery)
+        .build_with(|_| Flood::new(0.0, 0.5));
+}
+
+#[test]
+#[should_panic(expected = "discovery delay 5 outside (0, D = 2]")]
+fn constant_discovery_above_d_rejected() {
+    build_with_discovery(DiscoveryDelay::Constant(5.0));
+}
+
+#[test]
+#[should_panic(expected = "discovery delay 0 outside (0, D = 2]")]
+fn constant_discovery_of_zero_rejected() {
+    build_with_discovery(DiscoveryDelay::Constant(0.0));
+}
+
+#[test]
+#[should_panic(expected = "discovery delay NaN outside (0, D = 2]")]
+fn non_finite_discovery_rejected() {
+    build_with_discovery(DiscoveryDelay::Constant(f64::NAN));
+}
+
+#[test]
+#[should_panic(expected = "discovery range [0, 1] outside 0 < lo <= hi <= D = 2")]
+fn uniform_discovery_from_zero_rejected() {
+    build_with_discovery(DiscoveryDelay::Uniform { lo: 0.0, hi: 1.0 });
+}
+
+#[test]
+#[should_panic(expected = "discovery range [1.5, 0.5] outside 0 < lo <= hi <= D = 2")]
+fn inverted_uniform_discovery_rejected() {
+    build_with_discovery(DiscoveryDelay::Uniform { lo: 1.5, hi: 0.5 });
+}
+
+#[test]
+#[should_panic(expected = "discovery range [0.5, 2.5] outside 0 < lo <= hi <= D = 2")]
+fn uniform_discovery_above_d_rejected() {
+    build_with_discovery(DiscoveryDelay::Uniform { lo: 0.5, hi: 2.5 });
+}
+
+/// A static source that hands the engine `initial` verbatim.
+struct FixedInitial(Vec<Edge>);
+
+impl TopologySource for FixedInitial {
+    fn n(&self) -> usize {
+        3
+    }
+    fn initial_edges(&mut self) -> Vec<Edge> {
+        self.0.clone()
+    }
+    fn peek_time(&mut self) -> Option<Time> {
+        None
+    }
+    fn pull_until(&mut self, _until: Time, _buf: &mut Vec<TopologyEvent>) {}
+}
+
+#[test]
+#[should_panic(expected = "source initial edges must be sorted and distinct")]
+fn unsorted_initial_edges_rejected() {
+    let source = FixedInitial(vec![Edge::between(1, 2), Edge::between(0, 1)]);
+    SimBuilder::topology(params(), source).build_with(|_| Flood::new(0.0, 0.5));
+}
+
+#[test]
+#[should_panic(expected = "source initial edges must be sorted and distinct")]
+fn duplicate_initial_edges_rejected() {
+    let source = FixedInitial(vec![Edge::between(0, 1), Edge::between(0, 1)]);
+    SimBuilder::topology(params(), source).build_with(|_| Flood::new(0.0, 0.5));
 }

@@ -54,6 +54,11 @@ pub use gcs_mc as mc;
 pub use gcs_net as net;
 pub use gcs_sim as sim;
 
+/// Compiles the README's Rust blocks as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 /// The most common imports in one place.
 pub mod prelude {
     pub use gcs_analysis::{metrics, CsvSink, Recorder, SkewStream, Summary, Table};
