@@ -46,7 +46,7 @@ pub fn local_skews<A: Automaton>(sim: &Simulator<A>) -> Vec<(Edge, f64)> {
 
 /// The worst local skew over all currently present edges (0 if none).
 pub fn max_local_skew<A: Automaton>(sim: &Simulator<A>) -> f64 {
-    max_local_skew_in(&sim.logical_snapshot(), sim.graph())
+    max_local_skew_in(&sim.logical_snapshot(), sim.graph().edges())
 }
 
 /// [`max_local_skew`] reusing a caller-held snapshot buffer — the
@@ -55,15 +55,15 @@ pub fn max_local_skew<A: Automaton>(sim: &Simulator<A>) -> f64 {
 /// same-instant metrics ([`global_skew`], [`edge_skew_in`]).
 pub fn max_local_skew_with<A: Automaton>(sim: &Simulator<A>, scratch: &mut Vec<f64>) -> f64 {
     sim.logical_snapshot_into(scratch);
-    max_local_skew_in(scratch, sim.graph())
+    max_local_skew_in(scratch, sim.graph().edges())
 }
 
-/// The worst local skew, read from a prepared logical snapshot (shared by
-/// [`max_local_skew`] and the recorder, which reuses one snapshot for
-/// several metrics).
-pub fn max_local_skew_in(logical: &[f64], graph: &gcs_net::DynamicGraph) -> f64 {
-    graph
-        .edges()
+/// The worst local skew over `edges` (typically `sim.graph().edges()`),
+/// read from a prepared logical snapshot (shared by [`max_local_skew`]
+/// and the recorder, which reuses one snapshot for several metrics).
+pub fn max_local_skew_in(logical: &[f64], edges: impl IntoIterator<Item = Edge>) -> f64 {
+    edges
+        .into_iter()
         .map(|e| edge_skew_in(logical, e))
         .fold(0.0, f64::max)
 }

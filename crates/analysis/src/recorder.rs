@@ -208,7 +208,7 @@ impl Recorder {
         let sample = Sample {
             t: sim.now().seconds(),
             global_skew: metrics::global_skew(logical),
-            max_local_skew: metrics::max_local_skew_in(logical, sim.graph()),
+            max_local_skew: metrics::max_local_skew_in(logical, sim.graph().edges()),
             topology_events: sim.stats().topology_events,
             watched,
         };

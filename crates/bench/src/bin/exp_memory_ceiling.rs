@@ -4,9 +4,10 @@
 //! `cargo run --release -p gcs-bench --bin exp_memory_ceiling`
 //!
 //! CI smoke runs shrink the width with `GCS_SMOKE_N=4096` so the
-//! compact-plane code path is exercised on every push. The peak-RSS
-//! assertion at the end is **fail-closed**: the binary exits nonzero
-//! when the run does not fit the memory budget for its width.
+//! compact-plane code path is exercised on every push. The wheel-plane,
+//! topology-plane and peak-RSS assertions at the end are
+//! **fail-closed**: the binary exits nonzero when the run does not fit
+//! the memory budget for its width.
 
 use gcs_bench::e14_memory_ceiling as e14;
 use gcs_bench::engine_bench::smoke_n;
@@ -77,6 +78,18 @@ fn main() {
          the packed event plane regressed",
         o.planes.wheel,
         wheel_limit,
+        config.n
+    );
+    // Fail closed on the topology plane: the edge store's per-node
+    // columns grow to the touched watermark, so the plane stays under one
+    // 24-byte container header per node. Any n-length per-node array
+    // (a dense adjacency mirror, rows pre-sized to n) crosses it.
+    assert!(
+        o.planes.topology < 24 * config.n,
+        "topology plane {} bytes reaches 24 B x n = {} at n = {} — \
+         an n-length per-node array came back",
+        o.planes.topology,
+        24 * config.n,
         config.n
     );
     let peak = gcs_analysis::peak_rss_bytes();

@@ -3,10 +3,11 @@
 //! deterministic boundaries must produce the same logical-clock bits at
 //! every checkpoint and the same execution counters as the identical run
 //! that never evicts — at every thread count. The sweeps ride on the
-//! shared budget table and idle parking (the other two compact-plane
-//! legs), so these pins cover the full PR 8 stack: table lookups
-//! reproduce the exact curve, parking stops no protocol-visible tick,
-//! and pack/rehydrate round-trips every byte of automaton state.
+//! shared parameters and idle parking (the other two compact-plane
+//! legs), so these pins cover the whole compact plane: one
+//! `GradientShared` serves every node's closed-form budget, parking
+//! stops no protocol-visible tick, and pack/rehydrate round-trips every
+//! byte of automaton state.
 //!
 //! The churn builders keep a connected backbone, so no backbone node
 //! ever isolates; eviction is exercised by overlaying E14-style

@@ -14,10 +14,11 @@
 //! * [`NodeId`] and canonical undirected [`Edge`] identifiers,
 //! * [`TopologySchedule`] — the timed add/remove event log that defines a
 //!   dynamic graph `E(t)`, with validation (no simultaneous add+remove of
-//!   the same edge, adds only for absent edges, …),
-//! * [`DynamicGraph`] — the live edge set and adjacency a replay
-//!   maintains (the Section 3.2 `exists_throughout` predicate is
-//!   [`TopologySchedule::exists_throughout`], on the event log itself),
+//!   the same edge, adds only for absent edges, …); the Section 3.2
+//!   `exists_throughout` predicate is
+//!   [`TopologySchedule::exists_throughout`], on the event log itself
+//!   (the live edge set of a running simulation is kept by the engine,
+//!   `gcs_sim::Simulator::graph`),
 //! * [`generators`] — static topologies (paths, rings, grids, trees,
 //!   G(n,p), random geometric, and the paper's two-chain lower-bound
 //!   network),
@@ -61,7 +62,6 @@ pub mod adversary;
 pub mod churn;
 pub mod connectivity;
 pub mod distance;
-pub mod dynamic;
 pub mod generators;
 pub mod ids;
 pub mod schedule;
@@ -69,7 +69,6 @@ pub mod source;
 pub mod workloads;
 
 pub use adversary::{greedy_worst_case, AdversarialChurnSource, BridgeAttack};
-pub use dynamic::DynamicGraph;
 pub use ids::{node, Edge, NodeId};
 pub use schedule::{TopologyEvent, TopologyEventKind, TopologySchedule};
 pub use source::{collect_schedule, ScheduleSource, TopologySource};

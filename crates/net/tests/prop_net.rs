@@ -5,7 +5,7 @@ use gcs_net::churn::ChurnSource;
 use gcs_net::schedule::{TopologyEvent, TopologyEventKind};
 use gcs_net::source::{collect_schedule, ScheduleSource, TopologySource};
 use gcs_net::workloads::{FlashCrowdSource, MobilitySource, PartitionSource};
-use gcs_net::{connectivity, distance, generators, node, DynamicGraph, Edge, TopologySchedule};
+use gcs_net::{connectivity, distance, generators, node, Edge, TopologySchedule};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -51,25 +51,6 @@ fn arb_schedule(n: usize) -> impl Strategy<Value = TopologySchedule> {
 }
 
 proptest! {
-    /// Replaying a schedule through DynamicGraph matches edges_at at every
-    /// event boundary.
-    #[test]
-    fn dynamic_graph_replay_matches_schedule(sched in arb_schedule(5)) {
-        let mut g = DynamicGraph::from_schedule_initial(&sched);
-        prop_assert_eq!(
-            g.edges().collect::<BTreeSet<_>>(),
-            sched.edges_at(at(0.0))
-        );
-        for ev in sched.events() {
-            g.apply(ev.kind, ev.edge, ev.time);
-            prop_assert_eq!(
-                g.edges().collect::<BTreeSet<_>>(),
-                sched.edges_at(ev.time),
-                "mismatch at {:?}", ev.time
-            );
-        }
-    }
-
     /// `exists_throughout` agrees with a brute-force `edges_at` oracle:
     /// the edge is up at `t1` and at every event time in `(t1, t2]` (the
     /// edge set only changes at event times).

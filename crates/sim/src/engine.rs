@@ -73,13 +73,14 @@
 //! [`Simulator::run_until`] drains the wheel one **instant** (all
 //! events at the earliest pending time) at a time. The instant's
 //! topology events form a contiguous prefix (the class sort above) and
-//! are applied as **one batch** before any handler runs: the graph
-//! mirror serially in seq order, then the edge-store deltas partitioned
-//! by shard and applied per shard in seq order — equivalent to the
-//! serial walk because shards own disjoint edge rows. The rest of the
-//! instant (fault events are serial barriers) is cut into *segments*;
-//! all events inside a segment target node-exclusive state, so a
-//! segment is dispatched **sharded by owning [`NodeId`]** — round-robin
+//! are applied as **one batch** before any handler runs: the deltas
+//! are partitioned by shard and applied per shard in seq order —
+//! equivalent to the serial walk because shards own disjoint edge rows.
+//! That edge store is the engine's only record of the live edge set
+//! `E(t)`; [`Simulator::graph`] reads it through a [`GraphView`]. The
+//! rest of the instant (fault events are serial barriers) is cut into
+//! *segments*; all events inside a segment target node-exclusive state,
+//! so a segment is dispatched **sharded by owning [`NodeId`]** — round-robin
 //! over [`SimBuilder::threads`] worker shards. Wide segments and wide
 //! batches (at least [`SimBuilder::par_threshold`] events, default 64)
 //! run on a **persistent worker pool** (the `dispatch` module):
@@ -100,12 +101,12 @@ use crate::dispatch::{self, DispatchCtx, Effect, ScopedJob, WorkerPool, PAR_MIN_
 use crate::event::{EventPayload, LinkChange, LinkChangeKind, QueuedEvent};
 use crate::fault::{FaultEvent, FaultKind, FaultSource, FaultState};
 use crate::model::ModelParams;
-use crate::shard::{EdgeStore, Shards};
+use crate::shard::{EdgeStore, GraphView, Shards};
 use crate::stats::SimStats;
 use crate::wheel::TimeWheel;
 use gcs_clocks::{DriftModel, DriftSource, Duration, ModelDrift, Time};
 use gcs_net::schedule::TopologyEventKind;
-use gcs_net::{DynamicGraph, Edge, NodeId, TopologyEvent, TopologySource};
+use gcs_net::{Edge, NodeId, TopologyEvent, TopologySource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -134,9 +135,19 @@ pub fn threads_from_env() -> usize {
 
 /// Parses one [`THREADS_ENV`] value; see [`threads_from_env`].
 fn parse_threads(value: &str) -> usize {
-    match value.trim().parse::<usize>() {
-        Ok(t) if (1..=MAX_THREADS).contains(&t) => t,
-        _ => panic!("{THREADS_ENV}={value:?} is not a worker count in 1..={MAX_THREADS}"),
+    checked_threads(
+        value.trim().parse().ok(),
+        format_args!("{THREADS_ENV}={value:?}"),
+    )
+}
+
+/// The one range check on worker counts, shared by [`THREADS_ENV`] and
+/// [`SimBuilder::threads`]: returns `threads` when it is in
+/// `1..=MAX_THREADS`, else panics naming `origin` and the range.
+fn checked_threads(threads: Option<usize>, origin: std::fmt::Arguments<'_>) -> usize {
+    match threads {
+        Some(t) if (1..=MAX_THREADS).contains(&t) => t,
+        _ => panic!("{origin} is not a worker count in 1..={MAX_THREADS}"),
     }
 }
 
@@ -390,12 +401,18 @@ impl SimBuilder {
         self
     }
 
-    /// Number of worker shards for parallel dispatch (≥ 1). The trace is
-    /// bit-identical for every value; only wall-clock time changes.
-    /// Overrides [`THREADS_ENV`].
+    /// Number of worker shards for parallel dispatch, in `1..=64`. The
+    /// trace is bit-identical for every value; only wall-clock time
+    /// changes. Overrides [`THREADS_ENV`].
+    ///
+    /// # Panics
+    /// When `threads` is outside `1..=64` — the same check, and the same
+    /// message, as a malformed [`THREADS_ENV`].
     pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one worker");
-        self.threads = Some(threads.min(MAX_THREADS));
+        self.threads = Some(checked_threads(
+            Some(threads),
+            format_args!("SimBuilder::threads({threads})"),
+        ));
         self
     }
 
@@ -419,8 +436,10 @@ impl SimBuilder {
     /// # Panics
     /// When the discovery model violates the bound `D` (see
     /// [`DiscoveryDelay`]), when the source's initial edges are not
-    /// sorted and distinct, or when [`THREADS_ENV`] is malformed and no
-    /// explicit [`threads`](Self::threads) was given.
+    /// sorted and distinct or name a node `≥ n`, or when [`THREADS_ENV`]
+    /// is malformed and no explicit [`threads`](Self::threads) was given.
+    /// Later pulls panic as well when the source breaks its contract
+    /// (see [`Simulator::run_until`]).
     pub fn build_with<A: Automaton>(mut self, make_node: impl FnMut(usize) -> A) -> Simulator<A> {
         self.discovery.validate(self.params.d);
         let n = self.n;
@@ -454,16 +473,15 @@ impl SimBuilder {
         // Bucket width tied to the delay bound: most deliveries span a
         // handful of buckets, timers a few more.
         let mut queue = TimeWheel::new(self.params.t / 4.0);
-        let mut graph = DynamicGraph::empty(n);
 
-        // Initial edges exist (and are discovered) at time 0.
+        // Initial edges exist (and are discovered) at time 0. The store
+        // rejects an edge naming a node `≥ n`.
         let initial = self.source.initial_edges();
         assert!(
             initial.windows(2).all(|w| w[0] < w[1]),
             "source initial edges must be sorted and distinct"
         );
         for &e in &initial {
-            graph.add_edge(e, Time::ZERO);
             edges.insert_initial(e);
             for w in [e.lo(), e.hi()] {
                 queue.push(
@@ -483,7 +501,6 @@ impl SimBuilder {
         let mut sim = Simulator {
             params: self.params,
             drift,
-            graph,
             queue,
             shards,
             edges,
@@ -495,8 +512,6 @@ impl SimBuilder {
             seed: self.seed,
             now: Time::ZERO,
             stats: SimStats::default(),
-            topo_backlog: 0,
-            fault_backlog: 0,
             topo_staged: VecDeque::new(),
             fault_staged: VecDeque::new(),
             fault_pull_buf: Vec::new(),
@@ -540,7 +555,7 @@ impl SimBuilder {
 
 /// Heap-byte census of the engine's memory planes, one meter per plane:
 ///
-/// * `topology` — canonical edge state plus the live dynamic graph,
+/// * `topology` — the canonical edge store (rows, lower-neighbor ids),
 /// * `drift` — hardware memo columns and materialized drift cursors,
 /// * `automaton_hot` — automaton structs and their heap state, plus the
 ///   engine-side per-node columns (timers, peers, RNG streams),
@@ -555,7 +570,8 @@ impl SimBuilder {
 /// to attribute peak memory to a plane, not an allocator-level audit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlaneBytes {
-    /// Canonical edge state plus live dynamic-graph adjacency.
+    /// The canonical edge store: per-edge rows plus lower-neighbor ids,
+    /// both grown to the touched watermark.
     pub topology: usize,
     /// Hardware memo columns plus materialized drift cursors.
     pub drift: usize,
@@ -594,12 +610,12 @@ pub struct Simulator<A: Automaton> {
     /// The drift plane: rates are evaluated on demand (per-node cursors
     /// live in the owning shard; stateless adapters keep none).
     drift: Box<dyn DriftSource>,
-    graph: DynamicGraph,
     queue: TimeWheel,
     /// Automata plus node-local engine state, sharded by owner.
     shards: Shards<A>,
     /// Canonical per-edge state (liveness, epochs, change/removal
-    /// versions), written only between segments.
+    /// versions) — the only record of the live edge set — written only
+    /// between segments.
     edges: EdgeStore,
     /// The topology stream; pulled incrementally by `pump_topology`.
     source: Box<dyn TopologySource>,
@@ -613,10 +629,6 @@ pub struct Simulator<A: Automaton> {
     seed: u64,
     now: Time,
     stats: SimStats,
-    /// Topology events pulled but not yet applied.
-    topo_backlog: u64,
-    /// Fault events pulled but not yet applied.
-    fault_backlog: u64,
     /// Pulled topology events awaiting admission into the wheel, in pull
     /// (= nondecreasing time) order — the compact backlog of the
     /// horizon-gated admission path.
@@ -653,8 +665,8 @@ pub struct Simulator<A: Automaton> {
     /// Effective parallel threshold (events) for segments and topology
     /// batches; see [`SimBuilder::par_threshold`].
     par_min: usize,
-    /// Wall-clock time spent applying topology batches (graph mirror +
-    /// canonical edge state). Host-dependent by nature, so it lives here
+    /// Wall-clock time spent applying topology batches to the edge
+    /// store. Host-dependent by nature, so it lives here
     /// rather than in [`SimStats`], whose counters must compare equal
     /// across thread counts.
     topology_apply: std::time::Duration,
@@ -687,9 +699,10 @@ impl<A: Automaton> Simulator<A> {
         &self.stats
     }
 
-    /// The live graph state.
-    pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+    /// The live edge set `E(t)` at the current time, read from the
+    /// engine's canonical edge store.
+    pub fn graph(&self) -> GraphView<'_> {
+        GraphView::new(&self.edges)
     }
 
     /// Immutable access to a node's automaton.
@@ -836,7 +849,7 @@ impl<A: Automaton> Simulator<A> {
     pub fn plane_bytes(&self) -> PlaneBytes {
         use std::mem::size_of;
         let mut p = PlaneBytes {
-            topology: self.edges.heap_bytes() + self.graph.heap_bytes(),
+            topology: self.edges.heap_bytes(),
             wheel: self.queue.heap_bytes(),
             staging: self.topo_staged.capacity() * size_of::<StagedTopology>()
                 + self.fault_staged.capacity() * size_of::<StagedFault>(),
@@ -879,8 +892,8 @@ impl<A: Automaton> Simulator<A> {
         self.queue.pending_peaks()
     }
 
-    /// Wall-clock seconds spent applying topology batches so far (graph
-    /// mirror plus canonical edge state, serial or on the pool).
+    /// Wall-clock seconds spent applying topology batches to the edge
+    /// store so far (serial or on the pool).
     /// Host-dependent by nature — this is a performance meter, not part
     /// of the deterministic trace.
     pub fn topology_apply_seconds(&self) -> f64 {
@@ -933,6 +946,13 @@ impl<A: Automaton> Simulator<A> {
 
     /// Runs until all events at time `≤ until` are processed, then advances
     /// the clock to `until` so state queries observe that instant.
+    ///
+    /// # Panics
+    /// When `until` is before the current time, or when a pulled source
+    /// event breaks the pull contract: a topology or fault event not
+    /// after the current time or out of time order, an edge naming a node
+    /// `≥ n`, or a topology change that adds a live edge or removes an
+    /// absent one.
     pub fn run_until(&mut self, until: Time) {
         self.observing = false;
         self.drain(until, |_, _, _| {});
@@ -1030,10 +1050,15 @@ impl<A: Automaton> Simulator<A> {
                 .pull_until(ts + Duration::new(self.pull_chunk), &mut buf);
             debug_assert!(!buf.is_empty(), "peek_time promised a fault at {ts:?}");
             for ev in &buf {
-                debug_assert!(ev.time > Time::ZERO, "fault events occur after time 0");
-                debug_assert!(
+                assert!(
                     self.fault_staged.back().is_none_or(|s| s.time <= ev.time),
                     "fault source must emit nondecreasing times"
+                );
+                assert!(
+                    ev.time > self.now,
+                    "fault at {:?} does not follow the current time {:?}",
+                    ev.time,
+                    self.now
                 );
                 let seq = self.queue.reserve_seqs(1);
                 self.fault_staged.push_back(StagedFault {
@@ -1042,7 +1067,6 @@ impl<A: Automaton> Simulator<A> {
                     kind: ev.kind,
                 });
                 self.stats.faults_pulled += 1;
-                self.fault_backlog += 1;
             }
             self.fault_pull_buf = buf;
             self.note_staged_peak();
@@ -1053,11 +1077,21 @@ impl<A: Automaton> Simulator<A> {
     /// sequence numbers of its three-event trio (change + two endpoint
     /// discoveries — in that order, matching what an eager push would
     /// have assigned), and parks it in the staging buffer.
+    ///
+    /// The pull discipline leaves every valid event strictly after the
+    /// current time, so the time checks below also catch a source that
+    /// goes back before an instant already processed; the edge store
+    /// rejects an edge naming a node `≥ n`.
     fn stage_topology(&mut self, ev: TopologyEvent) {
-        debug_assert!(ev.time > Time::ZERO, "topology events occur after time 0");
-        debug_assert!(
+        assert!(
             self.topo_staged.back().is_none_or(|s| s.time <= ev.time),
             "topology source must emit nondecreasing times"
+        );
+        assert!(
+            ev.time > self.now,
+            "topology event at {:?} does not follow the current time {:?}",
+            ev.time,
+            self.now
         );
         let version = self.edges.next_version(ev.edge);
         let kind = match ev.kind {
@@ -1073,8 +1107,8 @@ impl<A: Automaton> Simulator<A> {
             kind,
         });
         self.stats.topology_pulled += 1;
-        self.topo_backlog += 1;
-        self.stats.peak_topology_backlog = self.stats.peak_topology_backlog.max(self.topo_backlog);
+        let backlog = self.stats.topology_pulled - self.stats.topology_events;
+        self.stats.peak_topology_backlog = self.stats.peak_topology_backlog.max(backlog);
         self.note_staged_peak();
     }
 
@@ -1375,7 +1409,6 @@ impl<A: Automaton> Simulator<A> {
     /// are tagged with it, keeping the canonical merge order.
     fn apply_fault(&mut self, kind: FaultKind, seq: u64) {
         self.stats.faults_applied += 1;
-        self.fault_backlog -= 1;
         let now = self.now;
         // Prune closed windows here — a trace-deterministic point — so
         // the lists workers scan stay short under sustained injection.
@@ -1440,17 +1473,12 @@ impl<A: Automaton> Simulator<A> {
                 });
                 self.merge_effects();
                 // The rebooted node rediscovers its currently-live edges
-                // within D, under each edge's last *applied* add version
-                // (stale-suppression then still admits any newer change).
-                let mut neighbors: Vec<NodeId> = self.graph.neighbors(node).collect();
-                neighbors.sort_unstable();
-                for v in neighbors {
+                // within D, in ascending neighbor order, under each edge's
+                // last *applied* add version (stale-suppression then still
+                // admits any newer change).
+                for (v, shared) in self.edges.incident(node).filter(|(_, e)| e.live) {
                     let edge = Edge::new(node, v);
-                    let version = self
-                        .edges
-                        .find(edge)
-                        .map(|e| e.last_add_version)
-                        .unwrap_or(1);
+                    let version = shared.last_add_version;
                     let lat = self.discovery.scheduled_latency(
                         self.params.d,
                         self.seed ^ RESTART_DISCOVERY_SALT,
@@ -1491,55 +1519,42 @@ impl<A: Automaton> Simulator<A> {
     /// Applies one instant's topology changes as a single batch — one
     /// barrier per instant instead of one per event.
     ///
-    /// The live [`DynamicGraph`] mirror touches *both* endpoints'
-    /// adjacency per change, so it stays serial, applied in queue-`seq`
-    /// order. The canonical [`EdgeStore`] rows shard cleanly by lower
-    /// endpoint: wide batches are partitioned per [`crate::shard::EdgeShard`]
-    /// and applied on each shard's pinned pool worker, each shard in
-    /// `(seq)` order — disjoint rows, so the result is bit-identical to
-    /// the serial loop (narrow batches and `step`).
+    /// Each change touches only its edge's canonical entry, which lives
+    /// in the lower endpoint's row of the [`EdgeStore`] (the lower-
+    /// neighbor ids of the other endpoint were written when the edge was
+    /// first pulled). So wide batches are partitioned per
+    /// [`crate::shard::EdgeShard`] — the only serial work — and applied
+    /// on each shard's pinned pool worker, each shard in `(seq)` order:
+    /// disjoint rows, so the result is bit-identical to the serial loop
+    /// (narrow batches and `step`).
+    ///
+    /// # Panics
+    /// When a change contradicts the live edge set (an add of a live
+    /// edge, a removal of an absent one); on the pool the worker's panic
+    /// is rethrown here.
     fn apply_topology_batch(&mut self, batch: &[QueuedEvent]) {
         let started = std::time::Instant::now();
         self.stats.topology_events += batch.len() as u64;
         self.stats.topology_batches += 1;
         self.stats.peak_batch_len = self.stats.peak_batch_len.max(batch.len() as u64);
-        self.topo_backlog -= batch.len() as u64;
-        let now = self.now;
-        for ev in batch {
-            let EventPayload::Topology { kind, edge, .. } = ev.payload else {
-                unreachable!("caller passes the instant's topology prefix only");
-            };
-            match kind {
-                LinkChangeKind::Added => self.graph.add_edge(edge, now),
-                LinkChangeKind::Removed => self.graph.remove_edge(edge, now),
-            }
-        }
-        let shard_count = self.edges.shard_count();
+        let changes = batch.iter().map(|ev| match ev.payload {
+            EventPayload::Topology {
+                kind,
+                edge,
+                version,
+            } => (kind, edge, version),
+            _ => unreachable!("caller passes the instant's topology prefix only"),
+        });
+        let shard_count = self.shards.count();
         let wide = shard_count > 1 && batch.len() >= self.par_min;
         if !wide {
-            for ev in batch {
-                let EventPayload::Topology {
-                    kind,
-                    edge,
-                    version,
-                } = ev.payload
-                else {
-                    unreachable!("checked above");
-                };
+            for (kind, edge, version) in changes {
                 self.edges.apply(kind, edge, version);
             }
         } else {
-            for ev in batch {
-                let EventPayload::Topology {
-                    kind,
-                    edge,
-                    version,
-                } = ev.payload
-                else {
-                    unreachable!("checked above");
-                };
-                let s = self.edges.shard_of(edge);
-                self.edges.shards[s].batch.push((kind, edge, version));
+            for change in changes {
+                let s = self.edges.shard_of(change.1);
+                self.edges.shards[s].batch.push(change);
             }
             if self.pool.is_none() {
                 self.pool = Some(WorkerPool::spawn(self.os_workers));

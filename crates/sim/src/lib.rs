@@ -92,5 +92,6 @@ pub use engine::{
 pub use event::{LinkChange, LinkChangeKind, Message, TimerKind};
 pub use fault::{CrashRestartSource, FaultEvent, FaultKind, FaultPlan, FaultSource};
 pub use model::ModelParams;
+pub use shard::GraphView;
 pub use stats::SimStats;
 pub use wheel::TimeWheel;

@@ -23,19 +23,25 @@
 //!   and cursor evaluation is bit-identical to the eager schedule.
 //! * **Canonical edge state** — liveness, epoch, removal version and the
 //!   per-edge schedule-version counter of every edge, kept on the edge's
-//!   *lower* endpoint — lives in the [`EdgeStore`], which is only ever
-//!   written *between* segments (by topology pulls and applications, and
-//!   by the serial startup/step paths). Entries are created
-//!   **incrementally**: initial edges at build time, churned edges the
-//!   moment their first event is pulled from the `TopologySource` — the
-//!   store never needs to know the future, which is what lets topology
-//!   stream instead of materializing. During a segment every worker
-//!   reads it through a shared `&`, which is safe precisely because
-//!   deliveries cannot change liveness or epochs. Writes happen only at
-//!   the topology barrier between segments: serially for narrow
-//!   batches, or — since the store is itself split into per-worker
-//!   [`EdgeShard`]s — as disjoint `&mut` slices applied in `(seq)` order
-//!   on the pinned pool workers for wide ones.
+//!   *lower* endpoint — lives in the [`EdgeStore`], the engine's one and
+//!   only record of the live edge set `E(t)` (the public read-only view
+//!   is [`GraphView`]). Each node additionally keeps the ids of its
+//!   *lower* neighbors, so adjacency is answerable from both endpoints.
+//!   The store is only ever written *between* segments (by topology
+//!   pulls and applications, and by the serial startup/step paths).
+//!   Entries are created **incrementally**: initial edges at build time,
+//!   churned edges the moment their first event is pulled from the
+//!   `TopologySource` — the store never needs to know the future, which
+//!   is what lets topology stream instead of materializing — and its
+//!   per-node rows grow to the touched watermark like [`NodeTable`]'s.
+//!   During a segment every worker reads it through a shared `&`, which
+//!   is safe precisely because deliveries cannot change liveness or
+//!   epochs. Liveness changes only at the topology barrier between
+//!   segments: serially for narrow batches, or — since the store is
+//!   itself split into per-worker [`EdgeShard`]s — as disjoint `&mut`
+//!   slices applied in `(seq)` order on the pinned pool workers for wide
+//!   ones. The lower-id column is written only at pull and build time,
+//!   so a batch never touches a second endpoint.
 //!
 //! The node → shard assignment is round-robin by id. It affects only data
 //! layout, never semantics: traces are identical for every shard count
@@ -47,15 +53,15 @@ use gcs_net::{Edge, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Canonical per-edge state, stored on the lower endpoint's adjacency
-/// vector (sorted by the higher endpoint). Entries are created on first
-/// contact and are sticky: churn toggles fields instead of reshaping the
-/// vector.
+/// Canonical per-edge state, stored on the lower endpoint's row (sorted
+/// by the higher endpoint). Entries are created on first contact and are
+/// sticky: churn toggles fields instead of reshaping the row.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EdgeShared {
     /// The higher endpoint of the edge.
     pub neighbor: NodeId,
-    /// Mirror of `graph.contains(edge)`.
+    /// Whether the edge is in the live edge set `E(t)` — the engine's one
+    /// record of it, read publicly through [`GraphView`].
     pub live: bool,
     /// Incremented when the edge is (re-)added. Deliveries carry the epoch
     /// they were sent in; a mismatch at delivery means the edge went down
@@ -89,17 +95,21 @@ impl EdgeShared {
     }
 }
 
-/// One shard's slice of the canonical edge state: the adjacency rows of
-/// every node it owns, plus that shard's slice of the topology batch
-/// currently being applied. An `EdgeShard` is the unit the engine hands
-/// to a pool worker during a batched topology apply — each edge's row
-/// lives in exactly one shard (by lower endpoint), so per-shard
-/// application in `(seq)` order produces content bit-identical to the
-/// serial loop.
+/// One shard's slice of the canonical edge state: the rows and
+/// lower-neighbor ids of every node it owns, plus that shard's slice of
+/// the topology batch currently being applied. An `EdgeShard` is the
+/// unit the engine hands to a pool worker during a batched topology
+/// apply — each edge's row lives in exactly one shard (by lower
+/// endpoint), so per-shard application in `(seq)` order produces content
+/// bit-identical to the serial loop.
 #[derive(Debug, Default)]
 pub(crate) struct EdgeShard {
-    /// `rows[local(lo)]` = sorted adjacency of node `lo`.
+    /// `rows[local(lo)]` = the entries of every edge `{lo, hi > lo}`,
+    /// sorted by `hi`.
     rows: Vec<Vec<EdgeShared>>,
+    /// `lower[local(hi)]` = every `lo < hi` whose row holds an entry for
+    /// `{lo, hi}`, ascending (sticky like the entries themselves).
+    lower: Vec<Vec<NodeId>>,
     /// This shard's slice of the current topology batch, in `(seq)`
     /// order. Filled by the engine at the batch barrier, drained by
     /// [`apply_batch`](Self::apply_batch); capacity is reused across
@@ -108,31 +118,34 @@ pub(crate) struct EdgeShard {
 }
 
 impl EdgeShard {
-    /// The canonical state of `edge` within this shard, created on first
-    /// contact. `edge.lo()` must be owned by this shard.
-    fn entry(&mut self, edge: Edge, shard_count: usize) -> &mut EdgeShared {
-        let row = &mut self.rows[edge.lo().index() / shard_count];
-        match row.binary_search_by_key(&edge.hi(), |e| e.neighbor) {
-            Ok(i) => &mut row[i],
-            Err(i) => {
-                row.insert(i, EdgeShared::new(edge.hi()));
-                &mut row[i]
-            }
-        }
-    }
-
-    /// Applies one topology change to this shard's slice of the edge
-    /// state. The graph mirror, stats and backlog accounting stay with
-    /// the engine — this is only the per-edge canonical mutation.
+    /// Applies one pulled topology change to this shard's slice of the
+    /// edge state. `edge.lo()` must be owned by this shard, and its entry
+    /// exists since the pull that assigned `version`.
+    ///
+    /// # Panics
+    /// When the change contradicts the live edge set — adding a live edge
+    /// or removing an absent one — i.e. the source broke its contract.
     pub fn apply(&mut self, kind: LinkChangeKind, edge: Edge, version: u64, shard_count: usize) {
-        let entry = self.entry(edge, shard_count);
+        let row = &mut self.rows[edge.lo().index() / shard_count];
+        let i = row
+            .binary_search_by_key(&edge.hi(), |e| e.neighbor)
+            .expect("every pulled edge has an entry");
+        let entry = &mut row[i];
         match kind {
             LinkChangeKind::Added => {
+                assert!(
+                    !entry.live,
+                    "edge {edge:?} already present at change version {version}"
+                );
                 entry.epoch += 1;
                 entry.live = true;
                 entry.last_add_version = version;
             }
             LinkChangeKind::Removed => {
+                assert!(
+                    entry.live,
+                    "edge {edge:?} not present at change version {version}"
+                );
                 entry.last_remove_version = version;
                 entry.live = false;
             }
@@ -153,29 +166,45 @@ impl EdgeShard {
         self.batch.clear();
     }
 
-    /// Heap bytes of this shard's adjacency rows.
-    fn rows_heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.rows.capacity() * size_of::<Vec<EdgeShared>>()
-            + self
-                .rows
-                .iter()
-                .map(|row| row.capacity() * size_of::<EdgeShared>())
-                .sum::<usize>()
+    /// Heap bytes of this shard's rows and lower-neighbor ids.
+    fn heap_bytes(&self) -> usize {
+        column_bytes(&self.rows) + column_bytes(&self.lower)
     }
 }
 
-/// The canonical edge state of the whole network, sharded by the lower
-/// endpoint's owner so churn events route to the shard that owns them.
+/// Heap bytes of a per-node column: its headers plus every node's entries.
+fn column_bytes<T>(column: &Vec<Vec<T>>) -> usize {
+    use std::mem::size_of;
+    column.capacity() * size_of::<Vec<T>>()
+        + column
+            .iter()
+            .map(|v| v.capacity() * size_of::<T>())
+            .sum::<usize>()
+}
+
+/// `v[i]`, first growing `v` with empty entries to cover `i` — per-node
+/// columns grow to the touched watermark instead of being sized to `n`.
+/// Capacity doubles as usual but never exceeds `max_len`, the shard's
+/// node count.
+fn grown<T>(v: &mut Vec<Vec<T>>, i: usize, max_len: usize) -> &mut Vec<T> {
+    if i >= v.len() {
+        if i >= v.capacity() {
+            v.reserve_exact((i + 1).max(2 * v.capacity()).min(max_len) - v.len());
+        }
+        v.resize_with(i + 1, Vec::new);
+    }
+    &mut v[i]
+}
+
+/// The canonical edge state of the whole network — the engine's only
+/// record of the live edge set — sharded by the lower endpoint's owner
+/// so churn events route to the shard that owns them.
 ///
-/// This is the incrementally maintained successor of the old
-/// `TopologySchedule::shard_view` pre-sizing (deleted with the eager
-/// pre-load): entries appear when an edge
-/// first matters (initial set at build, churned edges at pull time) and
-/// add/remove deltas are applied per instant as the pulled events fire.
-/// Content is a function of the event stream alone — never of the shard
-/// count or of pull timing — which is why traces do not depend on the
-/// worker count.
+/// Entries appear when an edge first matters (initial set at build,
+/// churned edges at pull time) and add/remove deltas are applied per
+/// instant as the pulled events fire. Content is a function of the event
+/// stream alone — never of the shard count or of pull timing — which is
+/// why traces do not depend on the worker count.
 ///
 /// Reads go through a shared reference during parallel segments; writes
 /// happen only at barriers between segments — serially for narrow
@@ -187,27 +216,20 @@ pub(crate) struct EdgeStore {
     /// One [`EdgeShard`] per worker shard.
     pub shards: Vec<EdgeShard>,
     shard_count: usize,
+    /// Number of nodes; edges must lie within `0..n`.
+    n: usize,
 }
 
 impl EdgeStore {
-    /// An empty store over `n` nodes split into `shard_count` shards.
+    /// An empty store over `n` nodes split into `shard_count` shards;
+    /// nothing per node is allocated until an edge touches it.
     pub fn new(n: usize, shard_count: usize) -> Self {
         assert!(shard_count >= 1);
-        let mut shards: Vec<EdgeShard> = (0..shard_count).map(|_| EdgeShard::default()).collect();
-        for (s, shard) in shards.iter_mut().enumerate() {
-            let local_n = n / shard_count + usize::from(s < n % shard_count);
-            shard.rows.resize(local_n, Vec::new());
-        }
         EdgeStore {
-            shards,
+            shards: (0..shard_count).map(|_| EdgeShard::default()).collect(),
             shard_count,
+            n,
         }
-    }
-
-    /// Number of edge shards (always the worker shard count).
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
     }
 
     /// The shard owning `edge`'s canonical row (its lower endpoint's).
@@ -241,10 +263,15 @@ impl EdgeStore {
         entry.versions
     }
 
+    /// `u`'s row: the entries of its edges to higher neighbors (empty
+    /// past the touched watermark).
     #[inline]
-    fn row(&self, lo: NodeId) -> &Vec<EdgeShared> {
-        let i = lo.index();
-        &self.shards[i % self.shard_count].rows[i / self.shard_count]
+    fn row(&self, u: NodeId) -> &[EdgeShared] {
+        let i = u.index();
+        self.shards[i % self.shard_count]
+            .rows
+            .get(i / self.shard_count)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The canonical state of `edge`, if any contact has happened.
@@ -256,11 +283,49 @@ impl EdgeStore {
             .map(|i| &row[i])
     }
 
-    /// The canonical state of `edge`, created on first contact.
-    pub fn entry(&mut self, edge: Edge) -> &mut EdgeShared {
-        let s = self.shard_of(edge);
-        let shard_count = self.shard_count;
-        self.shards[s].entry(edge, shard_count)
+    /// Every entry incident to `u`, live or not, in ascending neighbor
+    /// order: the lower neighbors (each entry found in that neighbor's
+    /// row), then `u`'s own row.
+    pub fn incident(&self, u: NodeId) -> impl Iterator<Item = (NodeId, &EdgeShared)> + '_ {
+        let i = u.index();
+        let lower = self.shards[i % self.shard_count]
+            .lower
+            .get(i / self.shard_count)
+            .map_or(&[][..], Vec::as_slice);
+        let lower = lower.iter().map(move |&v| {
+            let row = self.row(v);
+            let k = row
+                .binary_search_by_key(&u, |e| e.neighbor)
+                .expect("a lower-neighbor id names an entry");
+            (v, &row[k])
+        });
+        lower.chain(self.row(u).iter().map(|e| (e.neighbor, e)))
+    }
+
+    /// The canonical state of `edge`, created on first contact. Runs only
+    /// at build and pull time, which makes it the one writer of the
+    /// lower-neighbor ids.
+    ///
+    /// # Panics
+    /// When `edge` names a node `≥ n` — a source outside its node set,
+    /// which would otherwise grow the per-node columns past `n`.
+    fn entry(&mut self, edge: Edge) -> &mut EdgeShared {
+        let (count, n) = (self.shard_count, self.n);
+        let (lo, hi) = (edge.lo().index(), edge.hi().index());
+        assert!(hi < n, "edge {edge:?} out of range for n={n}");
+        // The largest shard owns ⌈n / count⌉ nodes: no column gets longer.
+        let max_local = n.div_ceil(count);
+        let row = grown(&mut self.shards[lo % count].rows, lo / count, max_local);
+        let i = match row.binary_search_by_key(&edge.hi(), |e| e.neighbor) {
+            Ok(i) => i,
+            Err(i) => {
+                row.insert(i, EdgeShared::new(edge.hi()));
+                let lower = grown(&mut self.shards[hi % count].lower, hi / count, max_local);
+                lower.insert(lower.partition_point(|&v| v < edge.lo()), edge.lo());
+                i
+            }
+        };
+        &mut self.shards[lo % count].rows[lo / count][i]
     }
 
     /// Heap bytes of the canonical edge state (topology plane meter).
@@ -268,11 +333,7 @@ impl EdgeStore {
     /// [`scratch_bytes`](Self::scratch_bytes) instead.
     pub fn heap_bytes(&self) -> usize {
         self.shards.capacity() * std::mem::size_of::<EdgeShard>()
-            + self
-                .shards
-                .iter()
-                .map(EdgeShard::rows_heap_bytes)
-                .sum::<usize>()
+            + self.shards.iter().map(EdgeShard::heap_bytes).sum::<usize>()
     }
 
     /// Heap bytes of the per-shard topology batch buffers (the
@@ -282,6 +343,45 @@ impl EdgeStore {
             .iter()
             .map(|s| s.batch.capacity() * std::mem::size_of::<(LinkChangeKind, Edge, u64)>())
             .sum()
+    }
+}
+
+/// Read-only view of the live edge set `E(t)` at the simulator's current
+/// instant, answered from the engine's canonical edge store — see
+/// [`Simulator::graph`](crate::Simulator::graph).
+#[derive(Clone, Copy, Debug)]
+pub struct GraphView<'a> {
+    store: &'a EdgeStore,
+}
+
+impl<'a> GraphView<'a> {
+    pub(crate) fn new(store: &'a EdgeStore) -> Self {
+        GraphView { store }
+    }
+
+    /// True if `e` is currently up.
+    pub fn contains(&self, e: Edge) -> bool {
+        self.store.find(e).is_some_and(|s| s.live)
+    }
+
+    /// Current neighbors of `u`, in ascending order.
+    pub fn neighbors(&self, u: NodeId) -> impl Iterator<Item = NodeId> + 'a {
+        let store: &'a EdgeStore = self.store;
+        store.incident(u).filter(|(_, e)| e.live).map(|(v, _)| v)
+    }
+
+    /// All edges currently up, in ascending `(lo, hi)` order.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + 'a {
+        let store: &'a EdgeStore = self.store;
+        let rows = store.shards.iter().map(|s| s.rows.len()).max().unwrap_or(0);
+        (0..rows * store.shard_count).flat_map(move |i| {
+            let lo = NodeId::from_index(i);
+            store
+                .row(lo)
+                .iter()
+                .filter(|e| e.live)
+                .map(move |e| Edge::new(lo, e.neighbor))
+        })
     }
 }
 
@@ -785,6 +885,24 @@ mod tests {
         store.entry(Edge::between(4, 9));
         let row: Vec<NodeId> = store.row(node(4)).iter().map(|e| e.neighbor).collect();
         assert_eq!(row, vec![node(7), node(9)]);
+        // Per-node columns cover the touched watermark only: node 4's
+        // row (local 1) and node 9's lower ids (shard 0, local 3).
+        assert_eq!(store.shards[1].rows.len(), 2);
+        assert_eq!(store.shards[0].lower.len(), 4);
+        assert!(store.shards[2].rows.is_empty() && store.shards[2].lower.is_empty());
+    }
+
+    #[test]
+    fn incident_entries_come_from_both_endpoints_in_ascending_order() {
+        let mut store = EdgeStore::new(6, 2);
+        for (i, j) in [(3, 5), (0, 3), (3, 4), (1, 3)] {
+            store.entry(Edge::between(i, j));
+        }
+        let incident: Vec<NodeId> = store.incident(node(3)).map(|(v, _)| v).collect();
+        assert_eq!(incident, vec![node(0), node(1), node(4), node(5)]);
+        let from_high: Vec<NodeId> = store.incident(node(5)).map(|(v, _)| v).collect();
+        assert_eq!(from_high, vec![node(3)]);
+        assert_eq!(store.incident(node(2)).count(), 0, "untouched node");
     }
 
     #[test]
@@ -804,21 +922,26 @@ mod tests {
     #[test]
     fn edge_shard_batch_apply_matches_serial() {
         let changes = [
-            (LinkChangeKind::Added, Edge::between(0, 1), 2),
-            (LinkChangeKind::Added, Edge::between(2, 5), 1),
-            (LinkChangeKind::Removed, Edge::between(0, 1), 3),
-            (LinkChangeKind::Added, Edge::between(0, 1), 4),
-            (LinkChangeKind::Removed, Edge::between(2, 5), 2),
+            (LinkChangeKind::Removed, Edge::between(0, 1)),
+            (LinkChangeKind::Added, Edge::between(2, 5)),
+            (LinkChangeKind::Added, Edge::between(0, 1)),
+            (LinkChangeKind::Removed, Edge::between(2, 5)),
         ];
         let mut serial = EdgeStore::new(6, 2);
         let mut batched = EdgeStore::new(6, 2);
+        let mut versions = Vec::new();
         for store in [&mut serial, &mut batched] {
             store.insert_initial(Edge::between(0, 1));
+            // The pull: entries and versions exist before any apply.
+            versions = changes
+                .iter()
+                .map(|&(_, e)| store.next_version(e))
+                .collect();
         }
-        for &(kind, edge, version) in &changes {
+        for (&(kind, edge), &version) in changes.iter().zip(&versions) {
             serial.apply(kind, edge, version);
         }
-        for &(kind, edge, version) in &changes {
+        for (&(kind, edge), &version) in changes.iter().zip(&versions) {
             let s = batched.shard_of(edge);
             batched.shards[s].batch.push((kind, edge, version));
         }

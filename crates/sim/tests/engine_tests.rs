@@ -12,10 +12,10 @@ use gcs_net::{
 };
 use gcs_sim::engine::DiscoveryDelay;
 use gcs_sim::{
-    Automaton, Context, DelayStrategy, LinkChange, LinkChangeKind, Message, ModelParams,
-    SimBuilder, TimerKind,
+    Automaton, Context, DelayStrategy, FaultEvent, FaultSource, LinkChange, LinkChangeKind,
+    Message, ModelParams, SimBuilder, TimerKind,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// A flooding automaton: spreads the maximum `value` seen; logs everything
 /// it observes so tests can assert on the environment's behaviour.
@@ -489,32 +489,179 @@ fn uniform_discovery_above_d_rejected() {
     build_with_discovery(DiscoveryDelay::Uniform { lo: 0.5, hi: 2.5 });
 }
 
-/// A static source that hands the engine `initial` verbatim.
-struct FixedInitial(Vec<Edge>);
+/// A hand-written source over 4 nodes that hands the engine `initial`
+/// and `events` verbatim — no validation — so each test can break one
+/// clause of the pull contract.
+struct Scripted {
+    initial: Vec<Edge>,
+    events: VecDeque<TopologyEvent>,
+}
 
-impl TopologySource for FixedInitial {
+impl Scripted {
+    fn new(initial: Vec<Edge>, events: Vec<TopologyEvent>) -> Self {
+        Scripted {
+            initial,
+            events: events.into(),
+        }
+    }
+}
+
+impl TopologySource for Scripted {
     fn n(&self) -> usize {
-        3
+        4
     }
     fn initial_edges(&mut self) -> Vec<Edge> {
-        self.0.clone()
+        self.initial.clone()
     }
     fn peek_time(&mut self) -> Option<Time> {
-        None
+        self.events.front().map(|ev| ev.time)
     }
-    fn pull_until(&mut self, _until: Time, _buf: &mut Vec<TopologyEvent>) {}
+    fn pull_until(&mut self, until: Time, buf: &mut Vec<TopologyEvent>) {
+        while self.events.front().is_some_and(|ev| ev.time <= until) {
+            buf.extend(self.events.pop_front());
+        }
+    }
+}
+
+/// Builds a simulator over `source` with `threads` workers (the parallel
+/// threshold at 1, so every topology batch on two or more shards goes to
+/// the pool) and runs it to `t = 10`.
+fn run_scripted(source: impl TopologySource + 'static, threads: usize) {
+    let mut sim = SimBuilder::topology(params(), source)
+        .threads(threads)
+        .par_threshold(1)
+        .build_with(|_| Flood::new(0.0, 0.5));
+    sim.run_until(at(10.0));
 }
 
 #[test]
 #[should_panic(expected = "source initial edges must be sorted and distinct")]
 fn unsorted_initial_edges_rejected() {
-    let source = FixedInitial(vec![Edge::between(1, 2), Edge::between(0, 1)]);
+    let source = Scripted::new(vec![Edge::between(1, 2), Edge::between(0, 1)], vec![]);
     SimBuilder::topology(params(), source).build_with(|_| Flood::new(0.0, 0.5));
 }
 
 #[test]
 #[should_panic(expected = "source initial edges must be sorted and distinct")]
 fn duplicate_initial_edges_rejected() {
-    let source = FixedInitial(vec![Edge::between(0, 1), Edge::between(0, 1)]);
+    let source = Scripted::new(vec![Edge::between(0, 1), Edge::between(0, 1)], vec![]);
     SimBuilder::topology(params(), source).build_with(|_| Flood::new(0.0, 0.5));
+}
+
+#[test]
+#[should_panic(expected = "edge {n2,n4} out of range for n=4")]
+fn initial_edge_beyond_n_rejected() {
+    let source = Scripted::new(vec![Edge::between(1, 2), Edge::between(2, 4)], vec![]);
+    SimBuilder::topology(params(), source).build_with(|_| Flood::new(0.0, 0.5));
+}
+
+#[test]
+#[should_panic(expected = "edge {n1,n4} out of range for n=4")]
+fn pulled_edge_beyond_n_rejected() {
+    let source = Scripted::new(vec![], vec![add_at(1.0, Edge::between(1, 4))]);
+    run_scripted(source, 1);
+}
+
+/// Re-adds the live initial edge `{1,2}` (owned by shard 1 of 2, so the
+/// multi-thread case applies it on a pool worker, not the caller).
+fn double_add() -> Scripted {
+    Scripted::new(
+        vec![Edge::between(1, 2)],
+        vec![add_at(1.0, Edge::between(1, 2))],
+    )
+}
+
+/// Removes `{1,3}`, which never came up (also owned by shard 1 of 2).
+fn absent_remove() -> Scripted {
+    Scripted::new(
+        vec![Edge::between(1, 2)],
+        vec![remove_at(1.0, Edge::between(1, 3))],
+    )
+}
+
+#[test]
+#[should_panic(expected = "edge {n1,n2} already present")]
+fn double_add_rejected() {
+    run_scripted(double_add(), 1);
+}
+
+#[test]
+#[should_panic(expected = "edge {n1,n2} already present")]
+fn double_add_rejected_on_the_pool() {
+    run_scripted(double_add(), 2);
+}
+
+#[test]
+#[should_panic(expected = "edge {n1,n3} not present")]
+fn absent_remove_rejected() {
+    run_scripted(absent_remove(), 1);
+}
+
+#[test]
+#[should_panic(expected = "edge {n1,n3} not present")]
+fn absent_remove_rejected_on_the_pool() {
+    run_scripted(absent_remove(), 2);
+}
+
+#[test]
+#[should_panic(expected = "topology source must emit nondecreasing times")]
+fn topology_going_back_in_time_rejected() {
+    let source = Scripted::new(
+        vec![],
+        vec![
+            add_at(2.0, Edge::between(0, 1)),
+            add_at(1.0, Edge::between(0, 2)),
+        ],
+    );
+    run_scripted(source, 1);
+}
+
+#[test]
+#[should_panic(expected = "does not follow the current time")]
+fn topology_at_time_zero_rejected() {
+    let source = Scripted::new(vec![], vec![add_at(0.0, Edge::between(0, 1))]);
+    run_scripted(source, 1);
+}
+
+/// A fault source that emits `faults` verbatim (no sorting, unlike
+/// [`FaultPlan`](gcs_sim::FaultPlan)).
+struct ScriptedFaults(VecDeque<FaultEvent>);
+
+impl FaultSource for ScriptedFaults {
+    fn peek_time(&mut self) -> Option<Time> {
+        self.0.front().map(|ev| ev.time)
+    }
+    fn pull_until(&mut self, until: Time, buf: &mut Vec<FaultEvent>) {
+        while self.0.front().is_some_and(|ev| ev.time <= until) {
+            buf.extend(self.0.pop_front());
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "fault source must emit nondecreasing times")]
+fn faults_going_back_in_time_rejected() {
+    let faults = [
+        FaultEvent::crash(2.0, node(0)),
+        FaultEvent::crash(1.5, node(1)),
+    ];
+    let schedule = TopologySchedule::static_graph(2, [Edge::between(0, 1)]);
+    let mut sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
+        .faults(ScriptedFaults(VecDeque::from(faults)))
+        .build_with(|_| Flood::new(0.0, 0.5));
+    sim.run_until(at(10.0));
+}
+
+#[test]
+#[should_panic(expected = "SimBuilder::threads(0) is not a worker count in 1..=64")]
+fn zero_threads_rejected() {
+    let schedule = TopologySchedule::static_graph(2, [Edge::between(0, 1)]);
+    let _ = SimBuilder::topology(params(), ScheduleSource::new(schedule)).threads(0);
+}
+
+#[test]
+#[should_panic(expected = "SimBuilder::threads(65) is not a worker count in 1..=64")]
+fn more_than_64_threads_rejected() {
+    let schedule = TopologySchedule::static_graph(2, [Edge::between(0, 1)]);
+    let _ = SimBuilder::topology(params(), ScheduleSource::new(schedule)).threads(65);
 }
