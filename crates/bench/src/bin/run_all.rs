@@ -31,52 +31,16 @@ use gcs_bench::engine_bench::{measure_threads, Measurement, Workload};
 use gcs_bench::scenario::{driver_plan, run_parallel, Scenario};
 use std::io::Write;
 
-/// One explored model-check suite for the JSON trajectory.
-struct McSuite {
-    n: usize,
-    scenarios: usize,
-    states: usize,
-    runs: usize,
-    max_depth: usize,
-    wall_s: f64,
-    violations: usize,
-}
-
-/// Runs the bounded explorer over the CI suites at `n = 2..=4` (the same
-/// suites the fail-closed `model_check` bin verifies) and records the
-/// state-space size and wall time per `n`.
-fn run_model_check() -> Vec<McSuite> {
-    use gcs_core::GradientNode;
-    (2..=4usize)
-        .map(|n| {
-            let start = std::time::Instant::now();
-            let mut suite = McSuite {
-                n,
-                scenarios: 0,
-                states: 0,
-                runs: 0,
-                max_depth: 0,
-                wall_s: 0.0,
-                violations: 0,
-            };
-            for sc in gcs_mc::explore::suite(n) {
-                let report = gcs_mc::explore(&sc, |_| GradientNode::new(sc.algo), 2_000_000);
-                suite.scenarios += 1;
-                suite.states += report.states;
-                suite.runs += report.runs;
-                suite.max_depth = suite.max_depth.max(report.max_depth);
-                suite.violations += usize::from(report.violation.is_some());
-            }
-            suite.wall_s = start.elapsed().as_secs_f64();
-            suite
-        })
-        .collect()
-}
-
-fn mc_entry(s: &McSuite) -> String {
+fn mc_entry(s: &gcs_mc::explore::SuiteReport) -> String {
     format!(
         "    {{\n      \"n\": {},\n      \"scenarios\": {},\n      \"states\": {},\n      \"runs\": {},\n      \"max_depth\": {},\n      \"wall_s\": {:.6},\n      \"violations\": {}\n    }}",
-        s.n, s.scenarios, s.states, s.runs, s.max_depth, s.wall_s, s.violations
+        s.n,
+        s.reports.len(),
+        s.states,
+        s.runs,
+        s.max_depth,
+        s.wall_s,
+        s.violations()
     )
 }
 
@@ -287,7 +251,7 @@ fn engine_json(
     e14_n: usize,
     e15: &gcs_bench::e15_faults::Outcomes,
     e15_n: usize,
-    mc: &[McSuite],
+    mc: &[gcs_mc::explore::SuiteReport],
     peak_rss_bytes: Option<u64>,
 ) -> String {
     let workload = |w: &Workload| {
@@ -513,11 +477,18 @@ fn main() {
         e15_for_json.control.violations
     );
     // The bounded model-check suites, for the trajectory.
-    let mc_suites = run_model_check();
+    let mc_suites: Vec<_> = (2..=4).map(gcs_mc::explore::explore_suite).collect();
     for s in &mc_suites {
         println!(
             "MC  n={:>6} {:>16}: {:>10} states  ({} runs over {} scenarios, max depth {}, {:.2}s, {} violations)",
-            s.n, "explorer", s.states, s.runs, s.scenarios, s.max_depth, s.wall_s, s.violations
+            s.n,
+            "explorer",
+            s.states,
+            s.runs,
+            s.reports.len(),
+            s.max_depth,
+            s.wall_s,
+            s.violations()
         );
     }
     let json = engine_json(

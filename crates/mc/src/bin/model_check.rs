@@ -4,7 +4,8 @@
 //!
 //! 1. the bounded exhaustive explorer over the full scenario suites at
 //!    `n = 2, 3, 4`, writing any counterexample to
-//!    `target/mc/<scenario>.itf.json` and exiting non-zero;
+//!    `target/mc/<scenario>.itf.json` and exiting non-zero — also when a
+//!    suite's totals differ from the recorded ones in [`RECORDED`];
 //! 2. the mutation smoke test — every seeded mutant must be caught and
 //!    the unmutated control must pass (a checker that stops rejecting
 //!    mutants fails the build, not just the mutant);
@@ -14,13 +15,22 @@
 //! 4. a bounded randomized fuzz batch over the same oracle.
 //!
 //! Prints one summary line per stage (states, runs, max depth, wall
-//! time) that `run_all` scrapes into `BENCH_engine.json`.
+//! time).
 
 use gcs_core::GradientNode;
 use gcs_mc::mutant::{smoke_run, Mutation};
 use gcs_mc::{explore, fuzz, replay_trace, Trace};
 use std::io::Write as _;
 use std::time::Instant;
+
+/// The recorded `(n, states, runs, max depth)` of every explored suite.
+/// Exploration is deterministic, so a suite that explores anything else
+/// has changed the model, the explorer or the automaton, and fails.
+const RECORDED: [(usize, usize, usize, usize); 3] = [
+    (2, 6016, 2463, 8),
+    (3, 32576, 20480, 12),
+    (4, 379520, 294912, 17),
+];
 
 fn fail(msg: &str) -> ! {
     eprintln!("model_check: FAIL: {msg}");
@@ -38,34 +48,34 @@ fn write_counterexample(name: &str, trace: &Trace) -> String {
 }
 
 fn main() {
-    let mut failed = false;
+    let mut failures = Vec::new();
 
-    // Stage 1: bounded exhaustive exploration, n = 2..=4.
-    for n in 2..=4usize {
-        let start = Instant::now();
-        let mut runs = 0usize;
-        let mut states = 0usize;
-        let mut max_depth = 0usize;
-        for sc in explore::suite(n) {
-            let report = explore::explore(&sc, |_| GradientNode::new(sc.algo), 2_000_000);
-            runs += report.runs;
-            states += report.states;
-            max_depth = max_depth.max(report.max_depth);
+    // Stage 1: bounded exhaustive exploration, n = 2..=4, against the
+    // recorded totals.
+    for (n, states, runs, max_depth) in RECORDED {
+        let suite = explore::explore_suite(n);
+        for report in &suite.reports {
             if let Some((trace, message)) = &report.violation {
-                let path = write_counterexample(&sc.name, trace);
+                let path = write_counterexample(&report.scenario, trace);
                 eprintln!("model_check: counterexample written to {path}");
-                eprintln!("model_check: {}: {message}", sc.name);
-                failed = true;
+                eprintln!("model_check: {}: {message}", report.scenario);
+                failures.push(format!("invariant violation in {}", report.scenario));
             }
         }
         println!(
-            "model_check: explore n={n}: {states} states, {runs} runs, \
-             max depth {max_depth}, {:.2}s",
-            start.elapsed().as_secs_f64()
+            "model_check: explore n={n}: {} states, {} runs, max depth {}, {:.2}s",
+            suite.states, suite.runs, suite.max_depth, suite.wall_s
         );
+        if (suite.states, suite.runs, suite.max_depth) != (states, runs, max_depth) {
+            failures.push(format!(
+                "n={n} explored {} states / {} runs / depth {}, recorded \
+                 {states} / {runs} / {max_depth}",
+                suite.states, suite.runs, suite.max_depth
+            ));
+        }
     }
-    if failed {
-        fail("explorer found invariant violations (traces in target/mc/)");
+    if !failures.is_empty() {
+        fail(&format!("explorer: {}", failures.join("; ")));
     }
 
     // Stage 2: mutation smoke — fail closed.

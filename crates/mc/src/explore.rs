@@ -13,14 +13,38 @@
 //! therefore a path in a decision tree whose branching factor is
 //! `delay_choices.len()`.
 //!
-//! The explorer walks that tree by **trail re-execution**: a trail is a
-//! forced prefix of choice indices; the model runs from the initial state
-//! following the trail and defaulting to choice 0 past it, recording
-//! every decision. After each run, the untaken alternatives at every
-//! decision *at or past the trail's end* are pushed as new trails
-//! (alternatives before the trail's end were already scheduled when a
-//! shorter prefix of this path first ran). Re-execution trades CPU for
-//! memory: no cloned model states are kept, only trails.
+//! The explorer walks that tree depth first. A trail is a forced prefix
+//! of choice indices; its run follows the trail, defaults to choice 0
+//! past it, and records every decision. After each run, the untaken
+//! alternatives at every decision *at or past the trail's end* are pushed
+//! as new trails (alternatives before the trail's end were already
+//! scheduled when a shorter prefix of this path first ran).
+//!
+//! # Checkpointed resumption
+//!
+//! A trail does not re-execute its prefix from time 0. A run snapshots
+//! its `(Model, Oracle, decision record)` at every instant boundary it
+//! continues past, after that state has passed the oracle and entered the
+//! seen set; the time-0 state of [`Model::new`] is the root snapshot. A
+//! trail that branches at decision `j` resumes from the latest snapshot
+//! of the run that pushed it taken with at most `j` decisions made — the
+//! start of the instant in which decision `j` was drawn — and re-executes
+//! only the rest of that instant.
+//!
+//! Resuming is sound because a run is a deterministic function of its
+//! decisions. A replay from time 0 along the same forced prefix would
+//! pass through exactly the states the snapshotting run passed through,
+//! with the same oracle history, and each of those states is already in
+//! the seen set: it would neither grow the set nor stop the run, which is
+//! still inside its forced prefix there. So a resumed run inserts,
+//! checks and prunes exactly what the replay would. Its first callback
+//! lands on the snapshot's own state, which the snapshotting run already
+//! checked and inserted, so it is skipped. The root is the exception: no
+//! callback ever saw the time-0 state.
+//!
+//! Snapshots are shared through `Rc` by the trails that branch in the
+//! instant following them and dropped with the last of those trails, so
+//! the live snapshots are bounded by the trails on the stack.
 //!
 //! # Seen-state pruning
 //!
@@ -44,7 +68,10 @@
 use crate::itf::Trace;
 use crate::model::{DelayDecider, Model, ModelNode, Scenario};
 use crate::oracle::Oracle;
+use gcs_core::GradientNode;
 use std::collections::HashSet;
+use std::rc::Rc;
+use std::time::Instant;
 
 /// Result of exploring one scenario.
 #[derive(Clone, Debug)]
@@ -67,30 +94,56 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// 64-bit digests independent enough for a 128-bit effective key.
 const FNV_OFFSET_ALT: u64 = 0x6c62_272e_07bb_0142;
 
-fn fnv1a(basis: u64, words: &[u64]) -> u64 {
-    let mut h = basis;
+/// Both seen-set digests of `words` in one pass: 64-bit FNV-1a over the
+/// little-endian bytes from [`FNV_OFFSET`] and from [`FNV_OFFSET_ALT`].
+/// The two multiply chains are independent, so they overlap in the CPU.
+fn digest(words: &[u64]) -> (u64, u64) {
+    let (mut a, mut b) = (FNV_OFFSET, FNV_OFFSET_ALT);
     for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
+        for byte in w.to_le_bytes() {
+            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
         }
     }
-    h
+    (a, b)
 }
 
-/// Exhaustively explores `sc`, building each run's nodes with `make`.
+/// A state trails resume from (see the module docs).
+struct Snapshot<N: ModelNode> {
+    model: Model<N>,
+    oracle: Oracle,
+    /// The decisions that led here, `(arity, chosen)` each.
+    record: Vec<(usize, usize)>,
+    /// Whether a run callback already checked and inserted this state:
+    /// true for every snapshot but the root.
+    checked: bool,
+}
+
+/// Exhaustively explores `sc`.
+///
+/// `make` builds the nodes of the time-0 state, once per node; it is
+/// called again only to export a violation's trace. Every other run
+/// resumes from a cloned snapshot.
 ///
 /// `max_runs` is a safety valve against mis-sized scenarios: the search
-/// panics if the trail stack would exceed it, rather than burning CI
-/// minutes silently (a correctly-sized suite stays well under it).
+/// panics once it would execute more runs than that, rather than burning
+/// CI minutes silently (a correctly-sized suite stays well under it).
 pub fn explore<N: ModelNode>(
     sc: &Scenario,
     mut make: impl FnMut(usize) -> N,
     max_runs: usize,
 ) -> Report {
     sc.validate();
+    let root = Snapshot {
+        model: Model::new(sc, &mut make),
+        oracle: Oracle::new(sc.algo.n),
+        record: Vec::new(),
+        checked: false,
+    };
     let mut seen: HashSet<(u64, u64)> = HashSet::new();
-    let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
+    // Pending trails: the snapshot each resumes from, and its forced
+    // choices from decision 0.
+    let mut stack: Vec<(Rc<Snapshot<N>>, Vec<usize>)> = vec![(Rc::new(root), Vec::new())];
     let mut report = Report {
         scenario: sc.name.clone(),
         runs: 0,
@@ -99,7 +152,10 @@ pub fn explore<N: ModelNode>(
         violation: None,
     };
     let mut scratch = Vec::new();
-    while let Some(forced) = stack.pop() {
+    // `(decisions made, model, oracle)` at every boundary the current run
+    // continued past, in run order.
+    let mut taken: Vec<(usize, Model<N>, Oracle)> = Vec::new();
+    while let Some((mut from, forced)) = stack.pop() {
         report.runs += 1;
         assert!(
             report.runs <= max_runs,
@@ -108,44 +164,68 @@ pub fn explore<N: ModelNode>(
             max_runs
         );
         let forced_len = forced.len();
-        let mut model = Model::new(sc, &mut make);
-        let mut decider = DelayDecider::trail(forced);
-        let mut oracle = Oracle::new(sc.algo.n);
+        let mut model = from.model.clone();
+        let mut oracle = from.oracle.clone();
+        let mut decider = DelayDecider::Trail {
+            forced,
+            record: from.record.clone(),
+        };
+        let mut skip = from.checked;
         model.run(sc.horizon, &mut decider, |m, decisions| {
+            if std::mem::take(&mut skip) {
+                return true;
+            }
             if !oracle.check(m) {
                 return false;
             }
             scratch.clear();
             m.encode(&mut scratch);
-            let key = (fnv1a(FNV_OFFSET, &scratch), fnv1a(FNV_OFFSET_ALT, &scratch));
-            let fresh = seen.insert(key);
+            let fresh = seen.insert(digest(&scratch));
             // Prune only once this run has decided something the trail
             // did not force — see module docs for the soundness argument.
-            fresh || decisions < forced_len
+            let go_on = fresh || decisions < forced_len;
+            if go_on {
+                taken.push((decisions, m.clone(), oracle.clone()));
+            }
+            go_on
         });
-        let DelayDecider::Trail { forced, record } = decider else {
+        let DelayDecider::Trail { record, .. } = decider else {
             unreachable!("explore uses trail deciders");
         };
         report.max_depth = report.max_depth.max(record.len());
         if let Some(v) = oracle.violation() {
-            // Re-run the violating path once more, collecting snapshots
-            // for the exported trace (keeps the hot loop snapshot-free).
+            // Re-run the violating path from time 0, collecting the
+            // per-instant states for the exported trace.
             let choices: Vec<usize> = record.iter().map(|&(_, c)| c).collect();
             let (trace, _) = trace_of_trail(sc, &mut make, choices);
             report.violation = Some((trace, v.to_string()));
+            report.states = seen.len();
             return report;
         }
-        // Schedule the untaken siblings of every free decision.
-        for (j, &(arity, chosen)) in record.iter().enumerate().skip(forced.len()) {
+        // Schedule the untaken siblings of every free decision, each
+        // resuming from the start of the instant that drew it.
+        let mut boundaries = taken.drain(..).peekable();
+        for (j, &(arity, chosen)) in record.iter().enumerate().skip(forced_len) {
             debug_assert_eq!(chosen, 0, "free decisions default to choice 0");
+            let mut latest = None;
+            while let Some(b) = boundaries.next_if(|&(d, ..)| d <= j) {
+                latest = Some(b);
+            }
+            if let Some((d, model, oracle)) = latest {
+                from = Rc::new(Snapshot {
+                    model,
+                    oracle,
+                    record: record[..d].to_vec(),
+                    checked: true,
+                });
+            }
             for alt in 1..arity {
                 let mut trail = Vec::with_capacity(j + 1);
                 trail.extend(record[..j].iter().map(|&(_, c)| c));
                 trail.push(alt);
-                stack.push(trail);
+                stack.push((Rc::clone(&from), trail));
             }
         }
-        report.states = seen.len();
     }
     report.states = seen.len();
     report
@@ -298,10 +378,55 @@ pub fn suite(n: usize) -> Vec<Scenario> {
     scenarios
 }
 
+/// One CI suite explored over the production [`GradientNode`]: every
+/// scenario's report and their totals.
+#[derive(Clone, Debug)]
+pub struct SuiteReport {
+    /// The suite's node count.
+    pub n: usize,
+    /// One report per scenario, in [`suite`] order.
+    pub reports: Vec<Report>,
+    /// Distinct states, summed over the scenarios.
+    pub states: usize,
+    /// Executed runs, summed over the scenarios.
+    pub runs: usize,
+    /// The largest per-scenario maximum depth.
+    pub max_depth: usize,
+    /// Host wall time of the whole suite, in seconds.
+    pub wall_s: f64,
+}
+
+impl SuiteReport {
+    /// Scenarios whose exploration found a violation.
+    pub fn violations(&self) -> usize {
+        self.reports
+            .iter()
+            .filter(|r| r.violation.is_some())
+            .count()
+    }
+}
+
+/// Explores every scenario of [`suite`]`(n)` with the production node,
+/// under a run cap no CI suite comes near.
+pub fn explore_suite(n: usize) -> SuiteReport {
+    let start = Instant::now();
+    let reports: Vec<Report> = suite(n)
+        .iter()
+        .map(|sc| explore(sc, |_| GradientNode::new(sc.algo), 2_000_000))
+        .collect();
+    SuiteReport {
+        n,
+        states: reports.iter().map(|r| r.states).sum(),
+        runs: reports.iter().map(|r| r.runs).sum(),
+        max_depth: reports.iter().map(|r| r.max_depth).max().unwrap_or(0),
+        reports,
+        wall_s: start.elapsed().as_secs_f64(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_core::GradientNode;
 
     #[test]
     fn n2_static_scenario_explores_clean() {
@@ -335,5 +460,67 @@ mod tests {
         );
         let (_, msg) = report.violation.expect("exploration must catch the mutant");
         assert!(msg.contains("Property 6.3"), "{msg}");
+    }
+
+    /// Reference FNV-1a-64: one byte-wise pass from `basis`.
+    fn fnv1a(basis: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes
+            .into_iter()
+            .fold(basis, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    }
+
+    #[test]
+    fn fused_digest_equals_two_separate_fnv1a_passes() {
+        let two_passes = |words: &[u64]| {
+            let bytes = || words.iter().flat_map(|w| w.to_le_bytes());
+            (fnv1a(FNV_OFFSET, bytes()), fnv1a(FNV_OFFSET_ALT, bytes()))
+        };
+        assert_eq!(digest(&[]), two_passes(&[]));
+        let sc = &suite(3)[0];
+        let mut model = Model::new(sc, |_| GradientNode::new(sc.algo));
+        let mut decider = DelayDecider::trail(vec![1, 0, 1, 1]);
+        model.run(sc.horizon / 2.0, &mut decider, |_, _| true);
+        let mut words = Vec::new();
+        model.encode(&mut words);
+        assert!(words.len() > 100, "a mid-run state with messages in flight");
+        assert_eq!(digest(&words), two_passes(&words));
+    }
+
+    #[test]
+    fn mutant_explorations_stop_at_the_recorded_violations() {
+        use crate::mutant::{MutantNode, Mutation};
+        // (scenario, runs, states, max depth, trace JSON bytes, their
+        // FNV-1a-64). r1 violates in the root run, the others in resumed
+        // runs; `states` counts every state inserted before the violation.
+        let recorded = [
+            ("n2-static-r0", 17, 24, 8, 1555, 0xdefb_35cf_d2e9_9efd),
+            ("n2-static-r1", 1, 2, 4, 1782, 0xd589_914c_39c6_af94),
+            ("n3-static-r3", 257, 275, 12, 1262, 0x773b_f7f9_b425_35f7),
+        ];
+        for (name, runs, states, max_depth, json_len, json_fnv) in recorded {
+            let sc = suite(2)
+                .into_iter()
+                .chain(suite(3))
+                .find(|sc| sc.name == name)
+                .expect("a suite scenario");
+            let report = explore(
+                &sc,
+                |_| MutantNode::new(sc.algo, Mutation::LmaxOverwrite),
+                1_000_000,
+            );
+            assert_eq!(
+                (report.runs, report.states, report.max_depth),
+                (runs, states, max_depth),
+                "{name}"
+            );
+            let (trace, msg) = report.violation.expect("exploration must catch the mutant");
+            assert!(msg.contains("Property 6.3"), "{name}: {msg}");
+            let json = trace.to_json();
+            assert_eq!(
+                (json.len(), fnv1a(FNV_OFFSET, json.bytes())),
+                (json_len, json_fnv),
+                "{name}"
+            );
+        }
     }
 }

@@ -22,7 +22,8 @@
 //!   interleavings
 //!   (within `[0, T]`, quantized) composed with scheduled churn and
 //!   crash/restart faults at `n = 2..4`, with canonical state hashing to
-//!   prune converged branches.
+//!   prune converged branches and every branch resumed from the snapshot
+//!   of the instant it branches in.
 //! * [`fuzz`](mod@fuzz) — randomized long schedules through the same
 //!   oracle, with greedy counterexample shrinking.
 //! * [`itf`] — ITF-style JSON export of every violation (and every
@@ -36,9 +37,9 @@
 //!   oracle actually rejects (the CI mutation smoke test fails closed).
 //!
 //! The `model_check` binary (`cargo run --release -p gcs-mc --bin
-//! model_check`) is the CI entry point: explorer suites at `n = 2..4`,
-//! the mutation smoke test, replay round-trips at 1 and 8 threads, and a
-//! bounded fuzz batch.
+//! model_check`) is the CI entry point: explorer suites at `n = 2..4`
+//! checked against their recorded totals, the mutation smoke test,
+//! replay round-trips at 1 and 8 threads, and a bounded fuzz batch.
 
 #![warn(missing_docs)]
 

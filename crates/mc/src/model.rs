@@ -205,9 +205,10 @@ impl DelayDecider {
     }
 }
 
-/// An automaton the model checker can run: cloneable (one fresh instance
-/// per exploration run), probe-able (for the invariant oracle), and
-/// exactly encodable (for the seen-state set).
+/// An automaton the model checker can run: cloneable (the explorer
+/// snapshots whole models at instant boundaries and resumes runs from
+/// clones of them), probe-able (for the invariant oracle), and exactly
+/// encodable (for the seen-state set).
 pub trait ModelNode: Automaton + Clone {
     /// The oracle's view of this node at hardware reading `hw`.
     fn probe(&self, hw: f64) -> NodeProbe;

@@ -7,36 +7,59 @@
 //! keep a smaller always-on footprint inside `cargo test`.
 
 use gradient_clock_sync::core::GradientNode;
-use gradient_clock_sync::mc::explore::{suite, trace_of_trail};
+use gradient_clock_sync::mc::explore::{explore_suite, suite, trace_of_trail};
 use gradient_clock_sync::mc::mutant::{smoke_run, Mutation};
-use gradient_clock_sync::mc::{explore, fuzz, replay_trace, Trace};
+use gradient_clock_sync::mc::{fuzz, replay_trace, Trace};
 
-#[test]
-fn explorer_verifies_the_full_n2_suite() {
-    for sc in suite(2) {
-        let report = explore(&sc, |_| GradientNode::new(sc.algo), 1_000_000);
-        assert!(
-            report.violation.is_none(),
-            "{}: {}",
-            sc.name,
-            report.violation.unwrap().1
-        );
-        assert!(report.runs >= 1 && report.states > 0, "{}", sc.name);
+/// Explores `suite(n)` and asserts every scenario is clean and explores
+/// exactly its recorded `(name, states, runs, max depth)`.
+fn assert_suite_explores(n: usize, recorded: &[(&str, usize, usize, usize)]) {
+    let suite = explore_suite(n);
+    for r in &suite.reports {
+        if let Some((_, message)) = &r.violation {
+            panic!("{}: {message}", r.scenario);
+        }
     }
+    let explored: Vec<_> = suite
+        .reports
+        .iter()
+        .map(|r| (r.scenario.as_str(), r.states, r.runs, r.max_depth))
+        .collect();
+    assert_eq!(explored, recorded);
 }
 
 #[test]
-fn explorer_verifies_an_n3_churn_scenario() {
-    let sc = suite(3)
-        .into_iter()
-        .find(|sc| !sc.topology.is_empty())
-        .expect("the n=3 suite has a churn scenario");
-    let report = explore(&sc, |_| GradientNode::new(sc.algo), 1_000_000);
-    assert!(
-        report.violation.is_none(),
-        "{}: {}",
-        sc.name,
-        report.violation.unwrap().1
+fn explorer_verifies_the_full_n2_suite() {
+    assert_suite_explores(
+        2,
+        &[
+            ("n2-static-r0", 400, 256, 8),
+            ("n2-static-r1", 572, 256, 8),
+            ("n2-static-r2", 692, 256, 8),
+            ("n2-static-r3", 572, 256, 8),
+            ("n2-static-r4", 340, 256, 8),
+            ("n2-static-r5", 700, 256, 8),
+            ("n2-static-r6", 692, 256, 8),
+            ("n2-static-r7", 700, 256, 8),
+            ("n2-static-r8", 772, 256, 8),
+            ("n2-churn", 238, 55, 7),
+            ("n2-crash-restart", 338, 104, 7),
+        ],
+    );
+}
+
+#[test]
+fn explorer_verifies_the_full_n3_suite() {
+    assert_suite_explores(
+        3,
+        &[
+            ("n3-static-r0", 7088, 4096, 12),
+            ("n3-static-r1", 6416, 4096, 12),
+            ("n3-static-r2", 6416, 4096, 12),
+            ("n3-static-r3", 4368, 4096, 12),
+            ("n3-churn", 4016, 2048, 11),
+            ("n3-crash-restart", 4272, 2048, 11),
+        ],
     );
 }
 
