@@ -29,18 +29,19 @@ fn main() {
     e12::render(&config, &outcomes).print();
     println!();
     for o in &outcomes {
+        let stats = &o.record.telemetry.stats;
         println!(
             "{:>12}: backlog peaked at {} of {} pulled events; streamed peak skew {:.2} \
              (err <= {:.3}); live RSS after run {} MiB",
             o.family,
-            o.stats.peak_topology_backlog,
-            o.stats.topology_pulled,
+            stats.peak_topology_backlog,
+            stats.topology_pulled,
             o.peak_global,
             o.skew_error_bound,
-            gcs_analysis::mem::fmt_mib(o.current_rss_bytes),
+            gcs_analysis::mem::fmt_mib(o.record.current_rss_bytes),
         );
         assert_eq!(
-            o.stats.topology_pulled, o.stats.topology_events,
+            stats.topology_pulled, stats.topology_events,
             "{}: pulled events must all apply by the horizon",
             o.family
         );

@@ -36,7 +36,7 @@ fn main() {
     );
     println!(
         "peak topology backlog: {} (streamed, not pre-loaded); process peak RSS: {} MiB",
-        out.points[0].peak_topology_backlog,
+        out.points[0].telemetry.stats.peak_topology_backlog,
         gcs_analysis::mem::fmt_mib(gcs_analysis::peak_rss_bytes()),
     );
     assert!(out.deterministic, "thread counts diverged");

@@ -32,8 +32,9 @@ fn main() {
             .map(|p| p.get())
             .unwrap_or(1)
     );
-    let o = e14::run(&config);
-    e14::render(&config, &o).print();
+    let r = e14::run(&config);
+    e14::render(&config, &r).print();
+    let o = &r.telemetry;
     println!();
     println!(
         "evictions {} / rehydrations {} -> {} cold nodes in {} packed bytes; \
@@ -41,10 +42,10 @@ fn main() {
         o.evictions,
         o.rehydrations,
         o.cold_nodes,
-        o.cold_bytes,
+        o.planes.automaton_cold,
         o.node_state_watermark,
         config.n,
-        gcs_analysis::mem::fmt_mib(o.current_rss_bytes),
+        gcs_analysis::mem::fmt_mib(r.current_rss_bytes),
     );
     println!(
         "plane bytes (MiB): {}",

@@ -30,29 +30,30 @@ fn main() {
     e13::render(&config, &outcomes).print();
     println!();
     for o in &outcomes {
+        let t = &o.record.telemetry;
         println!(
             "{:>16}: {} drift cursors / {} touched slots / {} rng streams; \
              streamed peak skew {:.2} (err <= {:.3}); live RSS after run {} MiB",
             o.family,
-            o.drift_cursors,
-            o.node_state_watermark,
-            o.rng_streams,
+            t.drift_cursors,
+            t.node_state_watermark,
+            t.rng_streams,
             o.peak_global,
             o.skew_error_bound,
-            gcs_analysis::mem::fmt_mib(o.current_rss_bytes),
+            gcs_analysis::mem::fmt_mib(o.record.current_rss_bytes),
         );
         assert_eq!(
-            o.stats.topology_pulled, o.stats.topology_events,
+            t.stats.topology_pulled, t.stats.topology_events,
             "{}: pulled events must all apply by the horizon",
             o.family
         );
         assert!(
-            o.drift_cursors <= o.node_state_watermark,
+            t.drift_cursors <= t.node_state_watermark,
             "{}: at most one cursor per touched node",
             o.family
         );
         assert_eq!(
-            o.rng_streams, 0,
+            t.rng_streams, 0,
             "{}: max delays must not materialize node streams",
             o.family
         );

@@ -20,7 +20,8 @@
 //! * streamed peak global/local skew with the probe's certified error
 //!   bound.
 
-use crate::engine_bench::{measure, Measurement, Workload};
+use crate::engine_bench::{measure, Workload};
+use crate::record::RunRecord;
 use gcs_analysis::{SkewStream, Table};
 use gcs_clocks::time::at;
 
@@ -66,7 +67,7 @@ impl Config {
 pub struct Outcome {
     /// Per-worker-count runs, in configured order (each carries its own
     /// execution counters, which must be identical across all points).
-    pub points: Vec<Measurement>,
+    pub points: Vec<RunRecord>,
     /// Streamed peak global skew (from the baseline run).
     pub peak_global: f64,
     /// Streamed peak local skew (from the baseline run).
@@ -98,7 +99,7 @@ pub fn run(config: &Config) -> Outcome {
     for &t in &config.threads {
         points.push(measure(&w.with_threads(t)));
     }
-    let deterministic = points.iter().all(|p| p.stats == baseline_stats);
+    let deterministic = points.iter().all(|p| p.telemetry.stats == baseline_stats);
     Outcome {
         points,
         peak_global: probe.peak_global_skew(),
@@ -110,7 +111,7 @@ pub fn run(config: &Config) -> Outcome {
 
 /// Renders the throughput-vs-threads table.
 pub fn render(outcome: &Outcome) -> Table {
-    let base = outcome.points[0].events_per_sec;
+    let base = outcome.points[0].events_per_sec();
     let mut t = Table::new(
         "E11 / Theorem 4.1 at scale — events/sec vs worker count (n = 65 536 class, churn on)",
         &[
@@ -124,12 +125,12 @@ pub fn render(outcome: &Outcome) -> Table {
     );
     for p in &outcome.points {
         t.row(&[
-            p.threads.to_string(),
-            p.events.to_string(),
+            p.telemetry.threads.to_string(),
+            p.events().to_string(),
             format!("{:.3}", p.setup_s),
             format!("{:.2}", p.wall_s),
-            format!("{:.0}", p.events_per_sec),
-            format!("{:.2}x", p.events_per_sec / base),
+            format!("{:.0}", p.events_per_sec()),
+            format!("{:.2}x", p.events_per_sec() / base),
         ]);
     }
     t
@@ -175,7 +176,7 @@ impl crate::scenario::Scenario for Experiment {
         rep.record_memory();
         rep.note(format!(
             "peak topology backlog: {} (streamed, not pre-loaded)",
-            out.points[0].peak_topology_backlog,
+            out.points[0].telemetry.stats.peak_topology_backlog,
         ));
         rep.csv(
             "e11_large_scale.csv",
@@ -191,12 +192,12 @@ impl crate::scenario::Scenario for Experiment {
                 .iter()
                 .map(|p| {
                     vec![
-                        p.threads as f64,
-                        p.events as f64,
+                        p.telemetry.threads as f64,
+                        p.events() as f64,
                         p.setup_s,
                         p.wall_s,
-                        p.events_per_sec,
-                        p.peak_topology_backlog as f64,
+                        p.events_per_sec(),
+                        p.telemetry.stats.peak_topology_backlog as f64,
                     ]
                 })
                 .collect(),
@@ -222,9 +223,9 @@ mod tests {
         let out = run(&config);
         assert!(out.deterministic, "counters diverged across thread counts");
         assert_eq!(out.points.len(), 3);
-        let events = out.points[0].events;
+        let events = out.points[0].events();
         assert!(events > 10_000, "workload too small: {events} events");
-        assert!(out.points.iter().all(|p| p.events == events));
+        assert!(out.points.iter().all(|p| p.events() == events));
         assert!(out.peak_global > 0.0);
         assert!(out.skew_error_bound.is_finite());
     }

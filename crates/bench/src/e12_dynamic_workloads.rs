@@ -23,6 +23,7 @@
 //! bounded by the events of one pull window — it still scales with the
 //! churn *rate*, but not with the horizon or the total event count.
 
+use crate::record::RunRecord;
 use crate::scenario::{Scenario, ScenarioFamily, ScenarioMeta, ScenarioReport};
 use gcs_analysis::{SkewStream, Table};
 use gcs_clocks::time::at;
@@ -30,7 +31,7 @@ use gcs_clocks::DriftModel;
 use gcs_core::{AlgoParams, GradientNode};
 use gcs_net::workloads::{FlashCrowdSource, MobilitySource, PartitionSource};
 use gcs_net::TopologySource;
-use gcs_sim::{DelayStrategy, ModelParams, SimBuilder, SimStats};
+use gcs_sim::{DelayStrategy, SimBuilder};
 
 /// Configuration for E12.
 #[derive(Clone, Debug)]
@@ -97,100 +98,68 @@ pub fn sources(config: &Config) -> Vec<(&'static str, Box<dyn TopologySource>)> 
     ]
 }
 
-/// The result of one family's run.
+/// The result of one streamed family's run (E12's and E13's).
 #[derive(Clone, Debug)]
 pub struct FamilyOutcome {
-    /// Family name (`"mobility"`, `"partition"`, `"flash-crowd"`).
+    /// Family name (e.g. `"mobility"`, `"churn-walk"`).
     pub family: &'static str,
-    /// Seconds spent building the simulation (generator + engine setup).
-    pub setup_s: f64,
-    /// Seconds spent running it.
-    pub wall_s: f64,
-    /// Events processed.
-    pub events: u64,
-    /// Throughput.
-    pub events_per_sec: f64,
     /// Streamed peak global skew.
     pub peak_global: f64,
     /// Streamed peak local skew.
     pub peak_local: f64,
     /// The probe's certified error bound on those peaks.
     pub skew_error_bound: f64,
-    /// Current resident set right after this family's run, while its
-    /// simulation is still live — unlike the process-wide high-water
-    /// mark, this reflects *this* family's footprint even when other
-    /// work ran earlier in the process.
-    pub current_rss_bytes: Option<u64>,
-    /// Packed event-plane heap bytes (records + payload arena) at the
-    /// horizon.
-    pub wheel_plane_bytes: usize,
-    /// Compact staging-buffer heap bytes at the horizon.
-    pub staging_plane_bytes: usize,
-    /// Peak pending wheel events per payload lane, in
-    /// `[topology, fault, deliver, alarm, discover]` order.
-    pub pending_peaks: [usize; 5],
-    /// Execution counters (carries `topology_events`, `topology_pulled`,
-    /// `peak_topology_backlog` and `peak_staged_events`).
-    pub stats: SimStats,
+    /// Timings, live RSS and engine telemetry of the run.
+    pub record: RunRecord,
 }
 
-fn model() -> ModelParams {
-    crate::default_model()
-}
-
-/// Runs one family to the horizon with the streaming skew probe attached.
-pub fn run_family(
+/// Runs one family to the horizon under `drift` on the default model
+/// with max delays and one shared budget plane for all `n` automata,
+/// with the streaming skew probe attached; the probe rescans its
+/// extrema every `rescan` instants.
+pub fn run_streamed(
     config: &Config,
     family: &'static str,
+    drift: DriftModel,
     source: Box<dyn TopologySource>,
+    rescan: u64,
 ) -> FamilyOutcome {
     let n = config.n;
-    let model = model();
+    let model = crate::default_model();
     let params = AlgoParams::with_minimal_b0(model, n, 0.5);
-    let t0 = std::time::Instant::now();
-    // One shared budget plane for all n automata.
-    let shared = std::sync::Arc::new(gcs_core::GradientShared::new(params));
-    let mut sim = SimBuilder::topology(model, source)
-        .drift_model(DriftModel::FastUpTo(n / 2), config.horizon)
-        .delay(DelayStrategy::Max)
-        .seed(config.seed)
-        .threads(config.threads)
-        .build_with(|_| GradientNode::with_shared(shared.clone()));
-    let setup_s = t0.elapsed().as_secs_f64();
-    let mut probe = SkewStream::new(n, model.rho, 64);
-    let t1 = std::time::Instant::now();
-    sim.run_until_with(at(config.horizon), |sim, t, touched| {
-        probe.observe(sim, t, touched);
-    });
-    let wall_s = t1.elapsed().as_secs_f64();
-    let stats = *sim.stats();
-    // Read while `sim` is still alive so the numbers reflect this
-    // family's live allocations.
-    let current_rss_bytes = gcs_analysis::current_rss_bytes();
-    let planes = sim.plane_bytes();
+    let mut probe = SkewStream::new(n, model.rho, rescan);
+    let record = RunRecord::measure(
+        || {
+            let shared = std::sync::Arc::new(gcs_core::GradientShared::new(params));
+            SimBuilder::topology(model, source)
+                .drift_model(drift, config.horizon)
+                .delay(DelayStrategy::Max)
+                .seed(config.seed)
+                .threads(config.threads)
+                .build_with(|_| GradientNode::with_shared(shared.clone()))
+        },
+        |sim| {
+            sim.run_until_with(at(config.horizon), |sim, t, touched| {
+                probe.observe(sim, t, touched);
+            })
+        },
+    );
     FamilyOutcome {
         family,
-        setup_s,
-        wall_s,
-        events: stats.events_processed,
-        events_per_sec: stats.events_processed as f64 / wall_s.max(1e-12),
         peak_global: probe.peak_global_skew(),
         peak_local: probe.peak_local_skew(),
         skew_error_bound: probe.error_bound(),
-        current_rss_bytes,
-        wheel_plane_bytes: planes.wheel,
-        staging_plane_bytes: planes.staging,
-        pending_peaks: sim.wheel_pending_peaks(),
-        stats,
+        record,
     }
 }
 
 /// Runs all three families in sequence (each alone, so its timing and
-/// memory readings are honest).
+/// memory readings are honest) under the E1 split drift.
 pub fn run(config: &Config) -> Vec<FamilyOutcome> {
+    let drift = DriftModel::FastUpTo(config.n / 2);
     sources(config)
         .into_iter()
-        .map(|(family, source)| run_family(config, family, source))
+        .map(|(family, source)| run_streamed(config, family, drift, source, 64))
         .collect()
 }
 
@@ -214,14 +183,15 @@ pub fn render(config: &Config, outcomes: &[FamilyOutcome]) -> Table {
         ],
     );
     for o in outcomes {
+        let r = &o.record;
         t.row(&[
             o.family.to_string(),
-            format!("{:.3}", o.setup_s),
-            format!("{:.2}", o.wall_s),
-            o.events.to_string(),
-            format!("{:.0}", o.events_per_sec),
-            o.stats.topology_events.to_string(),
-            o.stats.peak_topology_backlog.to_string(),
+            format!("{:.3}", r.setup_s),
+            format!("{:.2}", r.wall_s),
+            r.events().to_string(),
+            format!("{:.0}", r.events_per_sec()),
+            r.telemetry.stats.topology_events.to_string(),
+            r.telemetry.stats.peak_topology_backlog.to_string(),
             format!("{:.2}", o.peak_global),
             format!("{:.3}", o.skew_error_bound),
         ]);
@@ -270,9 +240,9 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
             "{}: backlog peaked at {} of {} pulled topology events ({} applied) — \
                  the streaming pipeline buffers a lookahead window, never the schedule",
             o.family,
-            o.stats.peak_topology_backlog,
-            o.stats.topology_pulled,
-            o.stats.topology_events,
+            o.record.telemetry.stats.peak_topology_backlog,
+            o.record.telemetry.stats.topology_pulled,
+            o.record.telemetry.stats.topology_events,
         ));
     }
     // Memory goes into the dedicated field (and `print`), never into the
@@ -294,14 +264,15 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
             .iter()
             .enumerate()
             .map(|(i, o)| {
+                let r = &o.record;
                 vec![
                     i as f64,
-                    o.setup_s,
-                    o.wall_s,
-                    o.events as f64,
-                    o.events_per_sec,
-                    o.stats.topology_events as f64,
-                    o.stats.peak_topology_backlog as f64,
+                    r.setup_s,
+                    r.wall_s,
+                    r.events() as f64,
+                    r.events_per_sec(),
+                    r.telemetry.stats.topology_events as f64,
+                    r.telemetry.stats.peak_topology_backlog as f64,
                     o.peak_global,
                 ]
             })
@@ -331,18 +302,19 @@ mod tests {
         assert_eq!(names, vec!["mobility", "partition", "flash-crowd"]);
         for o in &outcomes {
             assert!(
-                o.events > 5_000,
+                o.record.events() > 5_000,
                 "{}: workload too small: {}",
                 o.family,
-                o.events
+                o.record.events()
             );
+            let stats = &o.record.telemetry.stats;
             assert!(
-                o.stats.topology_events > 0,
+                stats.topology_events > 0,
                 "{}: no churn reached the engine",
                 o.family
             );
             assert_eq!(
-                o.stats.topology_pulled, o.stats.topology_events,
+                stats.topology_pulled, stats.topology_events,
                 "{}: every pulled event must apply by the horizon",
                 o.family
             );
@@ -362,18 +334,19 @@ mod tests {
             threads: 1,
         };
         for o in run(&config) {
+            let stats = &o.record.telemetry.stats;
             assert!(
-                o.stats.topology_events > 50,
+                stats.topology_events > 50,
                 "{}: need sustained churn, got {}",
                 o.family,
-                o.stats.topology_events
+                stats.topology_events
             );
             assert!(
-                o.stats.peak_topology_backlog < o.stats.topology_events / 2,
+                stats.peak_topology_backlog < stats.topology_events / 2,
                 "{}: backlog {} not a window of {} total events",
                 o.family,
-                o.stats.peak_topology_backlog,
-                o.stats.topology_events
+                stats.peak_topology_backlog,
+                stats.topology_events
             );
         }
     }
@@ -384,7 +357,11 @@ mod tests {
         let serial = run(&base);
         let parallel = run(&Config { threads: 4, ..base });
         for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.stats, p.stats, "{} diverged across threads", s.family);
+            assert_eq!(
+                s.record.telemetry.stats, p.record.telemetry.stats,
+                "{} diverged across threads",
+                s.family
+            );
             assert!(
                 s.peak_global.to_bits() == p.peak_global.to_bits(),
                 "{}: streamed peaks diverged",

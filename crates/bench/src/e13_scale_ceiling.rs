@@ -20,22 +20,21 @@
 //!   waves against rotating hubs) under the alternating square-wave
 //!   adversary.
 //!
-//! Observability is streaming ([`SkewStream`]); each family reports the
-//! quantities the lazy plane exists to control: **drift cursors**
-//! (`= touched nodes`, bytes independent of the segment count and of
-//! `n` for untouched nodes), the **node-state watermark**, materialized
-//! **RNG streams** (zero here — max delays draw nothing), and measured
-//! **RSS**.
+//! Observability is streaming ([`gcs_analysis::SkewStream`], through
+//! E12's runner); each family reports the quantities the lazy plane
+//! exists to control: **drift cursors** (`= touched nodes`, bytes
+//! independent of the segment count and of `n` for untouched nodes),
+//! the **node-state watermark**, materialized **RNG streams** (zero
+//! here — max delays draw nothing), and measured **RSS**.
 
+use crate::e12_dynamic_workloads as e12;
+pub use crate::e12_dynamic_workloads::FamilyOutcome;
 use crate::scenario::{Scenario, ScenarioFamily, ScenarioMeta, ScenarioReport};
-use gcs_analysis::{SkewStream, Table};
-use gcs_clocks::time::at;
+use gcs_analysis::Table;
 use gcs_clocks::DriftModel;
-use gcs_core::{AlgoParams, GradientNode};
 use gcs_net::churn::ChurnSource;
 use gcs_net::workloads::FlashCrowdSource;
 use gcs_net::{generators, TopologySource};
-use gcs_sim::{DelayStrategy, SimBuilder, SimStats};
 
 /// Configuration for E13.
 #[derive(Clone, Debug)]
@@ -102,113 +101,24 @@ pub fn families(config: &Config) -> Vec<(&'static str, DriftModel, Box<dyn Topol
     ]
 }
 
-/// The result of one family's run.
-#[derive(Clone, Debug)]
-pub struct FamilyOutcome {
-    /// Family name (`"churn-walk"`, `"flash-crowd-alt"`).
-    pub family: &'static str,
-    /// Seconds spent building the simulation. Nothing per-node is
-    /// materialized for drift, so this stays flat in the segment count.
-    pub setup_s: f64,
-    /// Seconds spent running it.
-    pub wall_s: f64,
-    /// Seconds of `wall_s` spent applying topology batches (graph mirror
-    /// + sharded edge-store apply).
-    pub topology_apply_s: f64,
-    /// Events processed.
-    pub events: u64,
-    /// Throughput.
-    pub events_per_sec: f64,
-    /// Streamed peak global skew.
-    pub peak_global: f64,
-    /// Streamed peak local skew.
-    pub peak_local: f64,
-    /// The probe's certified error bound on those peaks.
-    pub skew_error_bound: f64,
-    /// Drift cursors materialized — the drift plane's whole per-node
-    /// footprint (`<= touched nodes`, independent of the segment count).
-    pub drift_cursors: usize,
-    /// Node-state slots materialized (the touched watermark).
-    pub node_state_watermark: usize,
-    /// Lazy per-node RNG streams materialized (zero under max delays).
-    pub rng_streams: usize,
-    /// Current resident set right after this family's run, while its
-    /// simulation is still live.
-    pub current_rss_bytes: Option<u64>,
-    /// Packed event-plane heap bytes (records + payload arena) at the
-    /// horizon.
-    pub wheel_plane_bytes: usize,
-    /// Compact staging-buffer heap bytes at the horizon.
-    pub staging_plane_bytes: usize,
-    /// Peak pending wheel events per payload lane, in
-    /// `[topology, fault, deliver, alarm, discover]` order.
-    pub pending_peaks: [usize; 5],
-    /// Execution counters.
-    pub stats: SimStats,
-}
-
-/// Runs one family to the horizon with the streaming skew probe attached.
-pub fn run_family(
-    config: &Config,
-    family: &'static str,
-    drift: DriftModel,
-    source: Box<dyn TopologySource>,
-) -> FamilyOutcome {
-    let n = config.n;
-    let model = crate::default_model();
-    let params = AlgoParams::with_minimal_b0(model, n, 0.5);
-    let t0 = std::time::Instant::now();
-    // One shared budget plane for all n automata.
-    let shared = std::sync::Arc::new(gcs_core::GradientShared::new(params));
-    let mut sim = SimBuilder::topology(model, source)
-        .drift_model(drift, config.horizon)
-        .delay(DelayStrategy::Max)
-        .seed(config.seed)
-        .threads(config.threads)
-        .build_with(|_| GradientNode::with_shared(shared.clone()));
-    let setup_s = t0.elapsed().as_secs_f64();
+/// Runs both families in sequence (each alone, so timing and memory
+/// readings are honest) through E12's streamed runner. Nothing per-node
+/// is materialized for drift, so `setup_s` stays flat in the segment
+/// count and `drift_cursors` stays at most the touched watermark.
+pub fn run(config: &Config) -> Vec<FamilyOutcome> {
+    let streamed = e12::Config {
+        n: config.n,
+        horizon: config.horizon,
+        seed: config.seed,
+        threads: config.threads,
+    };
     // Extrema rescans are O(n); at 2^20 nodes and millions of instants a
     // 64-instant cadence would dominate the wall clock, so rescan every
     // 4096 instants — the certificate stays sound (staleness is charged
     // conservatively between rescans), only peak freshness coarsens.
-    let mut probe = SkewStream::new(n, model.rho, 4096);
-    let t1 = std::time::Instant::now();
-    sim.run_until_with(at(config.horizon), |sim, t, touched| {
-        probe.observe(sim, t, touched);
-    });
-    let wall_s = t1.elapsed().as_secs_f64();
-    let stats = *sim.stats();
-    // Read while `sim` is still alive so the numbers reflect this
-    // family's live allocations.
-    let current_rss_bytes = gcs_analysis::current_rss_bytes();
-    let planes = sim.plane_bytes();
-    FamilyOutcome {
-        family,
-        setup_s,
-        wall_s,
-        topology_apply_s: sim.topology_apply_seconds(),
-        events: stats.events_processed,
-        events_per_sec: stats.events_processed as f64 / wall_s.max(1e-12),
-        peak_global: probe.peak_global_skew(),
-        peak_local: probe.peak_local_skew(),
-        skew_error_bound: probe.error_bound(),
-        drift_cursors: sim.drift_cursors(),
-        node_state_watermark: sim.node_state_watermark(),
-        rng_streams: sim.rng_streams(),
-        current_rss_bytes,
-        wheel_plane_bytes: planes.wheel,
-        staging_plane_bytes: planes.staging,
-        pending_peaks: sim.wheel_pending_peaks(),
-        stats,
-    }
-}
-
-/// Runs both families in sequence (each alone, so timing and memory
-/// readings are honest).
-pub fn run(config: &Config) -> Vec<FamilyOutcome> {
     families(config)
         .into_iter()
-        .map(|(family, drift, source)| run_family(config, family, drift, source))
+        .map(|(family, drift, source)| e12::run_streamed(&streamed, family, drift, source, 4096))
         .collect()
 }
 
@@ -234,16 +144,17 @@ pub fn render(config: &Config, outcomes: &[FamilyOutcome]) -> Table {
         ],
     );
     for o in outcomes {
+        let r = &o.record;
         t.row(&[
             o.family.to_string(),
-            format!("{:.3}", o.setup_s),
-            format!("{:.2}", o.wall_s),
-            o.events.to_string(),
-            format!("{:.0}", o.events_per_sec),
-            o.stats.topology_events.to_string(),
-            o.drift_cursors.to_string(),
-            o.node_state_watermark.to_string(),
-            o.rng_streams.to_string(),
+            format!("{:.3}", r.setup_s),
+            format!("{:.2}", r.wall_s),
+            r.events().to_string(),
+            format!("{:.0}", r.events_per_sec()),
+            r.telemetry.stats.topology_events.to_string(),
+            r.telemetry.drift_cursors.to_string(),
+            r.telemetry.node_state_watermark.to_string(),
+            r.telemetry.rng_streams.to_string(),
             format!("{:.2}", o.peak_global),
             format!("{:.3}", o.skew_error_bound),
         ]);
@@ -262,7 +173,10 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
             "{}: drift plane holds {} cursors for {} touched slots \
              ({} rng streams materialized) — O(1) per touched node, \
              zero for untouched ones, independent of the segment count",
-            o.family, o.drift_cursors, o.node_state_watermark, o.rng_streams,
+            o.family,
+            o.record.telemetry.drift_cursors,
+            o.record.telemetry.node_state_watermark,
+            o.record.telemetry.rng_streams,
         ));
     }
     // Memory goes into the dedicated field (and `print`), never into the
@@ -285,15 +199,16 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
             .iter()
             .enumerate()
             .map(|(i, o)| {
+                let r = &o.record;
                 vec![
                     i as f64,
-                    o.setup_s,
-                    o.wall_s,
-                    o.events as f64,
-                    o.events_per_sec,
-                    o.stats.topology_events as f64,
-                    o.drift_cursors as f64,
-                    o.node_state_watermark as f64,
+                    r.setup_s,
+                    r.wall_s,
+                    r.events() as f64,
+                    r.events_per_sec(),
+                    r.telemetry.stats.topology_events as f64,
+                    r.telemetry.drift_cursors as f64,
+                    r.telemetry.node_state_watermark as f64,
                     o.peak_global,
                 ]
             })
@@ -352,29 +267,31 @@ mod tests {
         let names: Vec<_> = outcomes.iter().map(|o| o.family).collect();
         assert_eq!(names, vec!["churn-walk", "flash-crowd-alt"]);
         for o in &outcomes {
-            assert!(o.events > 10_000, "{}: too small: {}", o.family, o.events);
+            let t = &o.record.telemetry;
+            let events = o.record.events();
+            assert!(events > 10_000, "{}: too small: {}", o.family, events);
             assert!(
-                o.stats.topology_events > 0,
+                t.stats.topology_events > 0,
                 "{}: no churn reached the engine",
                 o.family
             );
             assert_eq!(
-                o.stats.topology_pulled, o.stats.topology_events,
+                t.stats.topology_pulled, t.stats.topology_events,
                 "{}: every pulled event must apply by the horizon",
                 o.family
             );
             assert!(
-                o.drift_cursors > 0,
+                t.drift_cursors > 0,
                 "{}: multi-segment drift must cursor",
                 o.family
             );
             assert!(
-                o.drift_cursors <= o.node_state_watermark,
+                t.drift_cursors <= t.node_state_watermark,
                 "{}: at most one cursor per touched slot",
                 o.family
             );
             assert_eq!(
-                o.rng_streams, 0,
+                t.rng_streams, 0,
                 "{}: max delays must not materialize node streams",
                 o.family
             );
@@ -388,9 +305,13 @@ mod tests {
         let serial = run(&base);
         let parallel = run(&Config { threads: 4, ..base });
         for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.stats, p.stats, "{} diverged across threads", s.family);
             assert_eq!(
-                s.drift_cursors, p.drift_cursors,
+                s.record.telemetry.stats, p.record.telemetry.stats,
+                "{} diverged across threads",
+                s.family
+            );
+            assert_eq!(
+                s.record.telemetry.drift_cursors, p.record.telemetry.drift_cursors,
                 "{} cursor census",
                 s.family
             );

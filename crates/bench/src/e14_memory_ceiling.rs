@@ -30,14 +30,14 @@
 //! the acceptance number for "break the memory ceiling" is peak RSS at
 //! `n = 2^23`, recorded in `BENCH_engine.json`.
 
+use crate::record::RunRecord;
 use crate::scenario::{Scenario, ScenarioFamily, ScenarioMeta, ScenarioReport};
-use gcs_analysis::mem::PlaneBytes;
 use gcs_analysis::Table;
 use gcs_clocks::time::at;
 use gcs_core::{AlgoParams, GradientNode, GradientShared};
 use gcs_net::schedule::{add_at, remove_at, TopologyEvent};
 use gcs_net::{Edge, ScheduleSource, TopologySchedule};
-use gcs_sim::{DelayStrategy, ModelParams, SimBuilder, SimStats};
+use gcs_sim::{DelayStrategy, ModelParams, SimBuilder};
 use std::sync::Arc;
 
 /// E14's model: tighter latency bounds than [`crate::default_model`]
@@ -149,87 +149,36 @@ impl Config {
     }
 }
 
-/// The result of one memory-ceiling run.
-#[derive(Clone, Debug)]
-pub struct Outcome {
-    /// Seconds spent building the simulation.
-    pub setup_s: f64,
-    /// Seconds spent running it (including eviction sweeps).
-    pub wall_s: f64,
-    /// Events processed.
-    pub events: u64,
-    /// Throughput.
-    pub events_per_sec: f64,
-    /// Nodes moved to the cold tier over the whole run.
-    pub evictions: u64,
-    /// Cold nodes pulled back on touch.
-    pub rehydrations: u64,
-    /// Nodes resident in the cold tier at the horizon.
-    pub cold_nodes: usize,
-    /// Packed bytes in the cold tier at the horizon.
-    pub cold_bytes: usize,
-    /// Node-state slots materialized (the touched watermark).
-    pub node_state_watermark: usize,
-    /// Drift cursors materialized at the horizon.
-    pub drift_cursors: usize,
-    /// Per-plane heap census at the horizon.
-    pub planes: PlaneBytes,
-    /// Peak pending wheel events per payload lane, in
-    /// `[topology, fault, deliver, alarm, discover]` order.
-    pub pending_peaks: [usize; 5],
-    /// Current resident set right after the run, simulation still live.
-    pub current_rss_bytes: Option<u64>,
-    /// Execution counters.
-    pub stats: SimStats,
-}
-
 /// Runs the workload in chunks, sweeping the cold tier at every chunk
-/// boundary (a deterministic, trace-invariant cadence).
-pub fn run(config: &Config) -> Outcome {
+/// boundary (a deterministic, trace-invariant cadence). The record's
+/// `wall_s` includes the eviction sweeps.
+pub fn run(config: &Config) -> RunRecord {
     let model = model();
     let params = AlgoParams::with_minimal_b0(model, config.n, 0.5);
-    let t0 = std::time::Instant::now();
-    // One shared budget plane for all n automata, with idle parking so
-    // the untouched majority never arms a timer.
-    let shared = Arc::new(GradientShared::new(params).with_idle_parking(true));
-    let mut sim = SimBuilder::topology(model, ScheduleSource::new(config.schedule()))
-        .delay(DelayStrategy::Max)
-        .seed(config.seed)
-        .threads(config.threads)
-        .build_with(|_| GradientNode::with_shared(shared.clone()));
-    let setup_s = t0.elapsed().as_secs_f64();
     let chunk = config.chunk();
-    let t1 = std::time::Instant::now();
-    for k in 1..=(config.waves + 2) {
-        sim.run_until(at((k as f64 * chunk).min(config.horizon)));
-        sim.evict_quiescent();
-    }
-    sim.run_until(at(config.horizon));
-    let wall_s = t1.elapsed().as_secs_f64();
-    let stats = *sim.stats();
-    // Read while `sim` is still alive so the numbers reflect this run's
-    // live allocations.
-    let current_rss_bytes = gcs_analysis::current_rss_bytes();
-    Outcome {
-        setup_s,
-        wall_s,
-        events: stats.events_processed,
-        events_per_sec: stats.events_processed as f64 / wall_s.max(1e-12),
-        evictions: sim.evictions(),
-        rehydrations: sim.rehydrations(),
-        cold_nodes: sim.cold_nodes(),
-        cold_bytes: sim.cold_bytes(),
-        node_state_watermark: sim.node_state_watermark(),
-        drift_cursors: sim.drift_cursors(),
-        planes: sim.plane_bytes(),
-        pending_peaks: sim.wheel_pending_peaks(),
-        current_rss_bytes,
-        stats,
-    }
+    RunRecord::measure(
+        || {
+            // One shared budget plane for all n automata, with idle
+            // parking so the untouched majority never arms a timer.
+            let shared = Arc::new(GradientShared::new(params).with_idle_parking(true));
+            SimBuilder::topology(model, ScheduleSource::new(config.schedule()))
+                .delay(DelayStrategy::Max)
+                .seed(config.seed)
+                .threads(config.threads)
+                .build_with(|_| GradientNode::with_shared(shared.clone()))
+        },
+        |sim| {
+            for k in 1..=(config.waves + 2) {
+                sim.run_until(at((k as f64 * chunk).min(config.horizon)));
+                sim.evict_quiescent();
+            }
+            sim.run_until(at(config.horizon));
+        },
+    )
 }
 
 /// Renders the memory-ceiling table.
-pub fn render(config: &Config, o: &Outcome) -> Table {
+pub fn render(config: &Config, r: &RunRecord) -> Table {
     let mib = |b: usize| format!("{:.1}", b as f64 / (1024.0 * 1024.0));
     let mut t = Table::new(
         format!(
@@ -238,20 +187,21 @@ pub fn render(config: &Config, o: &Outcome) -> Table {
         ),
         &["metric", "value", "", "plane", "MiB"],
     );
+    let tel = &r.telemetry;
     let planes = [
-        ("topology", o.planes.topology),
-        ("drift", o.planes.drift),
-        ("automaton hot", o.planes.automaton_hot),
-        ("automaton cold", o.planes.automaton_cold),
-        ("wheel", o.planes.wheel),
-        ("staging", o.planes.staging),
+        ("topology", tel.planes.topology),
+        ("drift", tel.planes.drift),
+        ("automaton hot", tel.planes.automaton_hot),
+        ("automaton cold", tel.planes.automaton_cold),
+        ("wheel", tel.planes.wheel),
+        ("staging", tel.planes.staging),
     ];
     let metrics = [
-        ("events", o.events.to_string()),
-        ("events/sec", format!("{:.0}", o.events_per_sec)),
-        ("evictions", o.evictions.to_string()),
-        ("rehydrations", o.rehydrations.to_string()),
-        ("cold nodes", o.cold_nodes.to_string()),
+        ("events", r.events().to_string()),
+        ("events/sec", format!("{:.0}", r.events_per_sec())),
+        ("evictions", tel.evictions.to_string()),
+        ("rehydrations", tel.rehydrations.to_string()),
+        ("cold nodes", tel.cold_nodes.to_string()),
     ];
     for i in 0..planes.len().max(metrics.len()) {
         let (m, mv) = metrics
@@ -267,24 +217,25 @@ pub fn render(config: &Config, o: &Outcome) -> Table {
     t
 }
 
-/// Builds the scenario report from an already-computed outcome (shared
-/// by [`Scenario::run_scenario`] and `run_all`).
-pub fn report(config: &Config, o: &Outcome) -> ScenarioReport {
+/// Builds the scenario report from an already-recorded run (shared by
+/// [`Scenario::run_scenario`] and `run_all`).
+pub fn report(config: &Config, r: &RunRecord) -> ScenarioReport {
+    let tel = &r.telemetry;
     let mut rep = ScenarioReport::new();
-    rep.table(render(config, o));
+    rep.table(render(config, r));
     rep.note(format!(
         "touched watermark {} of n = {} — the untouched majority above the \
          visitor band claims no node-state slot (idle parking keeps it out \
          of the event loop entirely)",
-        o.node_state_watermark, config.n,
+        tel.node_state_watermark, config.n,
     ));
     rep.note(format!(
         "cold tier holds {} nodes in {} packed bytes at the horizon \
          ({} evictions, {} rehydrations over the run)",
-        o.cold_nodes, o.cold_bytes, o.evictions, o.rehydrations,
+        tel.cold_nodes, tel.planes.automaton_cold, tel.evictions, tel.rehydrations,
     ));
     rep.record_memory();
-    rep.record_planes(o.planes);
+    rep.record_planes(tel.planes);
     rep.csv(
         "e14_memory_ceiling.csv",
         &[
@@ -303,19 +254,19 @@ pub fn report(config: &Config, o: &Outcome) -> ScenarioReport {
             "plane_staging_bytes",
         ],
         vec![vec![
-            o.events as f64,
-            o.events_per_sec,
-            o.evictions as f64,
-            o.rehydrations as f64,
-            o.cold_nodes as f64,
-            o.cold_bytes as f64,
-            o.node_state_watermark as f64,
-            o.planes.topology as f64,
-            o.planes.drift as f64,
-            o.planes.automaton_hot as f64,
-            o.planes.automaton_cold as f64,
-            o.planes.wheel as f64,
-            o.planes.staging as f64,
+            r.events() as f64,
+            r.events_per_sec(),
+            tel.evictions as f64,
+            tel.rehydrations as f64,
+            tel.cold_nodes as f64,
+            tel.planes.automaton_cold as f64,
+            tel.node_state_watermark as f64,
+            tel.planes.topology as f64,
+            tel.planes.drift as f64,
+            tel.planes.automaton_hot as f64,
+            tel.planes.automaton_cold as f64,
+            tel.planes.wheel as f64,
+            tel.planes.staging as f64,
         ]],
     );
     rep
@@ -371,14 +322,14 @@ mod tests {
     #[test]
     fn waves_evict_and_the_majority_stays_untouched() {
         let config = small();
-        let o = run(&config);
-        assert!(o.events > 1_000, "workload too small: {}", o.events);
+        let r = run(&config);
+        let o = &r.telemetry;
+        assert!(r.events() > 1_000, "workload too small: {}", r.events());
         assert!(
             o.evictions > 0,
             "departed visitor waves must reach the cold tier"
         );
         assert!(o.cold_nodes > 0, "cold tier empty at the horizon");
-        assert!(o.cold_bytes > 0, "cold nodes must hold packed bytes");
         assert_eq!(
             o.cold_nodes as u64,
             o.evictions - o.rehydrations,
@@ -402,8 +353,8 @@ mod tests {
     #[test]
     fn outcome_is_trace_invariant_across_thread_counts() {
         let base = small();
-        let serial = run(&base);
-        let parallel = run(&Config { threads: 4, ..base });
+        let serial = run(&base).telemetry;
+        let parallel = run(&Config { threads: 4, ..base }).telemetry;
         assert_eq!(serial.stats, parallel.stats, "counters diverged");
         assert_eq!(serial.evictions, parallel.evictions, "eviction census");
         assert_eq!(
@@ -411,7 +362,7 @@ mod tests {
             "rehydration census"
         );
         assert_eq!(serial.cold_nodes, parallel.cold_nodes);
-        assert_eq!(serial.cold_bytes, parallel.cold_bytes);
+        assert_eq!(serial.planes.automaton_cold, parallel.planes.automaton_cold);
         assert_eq!(serial.node_state_watermark, parallel.node_state_watermark);
     }
 }

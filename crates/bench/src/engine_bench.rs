@@ -18,11 +18,12 @@
 //! discovery/epoch machinery is exercised — "churn on" in the experiment
 //! table.
 
+use crate::record::RunRecord;
 use gcs_clocks::time::at;
 use gcs_clocks::DriftModel;
 use gcs_core::{AlgoParams, GradientNode};
 use gcs_net::{churn, generators, ScheduleSource, TopologySchedule};
-use gcs_sim::{DelayStrategy, ModelParams, SimBuilder, SimStats, Simulator};
+use gcs_sim::{DelayStrategy, ModelParams, SimBuilder, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -115,65 +116,9 @@ impl Workload {
     }
 }
 
-/// One timed engine run.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Engine label, e.g. `"batched-serial"` or `"parallel-8t"`.
-    pub engine: String,
-    /// Worker count used.
-    pub threads: usize,
-    /// Events processed over the run.
-    pub events: u64,
-    /// Wall-clock seconds spent *building* the simulation (schedule
-    /// generation + engine construction). With eager schedules this is
-    /// the serial setup phase the streaming pipeline removes; tracked in
-    /// `BENCH_engine.json` so the trajectory shows it.
-    pub setup_s: f64,
-    /// Wall-clock seconds of the run itself.
-    pub wall_s: f64,
-    /// Throughput.
-    pub events_per_sec: f64,
-    /// Peak pulled-but-unapplied topology events (the streaming
-    /// pipeline's event backlog; equals the stats field of the run).
-    pub peak_topology_backlog: u64,
-    /// Wall-clock seconds spent inside topology batch application
-    /// (graph mirror + sharded edge-store apply), a slice of `wall_s`.
-    pub topology_apply_s: f64,
-    /// Segments dispatched across worker lanes (scheduling-only counter,
-    /// recorded for the trajectory; not trace-relevant).
-    pub segments_parallel: u64,
-    /// Execution counters of the run (identical across thread counts —
-    /// consumers use this for determinism cross-checks without re-running).
-    pub stats: SimStats,
-}
-
 /// Times one full run of `w` on the parallel dispatcher at `w.threads`.
-pub fn measure(w: &Workload) -> Measurement {
-    let engine = if w.threads == 1 {
-        "batched-serial".to_string()
-    } else {
-        format!("parallel-{}t", w.threads)
-    };
-    let t0 = std::time::Instant::now();
-    let mut sim = w.build();
-    let setup_s = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    sim.run_until(at(w.horizon));
-    let wall_s = t1.elapsed().as_secs_f64();
-    let stats = *sim.stats();
-    let events = stats.events_processed;
-    Measurement {
-        engine,
-        threads: w.threads,
-        events,
-        setup_s,
-        wall_s,
-        events_per_sec: events as f64 / wall_s.max(1e-12),
-        peak_topology_backlog: stats.peak_topology_backlog,
-        topology_apply_s: sim.topology_apply_seconds(),
-        segments_parallel: stats.segments_parallel,
-        stats,
-    }
+pub fn measure(w: &Workload) -> RunRecord {
+    RunRecord::measure(|| w.build(), |sim| sim.run_until(at(w.horizon)))
 }
 
 /// The environment variable CI smoke jobs use to shrink the large-scale
@@ -183,27 +128,39 @@ pub fn measure(w: &Workload) -> Measurement {
 pub const SMOKE_N_ENV: &str = "GCS_SMOKE_N";
 
 /// The configured large-scale width: `full` unless [`SMOKE_N_ENV`]
-/// overrides it with a smaller value (floored at 16 nodes).
+/// overrides it, clamped into `16..=full`.
+///
+/// # Panics
+/// When the variable is set to anything but a positive integer
+/// (surrounding whitespace allowed); the message names the variable and
+/// its value, so a typo cannot silently run the full width.
 pub fn smoke_n(full: usize) -> usize {
-    std::env::var(SMOKE_N_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(16, full))
-        .unwrap_or(full)
+    // Invalid UTF-8 turns into U+FFFD, which never parses as a count.
+    std::env::var_os(SMOKE_N_ENV).map_or(full, |value| {
+        parse_smoke_n(&value.to_string_lossy()).clamp(16, full)
+    })
+}
+
+/// Parses one [`SMOKE_N_ENV`] value; see [`smoke_n`].
+fn parse_smoke_n(value: &str) -> usize {
+    match value.trim().parse() {
+        Ok(n) if n > 0 => n,
+        _ => panic!("{SMOKE_N_ENV}={value:?} is not a positive node count"),
+    }
 }
 
 /// Runs `w` at each worker count, `repeats` times each, and returns the
-/// best (lowest-wall) measurement per count — criterion-style
+/// best (lowest-wall) record per count — criterion-style
 /// minimum-of-samples, cheap enough to live inside `run_all`.
-pub fn measure_threads(w: &Workload, thread_counts: &[usize], repeats: usize) -> Vec<Measurement> {
-    assert!(repeats >= 1);
+pub fn measure_threads(w: &Workload, thread_counts: &[usize], repeats: usize) -> Vec<RunRecord> {
     thread_counts
         .iter()
         .map(|&t| {
             let wt = w.with_threads(t);
-            let mut runs: Vec<Measurement> = (0..repeats).map(|_| measure(&wt)).collect();
-            runs.sort_by(|a, b| a.wall_s.total_cmp(&b.wall_s));
-            runs.remove(0)
+            (0..repeats)
+                .map(|_| measure(&wt))
+                .min_by(|a, b| a.wall_s.total_cmp(&b.wall_s))
+                .expect("at least one repeat")
         })
         .collect()
 }
@@ -224,17 +181,18 @@ mod tests {
         let serial = measure(&w);
         let parallel = measure(&w.with_threads(4));
         assert_eq!(
-            serial.events, parallel.events,
+            serial.events(),
+            parallel.events(),
             "thread counts must process identical event counts"
         );
         assert!(
-            serial.events > 1000,
+            serial.events() > 1000,
             "workload too small: {} events",
-            serial.events
+            serial.events()
         );
-        assert!(serial.events_per_sec > 0.0 && parallel.events_per_sec > 0.0);
-        assert_eq!(serial.engine, "batched-serial");
-        assert_eq!(parallel.engine, "parallel-4t");
+        assert!(serial.events_per_sec() > 0.0 && parallel.events_per_sec() > 0.0);
+        assert_eq!(serial.engine(), "batched-serial");
+        assert_eq!(parallel.engine(), "parallel-4t");
     }
 
     #[test]
@@ -266,8 +224,22 @@ mod tests {
         };
         let ms = measure_threads(&w, &[1, 2], 1);
         assert_eq!(ms.len(), 2);
-        assert_eq!(ms[0].threads, 1);
-        assert_eq!(ms[1].threads, 2);
-        assert_eq!(ms[0].events, ms[1].events);
+        assert_eq!(ms[0].telemetry.threads, 1);
+        assert_eq!(ms[1].telemetry.threads, 2);
+        assert_eq!(ms[0].events(), ms[1].events());
+    }
+
+    #[test]
+    fn smoke_n_parses_positive_counts_only() {
+        assert_eq!(parse_smoke_n("4096"), 4096);
+        assert_eq!(parse_smoke_n(" 4096\n"), 4096);
+        for bad in ["", "4k", "-1", "0"] {
+            let err = std::panic::catch_unwind(|| parse_smoke_n(bad)).expect_err(bad);
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(
+                *msg,
+                format!("GCS_SMOKE_N={bad:?} is not a positive node count")
+            );
+        }
     }
 }

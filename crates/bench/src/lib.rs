@@ -6,9 +6,10 @@
 //! `Experiment` wrapper registered in [`scenario::all_scenarios`]. The
 //! binaries in `src/bin/` are thin wrappers (`run_all` fans them all out
 //! in parallel and records the engine perf trajectory as
-//! `BENCH_engine.json`); criterion microbenchmarks live in `benches/`,
-//! with the throughput workloads (serial baseline and the parallel
-//! dispatcher's thread sweep) in [`engine_bench`].
+//! `BENCH_engine.json`, one [`record::RunRecord`] per timed run);
+//! criterion microbenchmarks live in `benches/`, with the throughput
+//! workloads (serial baseline and the parallel dispatcher's thread
+//! sweep) in [`engine_bench`].
 //!
 //! | id | claim | module |
 //! |----|-------|--------|
@@ -64,6 +65,7 @@ pub mod e7_baselines;
 pub mod e8_ablations;
 pub mod e9_gradient_profile;
 pub mod engine_bench;
+pub mod record;
 pub mod scenario;
 
 use gcs_sim::ModelParams;

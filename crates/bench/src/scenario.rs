@@ -1,13 +1,13 @@
 //! The experiment surface: the [`Scenario`] trait plus shared workloads.
 //!
 //! Every quantitative claim reproduced by this repository runs behind the
-//! same fail-closed interface: a [`Scenario`] names itself (`E1`…`E10` or
+//! same fail-closed interface: a [`Scenario`] names itself (`E1`…`E15` or
 //! an example binary), states the paper claim it reproduces, and produces
 //! a [`ScenarioReport`] — rendered tables, free-form notes, and CSV series
-//! for the perf/shape trajectory. [`all_scenarios`] enumerates E1–E10 so
-//! `run_all` (and any future driver) cannot silently drop an experiment,
-//! and [`run_parallel`] fans scenarios out over scoped threads via
-//! [`gcs_analysis::sweep::fan_out`].
+//! for the perf/shape trajectory. [`all_scenarios`] enumerates all fifteen
+//! (E1–E15) so `run_all` (and any future driver) cannot silently drop an
+//! experiment, and [`run_parallel`] fans scenarios out over scoped
+//! threads via [`gcs_analysis::sweep::fan_out`].
 //!
 //! The *cluster merge* below is the shared workload behind E2, E3 and E7
 //! (and the paper's motivating story): two halves of the network evolve

@@ -192,8 +192,11 @@ fn eviction_census_frees_hot_bytes_and_snapshot_survives() {
         after_planes.automaton_cold > 0,
         "packed bytes must show up in the cold plane"
     );
-    assert_eq!(sim.cold_nodes(), evicted, "census disagrees with sweep");
-    assert!(sim.cold_bytes() > 0);
+    assert_eq!(
+        sim.telemetry().cold_nodes,
+        evicted,
+        "census disagrees with sweep"
+    );
     // The snapshot reads cold nodes from their inline scalars — packing
     // must not move a single bit of any logical value.
     for (i, (x, y)) in before_snapshot

@@ -10,22 +10,22 @@
 //! the whole execution inside the real engine and check it against the
 //! recorded `states` bit for bit.
 //!
-//! No serde: the workspace is offline-vendored without it, so this module
-//! hand-rolls a writer and a minimal recursive-descent JSON parser. All
-//! `f64`s are written with Rust's shortest round-tripping representation
-//! (`{:?}`), which `str::parse::<f64>()` recovers exactly — the
-//! write → parse → write fixpoint is part of the test suite.
+//! Traces are built and read as [`crate::json`] trees. All `f64`s are
+//! written with Rust's shortest round-tripping representation (`{:?}`),
+//! which `str::parse::<f64>()` recovers exactly — the write → parse →
+//! write fixpoint is part of the test suite.
 //!
 //! Traces record the paper's model constants and `B0` explicitly;
 //! replay reconstructs `AlgoParams` with the default aging budget policy
 //! (the policy the engine-facing algorithm runs). Traces exported from
 //! baseline-policy mutants are for human inspection, not engine replay.
 
+use crate::json::Json;
+use crate::json_fields;
 use crate::model::{InstantState, Scenario, SendRecord};
-use std::fmt::Write as _;
 
 /// One scheduled topology change in a trace.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceTopology {
     /// Event time.
     pub time: f64,
@@ -38,7 +38,7 @@ pub struct TraceTopology {
 }
 
 /// One scheduled fault in a trace.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceFault {
     /// Event time.
     pub time: f64,
@@ -49,7 +49,7 @@ pub struct TraceFault {
 }
 
 /// One resolved live-edge send delay, in global send order.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceDelay {
     /// Sender index.
     pub from: u32,
@@ -157,93 +157,87 @@ impl Trace {
         }
     }
 
-    /// Serializes to ITF-style JSON (stable field order, 2-space indent).
+    /// Serializes to ITF-style JSON: stable field order, the top two
+    /// levels broken over lines with a two-space indent, everything
+    /// deeper inline (see [`Json::write`]).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n  \"#meta\": {\n    \"format\": \"ITF\",\n    \"source\": \"gcs-mc\",\n");
-        let _ = writeln!(
-            s,
-            "    \"description\": {}\n  }},",
-            json_str(&format!("model-checker trace of scenario {}", self.name))
-        );
-        s.push_str("  \"params\": {\n");
-        let _ = writeln!(s, "    \"name\": {},", json_str(&self.name));
-        let _ = writeln!(s, "    \"n\": {},", self.n);
-        for (key, v) in [
-            ("rho", self.rho),
-            ("t", self.t),
-            ("d", self.d),
-            ("delta_h", self.delta_h),
-            ("b0", self.b0),
-            ("horizon", self.horizon),
-        ] {
-            let _ = writeln!(s, "    \"{key}\": {},", json_f64(v));
-        }
-        let _ = writeln!(s, "    \"rates\": {},", json_f64_array(&self.rates));
-        let _ = write!(s, "    \"initial_edges\": [");
-        for (i, (lo, hi)) in self.initial_edges.iter().enumerate() {
-            let _ = write!(s, "{}[{lo}, {hi}]", if i == 0 { "" } else { ", " });
-        }
-        s.push_str("],\n");
-        let _ = write!(s, "    \"topology\": [");
-        for (i, ev) in self.topology.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{{\"time\": {}, \"add\": {}, \"lo\": {}, \"hi\": {}}}",
-                if i == 0 { "" } else { ", " },
-                json_f64(ev.time),
-                ev.add,
-                ev.lo,
-                ev.hi
-            );
-        }
-        s.push_str("],\n");
-        let _ = write!(s, "    \"faults\": [");
-        for (i, ev) in self.faults.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{{\"time\": {}, \"restart\": {}, \"node\": {}}}",
-                if i == 0 { "" } else { ", " },
-                json_f64(ev.time),
-                ev.restart,
-                ev.node
-            );
-        }
-        s.push_str("],\n");
-        let _ = write!(s, "    \"delays\": [");
-        for (i, d) in self.delays.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{{\"from\": {}, \"to\": {}, \"delay\": {}}}",
-                if i == 0 { "" } else { ", " },
-                d.from,
-                d.to,
-                json_f64(d.delay)
-            );
-        }
-        s.push_str("]\n  },\n");
-        s.push_str("  \"vars\": [\"time\", \"logical\", \"lmax\"],\n");
-        s.push_str("  \"states\": [\n");
-        for (i, st) in self.states.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"#meta\": {{\"index\": {i}}}, \"time\": {}, \"logical\": {}, \"lmax\": {}}}",
-                json_f64(st.time),
-                json_f64_array(&st.logical),
-                json_f64_array(&st.lmax)
-            );
-            s.push_str(if i + 1 == self.states.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        s.push_str("  ]");
-        if let Some(v) = &self.violation {
-            let _ = write!(s, ",\n  \"violation\": {}", json_str(v));
-        }
-        s.push_str("\n}\n");
-        s
+        let f64s = |vs: &[f64]| vs.iter().map(|&v| Json::from(v)).collect::<Json>();
+        let params = Json::obj([
+            ("name", self.name.as_str().into()),
+            ("n", self.n.into()),
+            ("rho", self.rho.into()),
+            ("t", self.t.into()),
+            ("d", self.d.into()),
+            ("delta_h", self.delta_h.into()),
+            ("b0", self.b0.into()),
+            ("horizon", self.horizon.into()),
+            ("rates", f64s(&self.rates)),
+            (
+                "initial_edges",
+                self.initial_edges
+                    .iter()
+                    .map(|&(lo, hi)| Json::from_iter([lo.into(), hi.into()]))
+                    .collect(),
+            ),
+            (
+                "topology",
+                self.topology
+                    .iter()
+                    .map(|&ev| Json::obj(json_fields!(TraceTopology { time, add, lo, hi } = ev)))
+                    .collect(),
+            ),
+            (
+                "faults",
+                self.faults
+                    .iter()
+                    .map(|&ev| {
+                        Json::obj(json_fields!(
+                            TraceFault {
+                                time,
+                                restart,
+                                node
+                            } = ev
+                        ))
+                    })
+                    .collect(),
+            ),
+            (
+                "delays",
+                self.delays
+                    .iter()
+                    .map(|&d| Json::obj(json_fields!(TraceDelay { from, to, delay } = d)))
+                    .collect(),
+            ),
+        ]);
+        let states = self.states.iter().enumerate().map(|(i, st)| {
+            Json::obj([
+                ("#meta", Json::obj([("index", i.into())])),
+                ("time", st.time.into()),
+                ("logical", f64s(&st.logical)),
+                ("lmax", f64s(&st.lmax)),
+            ])
+        });
+        let meta = Json::obj([
+            ("format", "ITF".into()),
+            ("source", "gcs-mc".into()),
+            (
+                "description",
+                format!("model-checker trace of scenario {}", self.name).into(),
+            ),
+        ]);
+        let vars = ["time", "logical", "lmax"].map(Json::from);
+        let violation = self.violation.as_deref().map(|v| ("violation", v.into()));
+        Json::obj(
+            [
+                ("#meta", meta),
+                ("params", params),
+                ("vars", Json::from_iter(vars)),
+                ("states", states.collect()),
+            ]
+            .into_iter()
+            .chain(violation),
+        )
+        .write(2)
     }
 
     /// Parses a trace previously produced by [`Trace::to_json`] (or any
@@ -252,6 +246,9 @@ impl Trace {
         let value = Json::parse(text)?;
         let root = value.as_obj("trace root")?;
         let params = root.field("params")?.as_obj("params")?;
+        let index = |v: &Json, what: &str| {
+            u32::try_from(v.as_u64(what)?).map_err(|_| format!("{what}: index out of range"))
+        };
         let states = root
             .field("states")?
             .as_arr("states")?
@@ -267,7 +264,7 @@ impl Trace {
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Trace {
             name: params.field("name")?.as_str("name")?.to_string(),
-            n: params.field("n")?.as_f64("n")? as usize,
+            n: params.field("n")?.as_u64("n")? as usize,
             rho: params.field("rho")?.as_f64("rho")?,
             t: params.field("t")?.as_f64("t")?,
             d: params.field("d")?.as_f64("d")?,
@@ -278,15 +275,9 @@ impl Trace {
                 .field("initial_edges")?
                 .as_arr("initial_edges")?
                 .iter()
-                .map(|pair| {
-                    let pair = pair.as_arr("edge pair")?;
-                    if pair.len() != 2 {
-                        return Err("edge pair must have two endpoints".into());
-                    }
-                    Ok((
-                        pair[0].as_f64("edge lo")? as u32,
-                        pair[1].as_f64("edge hi")? as u32,
-                    ))
+                .map(|pair| match pair.as_arr("edge pair")? {
+                    [lo, hi] => Ok((index(lo, "edge lo")?, index(hi, "edge hi")?)),
+                    _ => Err("edge pair must have two endpoints".into()),
                 })
                 .collect::<Result<Vec<_>, String>>()?,
             topology: params
@@ -298,8 +289,8 @@ impl Trace {
                     Ok(TraceTopology {
                         time: ev.field("time")?.as_f64("time")?,
                         add: ev.field("add")?.as_bool("add")?,
-                        lo: ev.field("lo")?.as_f64("lo")? as u32,
-                        hi: ev.field("hi")?.as_f64("hi")? as u32,
+                        lo: index(ev.field("lo")?, "lo")?,
+                        hi: index(ev.field("hi")?, "hi")?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?,
@@ -312,7 +303,7 @@ impl Trace {
                     Ok(TraceFault {
                         time: ev.field("time")?.as_f64("time")?,
                         restart: ev.field("restart")?.as_bool("restart")?,
-                        node: ev.field("node")?.as_f64("node")? as u32,
+                        node: index(ev.field("node")?, "node")?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?,
@@ -323,318 +314,19 @@ impl Trace {
                 .map(|d| {
                     let d = d.as_obj("delay record")?;
                     Ok(TraceDelay {
-                        from: d.field("from")?.as_f64("from")? as u32,
-                        to: d.field("to")?.as_f64("to")? as u32,
+                        from: index(d.field("from")?, "from")?,
+                        to: index(d.field("to")?, "to")?,
                         delay: d.field("delay")?.as_f64("delay")?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?,
             horizon: params.field("horizon")?.as_f64("horizon")?,
             states,
-            violation: match root.0.iter().find(|(k, _)| k == "violation") {
-                Some((_, v)) => Some(v.as_str("violation")?.to_string()),
-                None => None,
-            },
+            violation: root
+                .get("violation")
+                .map(|v| v.as_str("violation").map(str::to_string))
+                .transpose()?,
         })
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    debug_assert!(v.is_finite(), "traces carry finite values only");
-    format!("{v:?}")
-}
-
-fn json_f64_array(vs: &[f64]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&json_f64(*v));
-    }
-    s.push(']');
-    s
-}
-
-fn json_str(v: &str) -> String {
-    let mut s = String::with_capacity(v.len() + 2);
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            '\r' => s.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-    s
-}
-
-/// A parsed JSON value (exactly the subset the writer emits).
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(JsonObj),
-}
-
-/// Object fields in document order (duplicate keys rejected at access).
-#[derive(Clone, Debug, PartialEq)]
-struct JsonObj(Vec<(String, Json)>);
-
-impl JsonObj {
-    fn field(&self, key: &str) -> Result<&Json, String> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field `{key}`"))
-    }
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing content at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&JsonObj, String> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            _ => Err(format!("{what}: expected object")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(format!("{what}: expected array")),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(v) => Ok(*v),
-            _ => Err(format!("{what}: expected number")),
-        }
-    }
-
-    fn as_bool(&self, what: &str) -> Result<bool, String> {
-        match self {
-            Json::Bool(v) => Ok(*v),
-            _ => Err(format!("{what}: expected bool")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(v) => Ok(v),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-
-    fn as_f64_array(&self, what: &str) -> Result<Vec<f64>, String> {
-        self.as_arr(what)?.iter().map(|v| v.as_f64(what)).collect()
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\n' || b == b'\t' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Json::Bool(true)),
-            Some(b'f') => self.keyword("false", Json::Bool(false)),
-            Some(b'n') => self.keyword("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid keyword at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(JsonObj(fields)));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(JsonObj(fields)));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                        }
-                        _ => return Err(format!("unknown escape at byte {}", self.pos)),
-                    }
-                }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b)?;
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number `{text}` at byte {start}: {e}"))
-    }
-}
-
-fn utf8_len(first: u8) -> Result<usize, String> {
-    match first {
-        0x00..=0x7f => Ok(1),
-        0xc0..=0xdf => Ok(2),
-        0xe0..=0xef => Ok(3),
-        0xf0..=0xf7 => Ok(4),
-        _ => Err("invalid UTF-8 lead byte".into()),
     }
 }
 

@@ -27,7 +27,9 @@
 //! * [`fuzz`](mod@fuzz) — randomized long schedules through the same
 //!   oracle, with greedy counterexample shrinking.
 //! * [`itf`] — ITF-style JSON export of every violation (and every
-//!   healthy trace on request); no serde, hand-rolled writer + parser.
+//!   healthy trace on request), built on [`json`].
+//! * [`json`] — the workspace's one JSON value type, parser and writer
+//!   (no serde), shared with `gcs-bench`'s `BENCH_engine.json`.
 //! * [`replay`] — [`replay::TraceReplaySource`], a
 //!   single source implementing the engine's `TopologySource` /
 //!   `DriftSource` / `FaultSource` contracts, plus scripted delays, so an
@@ -46,6 +48,7 @@
 pub mod explore;
 pub mod fuzz;
 pub mod itf;
+pub mod json;
 pub mod model;
 pub mod mutant;
 pub mod oracle;

@@ -101,7 +101,7 @@ use crate::dispatch::{self, DispatchCtx, Effect, ScopedJob, WorkerPool, PAR_MIN_
 use crate::event::{EventPayload, LinkChange, LinkChangeKind, QueuedEvent};
 use crate::fault::{FaultEvent, FaultKind, FaultSource, FaultState};
 use crate::model::ModelParams;
-use crate::shard::{EdgeStore, GraphView, Shards};
+use crate::shard::{EdgeStore, GraphView, NodeTable, Shards};
 use crate::stats::SimStats;
 use crate::wheel::TimeWheel;
 use gcs_clocks::{DriftModel, DriftSource, Duration, ModelDrift, Time};
@@ -604,6 +604,48 @@ impl PlaneBytes {
     }
 }
 
+/// Everything the engine reports about one run, read at one instant by
+/// [`Simulator::telemetry`]. The trace-derived fields are identical
+/// across thread counts (except the scheduling-only [`SimStats`]
+/// counters); `threads`, the pool facts and `topology_apply_s` describe
+/// how the host ran the trace.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Telemetry {
+    /// Trace and scheduling counters ([`Simulator::stats`]).
+    pub stats: SimStats,
+    /// Byte census of the memory planes ([`Simulator::plane_bytes`]).
+    pub planes: PlaneBytes,
+    /// [`Simulator::wheel_pending_peaks`], indexed `[topology, fault,
+    /// deliver, alarm, discover]`.
+    pub wheel_pending_peaks: [usize; 5],
+    /// Configured worker count.
+    pub threads: usize,
+    /// [`Simulator::drift_cursors`].
+    pub drift_cursors: usize,
+    /// [`Simulator::node_state_watermark`].
+    pub node_state_watermark: usize,
+    /// Lazy per-node RNG streams materialized — zero for runs whose
+    /// delay/discovery strategies and automata never draw.
+    pub rng_streams: usize,
+    /// Nodes packed into the cold tier (their bytes are
+    /// `planes.automaton_cold`).
+    pub cold_nodes: usize,
+    /// [`Simulator::evictions`].
+    pub evictions: u64,
+    /// [`Simulator::rehydrations`].
+    pub rehydrations: u64,
+    /// Lanes of the persistent worker pool, counting the caller's lane 0
+    /// (0 until the first wide segment spawns it; always 0 at one thread).
+    pub pool_lanes: usize,
+    /// Times the pool has been spawned — 1 across any number of
+    /// `run_until` calls once it exists.
+    pub pool_spawns: u64,
+    /// Jobs submitted to the pool over its lifetime.
+    pub pool_jobs: u64,
+    /// [`Simulator::topology_apply_seconds`].
+    pub topology_apply_s: f64,
+}
+
 /// The simulation engine; see the module docs for semantics.
 pub struct Simulator<A: Automaton> {
     params: ModelParams,
@@ -689,11 +731,6 @@ impl<A: Automaton> Simulator<A> {
         self.params
     }
 
-    /// Configured worker count.
-    pub fn threads(&self) -> usize {
-        self.workers
-    }
-
     /// Execution counters.
     pub fn stats(&self) -> &SimStats {
         &self.stats
@@ -758,71 +795,35 @@ impl<A: Automaton> Simulator<A> {
         self.drift.read_at(u.index(), now)
     }
 
-    /// The drift plane hardware rates are evaluated through.
-    pub fn drift_plane(&self) -> &dyn DriftSource {
-        &*self.drift
-    }
-
     /// Drift cursors currently materialized — the drift plane's entire
     /// per-node memory footprint. Zero for untouched nodes and for
     /// stateless (eagerly materialized) planes; identical across thread
     /// counts, like everything else derived from the trace.
     pub fn drift_cursors(&self) -> usize {
-        self.shards
-            .shards
-            .iter()
-            .map(|s| s.table.drift_cursors())
-            .sum()
+        self.table_sum(NodeTable::drift_cursors)
     }
 
     /// Node-local state slots materialized across all shards (the sum of
     /// the per-shard touched watermarks).
     pub fn node_state_watermark(&self) -> usize {
-        self.shards.shards.iter().map(|s| s.table.watermark()).sum()
-    }
-
-    /// Lazy per-node RNG streams materialized across all shards — zero
-    /// for runs whose delay/discovery strategies and automata never draw.
-    pub fn rng_streams(&self) -> usize {
-        self.shards
-            .shards
-            .iter()
-            .map(|s| s.table.rng_streams())
-            .sum()
-    }
-
-    /// Nodes currently packed into the cold tier across all shards.
-    pub fn cold_nodes(&self) -> usize {
-        self.shards
-            .shards
-            .iter()
-            .map(|s| s.table.cold_nodes())
-            .sum()
-    }
-
-    /// Packed bytes currently held by the cold tier.
-    pub fn cold_bytes(&self) -> usize {
-        self.shards
-            .shards
-            .iter()
-            .map(|s| s.table.cold_bytes())
-            .sum()
+        self.table_sum(NodeTable::watermark)
     }
 
     /// Evictions performed so far. Kept off [`SimStats`] deliberately:
     /// eviction is a memory policy, not protocol behavior, so `stats()`
     /// must compare equal between eviction-on and eviction-off runs.
     pub fn evictions(&self) -> u64 {
-        self.shards.shards.iter().map(|s| s.table.evictions).sum()
+        self.table_sum(|t| t.evictions)
     }
 
     /// Rehydrations performed so far (see [`Self::evictions`]).
     pub fn rehydrations(&self) -> u64 {
-        self.shards
-            .shards
-            .iter()
-            .map(|s| s.table.rehydrations)
-            .sum()
+        self.table_sum(|t| t.rehydrations)
+    }
+
+    /// Sums one node-table census over all shards.
+    fn table_sum<T: std::iter::Sum>(&self, census: impl Fn(&NodeTable) -> T) -> T {
+        self.shards.shards.iter().map(|s| census(&s.table)).sum()
     }
 
     /// Sweeps every touched node and evicts the quiescent ones into the
@@ -875,15 +876,6 @@ impl<A: Automaton> Simulator<A> {
         p
     }
 
-    /// Topology/fault events currently parked in the staging buffers —
-    /// pulled (with reserved wheel sequence numbers) but not yet due for
-    /// admission. A function of the instant sequence, identical across
-    /// thread counts; the lifetime peak is
-    /// [`SimStats::peak_staged_events`].
-    pub fn staged_events(&self) -> usize {
-        self.topo_staged.len() + self.fault_staged.len()
-    }
-
     /// Per-lane peak pending-event counts inside the wheel, indexed
     /// `[topology, fault, deliver, alarm, discover]` — the high-water
     /// occupancy of each payload arena lane. Trace-derived, identical
@@ -900,22 +892,26 @@ impl<A: Automaton> Simulator<A> {
         self.topology_apply.as_secs_f64()
     }
 
-    /// Worker threads currently alive in the persistent pool (0 until
-    /// the first wide segment spawns it, and always 0 with
-    /// `threads == 1`).
-    pub fn pool_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, WorkerPool::size)
-    }
-
-    /// Times the pool has been spawned — stays at 1 across any number of
-    /// `run_until` calls, which is exactly what the pool-reuse test pins.
-    pub fn pool_spawns(&self) -> u64 {
-        self.pool_spawns
-    }
-
-    /// Jobs submitted to the pool over its lifetime (0 without a pool).
-    pub fn pool_jobs(&self) -> u64 {
-        self.pool.as_ref().map_or(0, WorkerPool::jobs_run)
+    /// Everything the engine reports about the run so far (see
+    /// [`Telemetry`]). The plane census walks every node, so read it once
+    /// per run, not per event.
+    pub fn telemetry(&self) -> Telemetry {
+        Telemetry {
+            stats: self.stats,
+            planes: self.plane_bytes(),
+            wheel_pending_peaks: self.wheel_pending_peaks(),
+            threads: self.workers,
+            drift_cursors: self.drift_cursors(),
+            node_state_watermark: self.node_state_watermark(),
+            rng_streams: self.table_sum(NodeTable::rng_streams),
+            cold_nodes: self.table_sum(NodeTable::cold_nodes),
+            evictions: self.evictions(),
+            rehydrations: self.rehydrations(),
+            pool_lanes: self.pool.as_ref().map_or(0, WorkerPool::size),
+            pool_spawns: self.pool_spawns,
+            pool_jobs: self.pool.as_ref().map_or(0, WorkerPool::jobs_run),
+            topology_apply_s: self.topology_apply_seconds(),
+        }
     }
 
     /// Logical clock `L_u` at the current time.
@@ -1013,7 +1009,7 @@ impl<A: Automaton> Simulator<A> {
             buf.clear();
             self.source
                 .pull_until(ts + Duration::new(self.pull_chunk), &mut buf);
-            debug_assert!(!buf.is_empty(), "peek_time promised an event at {ts:?}");
+            assert!(!buf.is_empty(), "peek_time promised an event at {ts:?}");
             for ev in &buf {
                 self.stage_topology(*ev);
             }
@@ -1048,7 +1044,7 @@ impl<A: Automaton> Simulator<A> {
                 .as_mut()
                 .expect("checked above")
                 .pull_until(ts + Duration::new(self.pull_chunk), &mut buf);
-            debug_assert!(!buf.is_empty(), "peek_time promised a fault at {ts:?}");
+            assert!(!buf.is_empty(), "peek_time promised a fault at {ts:?}");
             for ev in &buf {
                 assert!(
                     self.fault_staged.back().is_none_or(|s| s.time <= ev.time),

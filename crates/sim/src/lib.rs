@@ -87,7 +87,7 @@ pub mod wheel;
 pub use automaton::{Action, Automaton, Context, RebootUnsupported};
 pub use delay::{DelayScript, DelayStrategy};
 pub use engine::{
-    threads_from_env, DiscoveryDelay, PlaneBytes, SimBuilder, Simulator, THREADS_ENV,
+    threads_from_env, DiscoveryDelay, PlaneBytes, SimBuilder, Simulator, Telemetry, THREADS_ENV,
 };
 pub use event::{LinkChange, LinkChangeKind, Message, TimerKind};
 pub use fault::{CrashRestartSource, FaultEvent, FaultKind, FaultPlan, FaultSource};

@@ -397,7 +397,11 @@ fn untouched_nodes_cost_zero_drift_and_node_state() {
         1,
         "node tables stop at the touched watermark"
     );
-    assert_eq!(sim.rng_streams(), 0, "nothing drew from a node stream");
+    assert_eq!(
+        sim.telemetry().rng_streams,
+        0,
+        "nothing drew from a node stream"
+    );
     // Untouched nodes stay queryable through the cold path, and agree
     // with the materialized schedule bit for bit.
     let hw_tail = sim.hardware(node(n - 1));
@@ -623,6 +627,30 @@ fn topology_at_time_zero_rejected() {
     run_scripted(source, 1);
 }
 
+/// A topology source whose `peek_time` promises an event at `t = 1`
+/// that `pull_until` never emits — without the check, the pump would
+/// spin on that promise forever.
+struct PhantomTopology;
+
+impl TopologySource for PhantomTopology {
+    fn n(&self) -> usize {
+        4
+    }
+    fn initial_edges(&mut self) -> Vec<Edge> {
+        Vec::new()
+    }
+    fn peek_time(&mut self) -> Option<Time> {
+        Some(at(1.0))
+    }
+    fn pull_until(&mut self, _: Time, _: &mut Vec<TopologyEvent>) {}
+}
+
+#[test]
+#[should_panic(expected = "peek_time promised an event")]
+fn topology_source_promising_a_phantom_event_rejected() {
+    run_scripted(PhantomTopology, 1);
+}
+
 /// A fault source that emits `faults` verbatim (no sorting, unlike
 /// [`FaultPlan`](gcs_sim::FaultPlan)).
 struct ScriptedFaults(VecDeque<FaultEvent>);
@@ -648,6 +676,26 @@ fn faults_going_back_in_time_rejected() {
     let schedule = TopologySchedule::static_graph(2, [Edge::between(0, 1)]);
     let mut sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
         .faults(ScriptedFaults(VecDeque::from(faults)))
+        .build_with(|_| Flood::new(0.0, 0.5));
+    sim.run_until(at(10.0));
+}
+
+/// The fault-plane twin of [`PhantomTopology`].
+struct PhantomFaults;
+
+impl FaultSource for PhantomFaults {
+    fn peek_time(&mut self) -> Option<Time> {
+        Some(at(1.0))
+    }
+    fn pull_until(&mut self, _: Time, _: &mut Vec<FaultEvent>) {}
+}
+
+#[test]
+#[should_panic(expected = "peek_time promised a fault")]
+fn fault_source_promising_a_phantom_fault_rejected() {
+    let schedule = TopologySchedule::static_graph(2, [Edge::between(0, 1)]);
+    let mut sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
+        .faults(PhantomFaults)
         .build_with(|_| Flood::new(0.0, 0.5));
     sim.run_until(at(10.0));
 }

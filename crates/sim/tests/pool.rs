@@ -109,19 +109,30 @@ fn gossip_sim(n: usize, threads: usize, par_min: usize, seed: u64) -> Simulator<
 fn pool_spawns_once_and_is_reused_across_runs() {
     let mut sim = gossip_sim(32, 4, 1, 7);
     // `on_start` dispatch at build time is serial: no pool yet.
-    assert_eq!(sim.pool_workers(), 0);
-    assert_eq!(sim.pool_spawns(), 0);
+    assert_eq!(sim.telemetry().pool_lanes, 0);
+    assert_eq!(sim.telemetry().pool_spawns, 0);
 
     sim.run_until(at(1.5));
-    assert!(sim.pool_workers() >= 2, "pool spawned with OS workers");
-    assert_eq!(sim.pool_spawns(), 1, "pool spawned lazily, exactly once");
-    let jobs_after_first = sim.pool_jobs();
+    assert!(
+        sim.telemetry().pool_lanes >= 2,
+        "pool spawned with OS workers"
+    );
+    assert_eq!(
+        sim.telemetry().pool_spawns,
+        1,
+        "pool spawned lazily, exactly once"
+    );
+    let jobs_after_first = sim.telemetry().pool_jobs;
     assert!(jobs_after_first > 0, "segments ran on the pool");
 
     sim.run_until(at(3.5));
-    assert_eq!(sim.pool_spawns(), 1, "second run reuses the live workers");
+    assert_eq!(
+        sim.telemetry().pool_spawns,
+        1,
+        "second run reuses the live workers"
+    );
     assert!(
-        sim.pool_jobs() > jobs_after_first,
+        sim.telemetry().pool_jobs > jobs_after_first,
         "reused workers kept taking jobs"
     );
 
@@ -138,7 +149,10 @@ fn pool_spawns_once_and_is_reused_across_runs() {
 fn dropping_a_simulator_mid_run_joins_workers() {
     let mut sim = gossip_sim(24, 4, 1, 11);
     sim.run_until(at(0.6));
-    assert!(sim.pool_workers() > 0, "pool must be live before the drop");
+    assert!(
+        sim.telemetry().pool_lanes > 0,
+        "pool must be live before the drop"
+    );
     drop(sim); // must join all workers and return — a hang fails via test timeout
 }
 
