@@ -5,7 +5,7 @@
 //! kernel already tracks exactly what we need in `/proc/self/status`:
 //! `VmHWM` (peak resident set, the high-water mark) and `VmRSS` (current
 //! resident set). Elsewhere both readers return `None` and reports print
-//! `n/a` — no unsafe code, no allocator shims.
+//! `n/a` — no FFI, no allocator shims.
 //!
 //! Caveat: the counters are **process-wide**, and the high-water mark is
 //! monotone over the process lifetime. A peak reading is faithful to a

@@ -33,9 +33,8 @@ where
     }
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<O>> = (0..items.len()).map(|_| None).collect();
-    // Hand each worker a disjoint view of the results through raw slots:
-    // we use a Vec of Mutex-free cells by splitting unsafe-free via
-    // scoped channel collection instead.
+    // Workers send `(index, result)` pairs over a channel and the caller
+    // files each into its slot, so no result slot is shared.
     let (tx, rx) = std::sync::mpsc::channel::<(usize, O)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {

@@ -285,7 +285,7 @@ fn main() {
     let mut e11_section = engines(&w11, &e11);
     e11_section.push("best_parallel_speedup_vs_serial", speedup);
     let doc = Json::obj([
-        ("schema", "bench-engine/v10".into()),
+        ("schema", "bench-engine/v11".into()),
         ("generated_by", "gcs-bench run_all".into()),
         (
             "baseline",

@@ -89,9 +89,6 @@ impl RunRecord {
             cold_nodes,
             evictions,
             rehydrations,
-            pool_lanes,
-            pool_spawns,
-            pool_jobs,
             topology_apply_s,
         } = self.telemetry;
         let mut o = JsonObj::default();
@@ -141,9 +138,6 @@ impl RunRecord {
         o.push("cold_nodes", cold_nodes);
         o.push("evictions", evictions);
         o.push("rehydrations", rehydrations);
-        o.push("pool_lanes", pool_lanes);
-        o.push("pool_spawns", pool_spawns);
-        o.push("pool_jobs", pool_jobs);
         let planes = json_fields!(
             PlaneBytes {
                 topology,
@@ -190,7 +184,7 @@ pub fn plane_regressions(committed: &Json, candidate: &Json) -> Vec<String> {
 
 /// `("<section> <family> <meter>", bytes)` for every gated meter of
 /// `doc`. Sections, families and meters that are absent or not integers
-/// contribute nothing, so a v9 and a v10 file read alike.
+/// contribute nothing, so v9 to v11 files read alike.
 fn plane_meters(doc: &Json) -> Vec<(String, u64)> {
     let section = |name: &str| match doc {
         Json::Obj(doc) => doc.get(name).and_then(|s| s.as_obj(name).ok()),

@@ -191,11 +191,70 @@ impl DelayStrategy {
         }
     }
 
+    /// Panics unless every delay this strategy fixes up front is finite
+    /// and in `[0, T]` and its layer vector covers all `n` nodes — the
+    /// release-build check `SimBuilder::build_with` runs, so an
+    /// out-of-range adversary fails closed instead of being clamped (or
+    /// indexing past its layers) mid-run. Checked: `Constant`, both
+    /// `Uniform` bounds (`lo <= hi`), the `Masked` pattern and, in turn,
+    /// its default, and the `constrained` and `intra` delays, layer
+    /// length and (for `BetaLayered`) `ρ ≥ 0` of the layered
+    /// adversaries. `Scripted` delays and the computed β delays are not
+    /// known up front and keep the runtime clamp of [`delay`](Self::delay).
+    pub(crate) fn validate(&self, big_t: f64, n: usize) {
+        let ok = |d: f64| d.is_finite() && (0.0..=big_t).contains(&d);
+        let check = |d: f64, what: std::fmt::Arguments<'_>| {
+            assert!(ok(d), "{what} delay {d} outside [0, T = {big_t}]")
+        };
+        match self {
+            DelayStrategy::Constant(d) => check(*d, format_args!("constant")),
+            DelayStrategy::Max | DelayStrategy::Zero | DelayStrategy::Scripted(_) => {}
+            &DelayStrategy::Uniform { lo, hi } => assert!(
+                ok(lo) && ok(hi) && lo <= hi,
+                "delay range [{lo}, {hi}] outside 0 <= lo <= hi <= T = {big_t}"
+            ),
+            DelayStrategy::Masked { pattern, default } => {
+                for (edge, &d) in pattern {
+                    check(d, format_args!("masked {edge:?}"));
+                }
+                default.validate(big_t, n);
+            }
+            DelayStrategy::Layered {
+                layer,
+                constrained,
+                intra,
+            }
+            | DelayStrategy::BetaLayered {
+                layer,
+                constrained,
+                intra,
+                ..
+            } => {
+                let len = layer.len();
+                assert!(
+                    len == n,
+                    "delay layer vector has {len} entries for n = {n} nodes"
+                );
+                for (edge, &d) in constrained {
+                    check(d, format_args!("constrained {edge:?}"));
+                }
+                check(*intra, format_args!("intra-layer"));
+                if let DelayStrategy::BetaLayered { rho, .. } = self {
+                    assert!(
+                        rho.is_finite() && *rho >= 0.0,
+                        "beta drift bound rho = {rho} must be finite and >= 0"
+                    );
+                }
+            }
+        }
+    }
+
     /// The delay for a message sent at `now` from `from` across `edge`.
     ///
     /// `big_t` is the model's delay bound `T`; the returned value is always
     /// clamped into `[0, T]` and asserted against the strategy's own
-    /// parameters in debug builds.
+    /// parameters in debug builds. Static delays are range-checked once,
+    /// in every build, by `validate`.
     pub fn delay(&self, edge: Edge, from: NodeId, now: Time, big_t: f64, rng: &mut StdRng) -> f64 {
         let raw = match self {
             DelayStrategy::Constant(d) => *d,

@@ -3,9 +3,9 @@
 //! One function, [`run_event`], embodies the engine's event semantics.
 //! It is called
 //!
-//! * from worker threads during parallel segments (each worker owns one
-//!   shard and processes that shard's slice of the segment in event-seq
-//!   order),
+//! * from the threads of a [`fork_join`] during wide segments (each job
+//!   takes a chunk of shards and processes each shard's slice of the
+//!   segment in event-seq order),
 //! * inline on the serial fast path (small segments, `threads = 1`),
 //! * and for single steps ([`Simulator::step`](crate::Simulator::step)).
 //!
@@ -46,11 +46,11 @@ use gcs_clocks::{DriftCursor, DriftSource, Time};
 use gcs_net::{Edge, NodeId};
 use rand::rngs::StdRng;
 
-/// Default parallel threshold: segments (and topology batches) shorter
-/// than this run inline on the coordinating thread — handing a few
-/// events to the pool costs more than running them. The threshold
-/// affects scheduling only — traces are identical either way — and is
-/// tunable per run via `SimBuilder::par_threshold`.
+/// Default parallel threshold: segments shorter than this run inline on
+/// the coordinating thread — forking threads for a few events costs
+/// more than running them. The threshold affects scheduling only —
+/// traces are identical either way — and is tunable per run via
+/// `SimBuilder::par_threshold`.
 pub(crate) const PAR_MIN_EVENTS: usize = 64;
 
 /// A deferred engine effect: an event to enqueue once the segment's
@@ -468,302 +468,109 @@ pub(crate) fn run_handler<A: Automaton>(
     }
 }
 
-/// A job handed to a pool worker: any closure over borrows that outlive
-/// the [`WorkerPool::run`] call that submitted it (`run` blocks until
-/// every submitted job completes, which is what makes the lifetime
-/// erasure in `run` sound).
-pub(crate) type ScopedJob<'scope> = Box<dyn FnOnce() + Send + 'scope>;
-
-/// The erased form a worker thread actually receives.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// One long-lived worker: its job channel, its completion channel, and
-/// the OS thread itself.
-struct Worker {
-    job_tx: std::sync::mpsc::Sender<Job>,
-    done_rx: std::sync::mpsc::Receiver<()>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// A persistent pool of shard-pinned worker lanes.
+/// Runs `jobs` in parallel and returns once every one of them has
+/// stopped: the first on the calling thread, each other on a scoped
+/// thread spawned for this call alone. No job outlives the scope, so a
+/// job may borrow shards `&mut` for one segment with no lifetime
+/// erasure. Scheduling only: the engine hands every job the same
+/// `run_shard` body over a disjoint shard chunk, so the trace is the
+/// inline path's.
 ///
-/// Spawning threads per wide segment would cost tens of microseconds of
-/// thread creation per barrier, dominating segment cost under sustained
-/// churn. The pool spawns its threads once (lazily, at the first wide
-/// segment) and feeds them per-barrier jobs over plain `mpsc` channels.
-///
-/// **Leader participation**: lane 0 *is* the submitting thread. The
-/// coordinator would otherwise block in `recv` while its workers run, so
-/// it executes lane 0's job itself after handing out the rest — one
-/// fewer OS thread, one fewer channel round-trip per barrier, and on a
-/// two-lane pool the barrier costs a single send/recv pair.
-///
-/// **Pinning**: the engine always submits the job for shard chunk `w` to
-/// lane `w`, so the shard → lane assignment is fixed for the life of
-/// the simulator (warm caches, and no cross-lane migration of shard
-/// state). Pinning — like everything else about the pool — is
-/// scheduling only: traces are bit-identical to the inline path because
-/// jobs run the same `run_shard`/`apply_batch` bodies over the same
-/// disjoint `&mut` partitions.
-///
-/// **Soundness**: jobs capture non-`'static` borrows of the simulator's
-/// shards; [`run`](Self::run) transmutes that lifetime away to cross the
-/// channel and then blocks until every submitted job has signalled
-/// completion (or its worker has died), re-establishing the guarantee a
-/// scoped spawn gives statically: no borrow outlives the call.
-///
-/// **Panics**: a panicking job kills its worker thread, closing both its
-/// channels. `run` detects the closed channel, *first* waits for every
-/// other submitted job (so no borrow is still in flight), then joins the
-/// dead worker and re-raises its payload on the coordinating thread —
-/// a worker panic fails the run loudly instead of deadlocking it.
-pub(crate) struct WorkerPool {
-    workers: Vec<Worker>,
-    /// Jobs submitted over the pool's lifetime (test observability).
-    jobs_run: u64,
-}
-
-impl WorkerPool {
-    /// Spawns a pool with `lanes` parallel lanes: lane 0 is the
-    /// submitting thread itself, lanes `1..lanes` are OS threads named
-    /// for debuggability.
-    pub fn spawn(lanes: usize) -> Self {
-        assert!(lanes >= 1, "a pool needs at least one lane");
-        let workers = (1..lanes)
-            .map(|i| {
-                let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-                let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-                let handle = std::thread::Builder::new()
-                    .name(format!("gcs-shard-{i}"))
-                    .spawn(move || {
-                        // Exits when the pool drops its sender; dies (and
-                        // is detected through its closed channels) if a
-                        // job panics.
-                        while let Ok(job) = job_rx.recv() {
-                            job();
-                            if done_tx.send(()).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("failed to spawn shard worker");
-                Worker {
-                    job_tx,
-                    done_rx,
-                    handle: Some(handle),
-                }
-            })
-            .collect();
-        WorkerPool {
-            workers,
-            jobs_run: 0,
-        }
-    }
-
-    /// Number of lanes, counting the caller's lane 0.
-    pub fn size(&self) -> usize {
-        self.workers.len() + 1
-    }
-
-    /// Jobs submitted over the pool's lifetime.
-    pub fn jobs_run(&self) -> u64 {
-        self.jobs_run
-    }
-
-    /// Runs every `(lane, job)` pair on its pinned lane — lane 0 inline
-    /// on the caller, the rest on their worker threads — and blocks
-    /// until all of them complete. Propagates the first panic (inline
-    /// first, then workers) after every other submitted job has
-    /// finished.
-    pub fn run<'scope>(&mut self, jobs: Vec<(usize, ScopedJob<'scope>)>) {
-        let mut inline: Vec<ScopedJob<'scope>> = Vec::new();
-        let mut pending: Vec<usize> = Vec::with_capacity(jobs.len());
-        let mut dead: Option<usize> = None;
-        for (lane, job) in jobs {
-            self.jobs_run += 1;
-            if lane == 0 {
-                inline.push(job);
-                continue;
-            }
-            let w = lane - 1;
-            // SAFETY: the borrows captured by `job` live for `'scope`,
-            // which encloses this call; the loops below do not return
-            // until the worker has either finished the job (completion
-            // message) or died without completing it (closed channel) —
-            // in both cases the job no longer runs, so no borrow escapes
-            // the call. An unsent job (dead worker) is dropped here,
-            // inside `'scope`, without ever running. This is the same
-            // lifetime erasure a scoped spawn performs internally; the
-            // workspace-wide `unsafe_code = "deny"` is waived for this
-            // single statement.
-            #[allow(unsafe_code)]
-            let job: Job = unsafe { std::mem::transmute::<ScopedJob<'scope>, Job>(job) };
-            if self.workers[w].job_tx.send(job).is_ok() {
-                pending.push(w);
-            } else {
-                dead.get_or_insert(w);
-            }
-        }
-        // Leader participation: run lane 0 while the workers chew on
-        // theirs. An inline panic must not unwind yet — remote jobs still
-        // hold caller-frame borrows — so it is caught and re-raised after
-        // the barrier, exactly like a worker death.
-        let mut inline_panic = None;
-        for job in inline {
-            if inline_panic.is_none() {
-                inline_panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).err();
-            }
-        }
-        for w in pending {
-            if self.workers[w].done_rx.recv().is_err() {
-                dead.get_or_insert(w);
-            }
-        }
-        // Every live worker is idle again and every dead worker has
-        // stopped executing — only now is unwinding (which releases the
-        // borrows the jobs captured) safe.
-        if let Some(payload) = inline_panic {
-            std::panic::resume_unwind(payload);
-        }
-        if let Some(w) = dead {
-            match self.workers[w].handle.take().map(|h| h.join()) {
-                Some(Err(payload)) => std::panic::resume_unwind(payload),
-                _ => panic!("shard worker {} terminated unexpectedly", w + 1),
-            }
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        for Worker {
-            job_tx,
-            done_rx,
-            handle,
-        } in self.workers.drain(..)
-        {
-            // Closing the job channel is the shutdown signal; join
-            // errors are ignored (the panic, if any, was already
-            // propagated by `run`, and a second panic mid-unwind would
-            // abort).
-            drop(job_tx);
-            drop(done_rx);
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
-        }
+/// **Panics**: no job unwinds the call while another still runs. Once
+/// all have stopped, the payload of the first panicking job (in job
+/// order) is re-raised unchanged. The handles are joined here because
+/// `std::thread::scope` would replace a thread's payload with its own
+/// "a scoped thread panicked".
+pub(crate) fn fork_join<F: FnOnce() + Send>(jobs: Vec<F>) {
+    let mut jobs = jobs.into_iter();
+    let Some(lead) = jobs.next() else {
+        return;
+    };
+    let panic = std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+        let lead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(lead)).err();
+        let rest: Vec<_> = handles.into_iter().map(|h| h.join().err()).collect();
+        std::iter::once(lead).chain(rest).flatten().next()
+    });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::fork_join;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex};
 
     #[test]
-    fn pool_runs_jobs_on_pinned_workers_and_reuses_threads() {
-        let mut pool = WorkerPool::spawn(2);
-        let mut out = [0usize; 2];
-        let names: [std::sync::Mutex<Vec<String>>; 2] = Default::default();
-        for round in 1..=3 {
-            let (a, b) = out.split_at_mut(1);
-            let jobs: Vec<(usize, ScopedJob<'_>)> = vec![
-                (0, {
-                    let names = &names[0];
-                    Box::new(move || {
-                        a[0] += round;
-                        names
-                            .lock()
-                            .unwrap()
-                            .push(std::thread::current().name().unwrap_or("").to_owned());
-                    })
-                }),
-                (1, {
-                    let names = &names[1];
-                    Box::new(move || {
-                        b[0] += round * 10;
-                        names
-                            .lock()
-                            .unwrap()
-                            .push(std::thread::current().name().unwrap_or("").to_owned());
-                    })
-                }),
-            ];
-            pool.run(jobs);
-        }
-        assert_eq!(out, [6, 60]);
-        assert_eq!(pool.jobs_run(), 6);
-        let caller = std::thread::current().name().unwrap_or("").to_owned();
-        for (lane, names) in names.iter().enumerate() {
-            let expected = if lane == 0 {
-                // Leader participation: lane 0 runs on the submitting
-                // thread itself.
-                caller.clone()
-            } else {
-                format!("gcs-shard-{lane}")
-            };
-            let names = names.lock().unwrap();
-            assert_eq!(names.len(), 3);
-            assert!(
-                names.iter().all(|n| *n == expected),
-                "jobs for chunk {lane} must stay pinned to lane {lane} ({expected}): {names:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn pool_drop_joins_idle_workers() {
-        let pool = WorkerPool::spawn(4);
-        drop(pool); // must not hang
-    }
-
-    #[test]
-    fn pool_propagates_worker_panics_after_draining() {
-        let finished = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut pool = WorkerPool::spawn(2);
-            pool.run(vec![
-                (0, {
-                    let finished = &finished;
-                    Box::new(move || {
-                        finished.fetch_add(1, Ordering::SeqCst);
-                    }) as ScopedJob<'_>
-                }),
-                (1, Box::new(|| panic!("job exploded"))),
-            ]);
-        }));
-        let payload = result.expect_err("worker panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "job exploded", "original payload re-raised");
-        assert_eq!(
-            finished.load(Ordering::SeqCst),
-            1,
-            "other submitted jobs complete before the panic unwinds"
+    fn fork_join_runs_every_job_and_the_first_on_the_caller() {
+        fork_join(Vec::<fn()>::new()); // nothing to run, nothing spawned
+        let caller = std::thread::current().id();
+        let mut slots = [(0, None); 4];
+        fork_join(
+            slots
+                .iter_mut()
+                .enumerate()
+                .map(|(lane, slot)| move || *slot = (lane + 1, Some(std::thread::current().id())))
+                .collect(),
+        );
+        assert_eq!(slots.map(|s| s.0), [1, 2, 3, 4]);
+        assert_eq!(slots[0].1, Some(caller), "the first job runs on the caller");
+        assert!(
+            slots[1..]
+                .iter()
+                .all(|s| s.1.is_some_and(|id| id != caller)),
+            "every other job runs on a spawned thread"
         );
     }
 
+    /// For 1 to 4 lanes and every non-empty set of panicking lanes, the
+    /// call re-raises the first panicking lane's payload, and only after
+    /// every healthy lane has finished. A healthy lane finishes only once
+    /// every panicking lane has started to panic, so an unwind that did
+    /// not wait for the other jobs would miss it.
     #[test]
-    fn pool_propagates_inline_lane_panics_after_the_barrier() {
-        let finished = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut pool = WorkerPool::spawn(2);
-            pool.run(vec![
-                (0, Box::new(|| panic!("leader exploded")) as ScopedJob<'_>),
-                (1, {
-                    let finished = &finished;
-                    Box::new(move || {
-                        finished.fetch_add(1, Ordering::SeqCst);
-                    })
-                }),
-            ]);
-        }));
-        let payload = result.expect_err("inline panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "leader exploded");
-        assert_eq!(
-            finished.load(Ordering::SeqCst),
-            1,
-            "remote jobs complete before the inline panic unwinds"
-        );
+    fn fork_join_reraises_the_first_panic_after_every_healthy_job() {
+        for lanes in 1..=4usize {
+            for panicking in 1u32..1 << lanes {
+                let finished = AtomicUsize::new(0);
+                let panics = (Mutex::new(0), Condvar::new());
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    fork_join(
+                        (0..lanes)
+                            .map(|lane| {
+                                let (finished, (count, started)) = (&finished, &panics);
+                                move || {
+                                    if panicking & 1 << lane != 0 {
+                                        *count.lock().unwrap() += 1;
+                                        started.notify_all();
+                                        panic!("lane {lane} exploded");
+                                    }
+                                    let all = panicking.count_ones();
+                                    let guard = count.lock().unwrap();
+                                    drop(started.wait_while(guard, |n| *n < all).unwrap());
+                                    finished.fetch_add(1, Ordering::SeqCst);
+                                }
+                            })
+                            .collect(),
+                    )
+                }));
+                let case = format!("{lanes} lanes, panicking set {panicking:#b}");
+                let payload = result.expect_err(&case);
+                let first = panicking.trailing_zeros();
+                assert_eq!(
+                    payload.downcast_ref::<String>(),
+                    Some(&format!("lane {first} exploded")),
+                    "{case}: the first panicking job's payload"
+                );
+                assert_eq!(
+                    finished.load(Ordering::SeqCst),
+                    lanes - panicking.count_ones() as usize,
+                    "{case}: every healthy job finished before the unwind"
+                );
+            }
+        }
     }
 }

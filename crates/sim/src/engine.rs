@@ -73,19 +73,18 @@
 //! [`Simulator::run_until`] drains the wheel one **instant** (all
 //! events at the earliest pending time) at a time. The instant's
 //! topology events form a contiguous prefix (the class sort above) and
-//! are applied as **one batch** before any handler runs: the deltas
-//! are partitioned by shard and applied per shard in seq order —
-//! equivalent to the serial walk because shards own disjoint edge rows.
-//! That edge store is the engine's only record of the live edge set
-//! `E(t)`; [`Simulator::graph`] reads it through a [`GraphView`]. The
+//! are applied as **one batch**, serially in seq order, to the edge
+//! store before any handler runs. That edge store is the engine's only
+//! record of the live edge set `E(t)`; [`Simulator::graph`] reads it
+//! through a [`GraphView`]. The
 //! rest of the instant (fault events are serial barriers) is cut into
 //! *segments*; all events inside a segment target node-exclusive state,
 //! so a segment is dispatched **sharded by owning [`NodeId`]** — round-robin
-//! over [`SimBuilder::threads`] worker shards. Wide segments and wide
-//! batches (at least [`SimBuilder::par_threshold`] events, default 64)
-//! run on a **persistent worker pool** (the `dispatch` module):
-//! shard-pinned lanes spawned once at the first wide segment, lane 0 on
-//! the coordinating thread, fed per-barrier jobs over channels.
+//! over [`SimBuilder::threads`] worker shards. Wide segments (at least
+//! [`SimBuilder::par_threshold`] events, default 64) run through one
+//! **scoped fork/join** (`dispatch::fork_join`): the shards are cut into
+//! one chunk per lane, the first chunk runs on the coordinating thread
+//! and each other chunk on a thread spawned for that segment alone.
 //! Handler-emitted actions are buffered and merged back
 //! into the wheel in the canonical `(triggering event seq, emission
 //! index)` order, and every random draw comes from the consuming node's
@@ -97,7 +96,7 @@
 
 use crate::automaton::Automaton;
 use crate::delay::DelayStrategy;
-use crate::dispatch::{self, DispatchCtx, Effect, ScopedJob, WorkerPool, PAR_MIN_EVENTS};
+use crate::dispatch::{self, DispatchCtx, Effect, PAR_MIN_EVENTS};
 use crate::event::{EventPayload, LinkChange, LinkChangeKind, QueuedEvent};
 use crate::fault::{FaultEvent, FaultKind, FaultSource, FaultState};
 use crate::model::ModelParams;
@@ -416,10 +415,10 @@ impl SimBuilder {
         self
     }
 
-    /// Minimum events in a segment or topology batch before it is handed
-    /// to the worker pool (≥ 1); narrower ones run inline. Defaults to
-    /// 64. Scheduling only — the trace is bit-identical for every value
-    /// (pinned by the boundary proptest in `crates/sim/tests/pool.rs`).
+    /// Minimum events in a segment before it is forked across threads
+    /// (≥ 1); narrower ones run inline. Defaults to 64. Scheduling only —
+    /// the trace is bit-identical for every value (pinned by the
+    /// boundary proptest in `crates/sim/tests/pool.rs`).
     /// The effective value is recorded in [`SimStats::par_min_events`].
     pub fn par_threshold(mut self, events: usize) -> Self {
         assert!(events >= 1, "threshold of 0 would parallelize empty work");
@@ -435,13 +434,16 @@ impl SimBuilder {
     ///
     /// # Panics
     /// When the discovery model violates the bound `D` (see
-    /// [`DiscoveryDelay`]), when the source's initial edges are not
-    /// sorted and distinct or name a node `≥ n`, or when [`THREADS_ENV`]
-    /// is malformed and no explicit [`threads`](Self::threads) was given.
+    /// [`DiscoveryDelay`]), when a static delay of the delay strategy is
+    /// not in `[0, T]` or its layer vector does not cover the `n` nodes,
+    /// when the source's initial edges are not sorted and distinct or
+    /// name a node `≥ n`, or when [`THREADS_ENV`] is malformed and no
+    /// explicit [`threads`](Self::threads) was given.
     /// Later pulls panic as well when the source breaks its contract
     /// (see [`Simulator::run_until`]).
     pub fn build_with<A: Automaton>(mut self, make_node: impl FnMut(usize) -> A) -> Simulator<A> {
         self.discovery.validate(self.params.d);
+        self.delay.validate(self.params.t, self.n);
         let n = self.n;
         let workers = self.threads.unwrap_or_else(threads_from_env);
         let shard_count = workers.min(n.max(1));
@@ -467,8 +469,8 @@ impl SimBuilder {
         let nodes: Vec<A> = (0..n).map(make_node).collect();
         let shards = Shards::build(shard_count, nodes);
         // Canonical edge state: initial edges now, churned edges as their
-        // first event is pulled (content is shard-count independent).
-        let mut edges = EdgeStore::new(n, shard_count);
+        // first event is pulled.
+        let mut edges = EdgeStore::new(n);
 
         // Bucket width tied to the delay bound: most deliveries span a
         // handful of buckets, timers a few more.
@@ -536,8 +538,6 @@ impl SimBuilder {
             round_buf: Vec::new(),
             effects_buf: Vec::new(),
             touched_buf: Vec::new(),
-            pool: None,
-            pool_spawns: 0,
             par_min,
             topology_apply: std::time::Duration::ZERO,
         };
@@ -583,11 +583,10 @@ pub struct PlaneBytes {
     pub wheel: usize,
     /// Compact staged topology/fault events awaiting admission.
     pub staging: usize,
-    /// Dispatch scratch reused across segments and batches: the round /
-    /// effect-merge / touched / pull buffers, the per-shard event,
-    /// effect, action and touched buffers, and the per-shard topology
-    /// batch buffers. Steady-state capacity, not per-segment churn —
-    /// these buffers are allocated once and recycled.
+    /// Dispatch scratch reused across segments: the round / effect-merge
+    /// / touched / pull buffers and the per-shard event, effect, action
+    /// and touched buffers. Steady-state capacity, not per-segment churn
+    /// — these buffers are allocated once and recycled.
     pub dispatch_scratch: usize,
 }
 
@@ -607,8 +606,8 @@ impl PlaneBytes {
 /// Everything the engine reports about one run, read at one instant by
 /// [`Simulator::telemetry`]. The trace-derived fields are identical
 /// across thread counts (except the scheduling-only [`SimStats`]
-/// counters); `threads`, the pool facts and `topology_apply_s` describe
-/// how the host ran the trace.
+/// counters); `threads` and `topology_apply_s` describe how the host ran
+/// the trace.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Telemetry {
     /// Trace and scheduling counters ([`Simulator::stats`]).
@@ -634,14 +633,6 @@ pub struct Telemetry {
     pub evictions: u64,
     /// [`Simulator::rehydrations`].
     pub rehydrations: u64,
-    /// Lanes of the persistent worker pool, counting the caller's lane 0
-    /// (0 until the first wide segment spawns it; always 0 at one thread).
-    pub pool_lanes: usize,
-    /// Times the pool has been spawned — 1 across any number of
-    /// `run_until` calls once it exists.
-    pub pool_spawns: u64,
-    /// Jobs submitted to the pool over its lifetime.
-    pub pool_jobs: u64,
     /// [`Simulator::topology_apply_seconds`].
     pub topology_apply_s: f64,
 }
@@ -685,7 +676,7 @@ pub struct Simulator<A: Automaton> {
     pull_buf: Vec<TopologyEvent>,
     /// Configured worker count (shard count is `min(workers, n)`).
     workers: usize,
-    /// OS threads actually spawned per wide segment:
+    /// Lanes per wide segment, counting the caller's:
     /// `min(shard count, max(2, host parallelism))`. Caps oversubscription
     /// when the host has fewer cores than configured shards; floored at 2
     /// so the concurrent dispatch path runs on every host. Scheduling
@@ -697,15 +688,8 @@ pub struct Simulator<A: Automaton> {
     round_buf: Vec<QueuedEvent>,
     effects_buf: Vec<Effect>,
     touched_buf: Vec<NodeId>,
-    /// The persistent shard-pinned worker pool; spawned lazily at the
-    /// first wide segment (or wide topology batch), `None` until then
-    /// and forever on runs that never go wide. Sized `os_workers`.
-    pool: Option<WorkerPool>,
-    /// Times the pool has been (re-)spawned — 1 for the life of a
-    /// simulator unless it never went wide (test observability).
-    pool_spawns: u64,
-    /// Effective parallel threshold (events) for segments and topology
-    /// batches; see [`SimBuilder::par_threshold`].
+    /// Effective parallel threshold (events) for segments; see
+    /// [`SimBuilder::par_threshold`].
     par_min: usize,
     /// Wall-clock time spent applying topology batches to the edge
     /// store. Host-dependent by nature, so it lives here
@@ -858,8 +842,7 @@ impl<A: Automaton> Simulator<A> {
                 + self.effects_buf.capacity() * size_of::<Effect>()
                 + self.touched_buf.capacity() * size_of::<NodeId>()
                 + self.pull_buf.capacity() * size_of::<TopologyEvent>()
-                + self.fault_pull_buf.capacity() * size_of::<FaultEvent>()
-                + self.edges.scratch_bytes(),
+                + self.fault_pull_buf.capacity() * size_of::<FaultEvent>(),
             ..PlaneBytes::default()
         };
         for shard in &self.shards.shards {
@@ -885,9 +868,8 @@ impl<A: Automaton> Simulator<A> {
     }
 
     /// Wall-clock seconds spent applying topology batches to the edge
-    /// store so far (serial or on the pool).
-    /// Host-dependent by nature — this is a performance meter, not part
-    /// of the deterministic trace.
+    /// store so far. Host-dependent by nature — this is a performance
+    /// meter, not part of the deterministic trace.
     pub fn topology_apply_seconds(&self) -> f64 {
         self.topology_apply.as_secs_f64()
     }
@@ -907,9 +889,6 @@ impl<A: Automaton> Simulator<A> {
             cold_nodes: self.table_sum(NodeTable::cold_nodes),
             evictions: self.evictions(),
             rehydrations: self.rehydrations(),
-            pool_lanes: self.pool.as_ref().map_or(0, WorkerPool::size),
-            pool_spawns: self.pool_spawns,
-            pool_jobs: self.pool.as_ref().map_or(0, WorkerPool::jobs_run),
             topology_apply_s: self.topology_apply_seconds(),
         }
     }
@@ -1283,12 +1262,12 @@ impl<A: Automaton> Simulator<A> {
 
     /// Dispatches one topology-free segment and merges its effects.
     ///
-    /// Wide segments (≥ `par_min` events, more than one shard) go to the
-    /// persistent pool — shard chunk `w` always runs on pool worker `w`,
-    /// so the shard → worker pinning is fixed for the simulator's
-    /// lifetime. Inline and pooled dispatch run the same body over the
-    /// same disjoint `&mut` shard partition and merge effects in the
-    /// same canonical order, so the threshold is scheduling only.
+    /// Wide segments (≥ `par_min` events, more than one shard) are cut
+    /// into one contiguous chunk of shards per lane and run through
+    /// [`dispatch::fork_join`]. Inline and forked dispatch run the same
+    /// body over the same disjoint `&mut` shard partition and merge
+    /// effects in the same canonical order, so the threshold is
+    /// scheduling only.
     fn run_segment(&mut self, seg: &[QueuedEvent]) {
         let shard_count = self.shards.count();
         let parallel = shard_count > 1 && seg.len() >= self.par_min;
@@ -1309,48 +1288,25 @@ impl<A: Automaton> Simulator<A> {
             let s = owner.index() % shard_count;
             self.shards.shards[s].events.push(*ev);
         }
-        // One worker can serve several shards: shard count fixes the
+        // One lane can serve several shards: shard count fixes the
         // (trace-relevant) data partition, `os_workers` only caps
         // oversubscription. Contiguous chunking is safe because shards
         // are mutually independent within a segment.
-        let os_workers = self.os_workers;
-        let per_worker = shard_count.div_ceil(os_workers);
-        // Built field-by-field (not via `split_dispatch`) so the borrow
-        // of `self.pool` below stays disjoint.
-        let ctx = DispatchCtx {
-            edges: &self.edges,
-            drift: &*self.drift,
-            delay: &self.delay,
-            discovery: &self.discovery,
-            faults: &self.faults,
-            params: self.params,
-            now: self.now,
-            seed: self.seed,
-            shard_count,
-            observing: self.observing,
-        };
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::spawn(os_workers));
-            self.pool_spawns += 1;
-        }
-        let pool = self.pool.as_mut().expect("spawned above");
-        let mut jobs: Vec<(usize, ScopedJob<'_>)> = Vec::with_capacity(os_workers);
-        for (w, chunk) in self.shards.shards.chunks_mut(per_worker).enumerate() {
-            if chunk.iter().all(|s| s.events.is_empty()) {
-                continue;
-            }
-            jobs.push((
-                w,
-                Box::new(move || {
-                    for shard in chunk.iter_mut() {
-                        if !shard.events.is_empty() {
-                            dispatch::run_shard(&ctx, shard);
-                        }
+        let per_lane = shard_count.div_ceil(self.os_workers);
+        let (ctx, shards) = self.split_dispatch();
+        let jobs = shards
+            .shards
+            .chunks_mut(per_lane)
+            .filter(|chunk| chunk.iter().any(|s| !s.events.is_empty()))
+            .map(|chunk| {
+                move || {
+                    for shard in chunk.iter_mut().filter(|s| !s.events.is_empty()) {
+                        dispatch::run_shard(&ctx, shard);
                     }
-                }),
-            ));
-        }
-        pool.run(jobs);
+                }
+            })
+            .collect();
+        dispatch::fork_join(jobs);
         self.merge_effects();
     }
 
@@ -1513,68 +1469,29 @@ impl<A: Automaton> Simulator<A> {
     }
 
     /// Applies one instant's topology changes as a single batch — one
-    /// barrier per instant instead of one per event.
-    ///
-    /// Each change touches only its edge's canonical entry, which lives
-    /// in the lower endpoint's row of the [`EdgeStore`] (the lower-
-    /// neighbor ids of the other endpoint were written when the edge was
-    /// first pulled). So wide batches are partitioned per
-    /// [`crate::shard::EdgeShard`] — the only serial work — and applied
-    /// on each shard's pinned pool worker, each shard in `(seq)` order:
-    /// disjoint rows, so the result is bit-identical to the serial loop
-    /// (narrow batches and `step`).
+    /// barrier per instant instead of one per event — serially in
+    /// `(seq)` order. Each change touches only its edge's canonical
+    /// entry (the lower-neighbor ids of the other endpoint were written
+    /// when the edge was first pulled).
     ///
     /// # Panics
     /// When a change contradicts the live edge set (an add of a live
-    /// edge, a removal of an absent one); on the pool the worker's panic
-    /// is rethrown here.
+    /// edge, a removal of an absent one).
     fn apply_topology_batch(&mut self, batch: &[QueuedEvent]) {
         let started = std::time::Instant::now();
         self.stats.topology_events += batch.len() as u64;
         self.stats.topology_batches += 1;
         self.stats.peak_batch_len = self.stats.peak_batch_len.max(batch.len() as u64);
-        let changes = batch.iter().map(|ev| match ev.payload {
-            EventPayload::Topology {
+        for ev in batch {
+            let EventPayload::Topology {
                 kind,
                 edge,
                 version,
-            } => (kind, edge, version),
-            _ => unreachable!("caller passes the instant's topology prefix only"),
-        });
-        let shard_count = self.shards.count();
-        let wide = shard_count > 1 && batch.len() >= self.par_min;
-        if !wide {
-            for (kind, edge, version) in changes {
-                self.edges.apply(kind, edge, version);
-            }
-        } else {
-            for change in changes {
-                let s = self.edges.shard_of(change.1);
-                self.edges.shards[s].batch.push(change);
-            }
-            if self.pool.is_none() {
-                self.pool = Some(WorkerPool::spawn(self.os_workers));
-                self.pool_spawns += 1;
-            }
-            let pool = self.pool.as_mut().expect("spawned above");
-            // Identical chunking to `run_segment`, so edge shard `s` is
-            // applied by the same worker that dispatches node shard `s`.
-            let per_worker = shard_count.div_ceil(pool.size());
-            let mut jobs: Vec<(usize, ScopedJob<'_>)> = Vec::with_capacity(pool.size());
-            for (w, chunk) in self.edges.shards.chunks_mut(per_worker).enumerate() {
-                if chunk.iter().all(|s| s.batch.is_empty()) {
-                    continue;
-                }
-                jobs.push((
-                    w,
-                    Box::new(move || {
-                        for shard in chunk.iter_mut() {
-                            shard.apply_batch(shard_count);
-                        }
-                    }),
-                ));
-            }
-            pool.run(jobs);
+            } = ev.payload
+            else {
+                unreachable!("caller passes the instant's topology prefix only")
+            };
+            self.edges.apply(kind, edge, version);
         }
         self.topology_apply += started.elapsed();
     }

@@ -36,9 +36,9 @@
 //! canonical event order — see [`fault`]. In particular the worker count
 //! ([`SimBuilder::threads`], default from the `GCS_SIM_THREADS`
 //! environment variable) never changes a trace: same-instant events to
-//! different nodes are dispatched across a persistent pool of
-//! shard-pinned worker lanes (sharded by node id), every random draw
-//! comes from the consuming node's private
+//! different nodes are sharded by node id and, in wide segments, forked
+//! across scoped threads that live for that segment alone, every random
+//! draw comes from the consuming node's private
 //! stream, and handler-emitted events are merged back into the time wheel
 //! in a canonical `(triggering seq, emission index)` order. See
 //! [`engine`] for the full argument and

@@ -7,8 +7,9 @@
 //!   per-neighbor discovery watermarks and FIFO horizons, its private
 //!   RNG stream, and its drift cursor — lives in the [`Shard`] that owns
 //!   the node (`shard = node mod shard_count`). During a parallel segment
-//!   each worker holds `&mut` over exactly one shard, so owner-exclusive
-//!   mutation is enforced by the borrow checker, not by locks.
+//!   each fork/join job holds `&mut` over a disjoint chunk of shards, so
+//!   owner-exclusive mutation is enforced by the borrow checker, not by
+//!   locks.
 //!
 //!   Within a shard this state is a compact **struct-of-arrays**
 //!   [`NodeTable`] sized by the *touched-node watermark*: the arrays grow
@@ -37,11 +38,10 @@
 //!   During a segment every worker reads it through a shared `&`, which
 //!   is safe precisely because deliveries cannot change liveness or
 //!   epochs. Liveness changes only at the topology barrier between
-//!   segments: serially for narrow batches, or — since the store is
-//!   itself split into per-worker [`EdgeShard`]s — as disjoint `&mut`
-//!   slices applied in `(seq)` order on the pinned pool workers for wide
-//!   ones. The lower-id column is written only at pull and build time,
-//!   so a batch never touches a second endpoint.
+//!   segments, where each instant's batch is applied serially in `(seq)`
+//!   order. The store is indexed by node id, not sharded: a batch
+//!   touches only its edges' lower-endpoint rows, and the lower-id
+//!   column is written only at pull and build time.
 //!
 //! The node → shard assignment is round-robin by id. It affects only data
 //! layout, never semantics: traces are identical for every shard count
@@ -95,38 +95,72 @@ impl EdgeShared {
     }
 }
 
-/// One shard's slice of the canonical edge state: the rows and
-/// lower-neighbor ids of every node it owns, plus that shard's slice of
-/// the topology batch currently being applied. An `EdgeShard` is the
-/// unit the engine hands to a pool worker during a batched topology
-/// apply — each edge's row lives in exactly one shard (by lower
-/// endpoint), so per-shard application in `(seq)` order produces content
-/// bit-identical to the serial loop.
-#[derive(Debug, Default)]
-pub(crate) struct EdgeShard {
-    /// `rows[local(lo)]` = the entries of every edge `{lo, hi > lo}`,
-    /// sorted by `hi`.
-    rows: Vec<Vec<EdgeShared>>,
-    /// `lower[local(hi)]` = every `lo < hi` whose row holds an entry for
-    /// `{lo, hi}`, ascending (sticky like the entries themselves).
-    lower: Vec<Vec<NodeId>>,
-    /// This shard's slice of the current topology batch, in `(seq)`
-    /// order. Filled by the engine at the batch barrier, drained by
-    /// [`apply_batch`](Self::apply_batch); capacity is reused across
-    /// batches.
-    pub batch: Vec<(LinkChangeKind, Edge, u64)>,
+/// Heap bytes of a per-node column: its headers plus every node's entries.
+fn column_bytes<T>(column: &Vec<Vec<T>>) -> usize {
+    use std::mem::size_of;
+    column.capacity() * size_of::<Vec<T>>()
+        + column
+            .iter()
+            .map(|v| v.capacity() * size_of::<T>())
+            .sum::<usize>()
 }
 
-impl EdgeShard {
-    /// Applies one pulled topology change to this shard's slice of the
-    /// edge state. `edge.lo()` must be owned by this shard, and its entry
-    /// exists since the pull that assigned `version`.
+/// `v[i]`, first growing `v` with empty entries to cover `i` — per-node
+/// columns grow to the touched watermark instead of being sized to `n`.
+/// Capacity doubles as usual but never exceeds `max_len`, the node
+/// count.
+fn grown<T>(v: &mut Vec<Vec<T>>, i: usize, max_len: usize) -> &mut Vec<T> {
+    if i >= v.len() {
+        if i >= v.capacity() {
+            v.reserve_exact((i + 1).max(2 * v.capacity()).min(max_len) - v.len());
+        }
+        v.resize_with(i + 1, Vec::new);
+    }
+    &mut v[i]
+}
+
+/// The canonical edge state of the whole network — the engine's only
+/// record of the live edge set.
+///
+/// Entries appear when an edge first matters (initial set at build,
+/// churned edges at pull time) and add/remove deltas are applied per
+/// instant as the pulled events fire. Content is a function of the event
+/// stream alone — never of the worker count or of pull timing — which is
+/// why traces do not depend on the worker count.
+///
+/// Reads go through a shared reference during parallel segments; writes
+/// happen only at barriers between segments, on the coordinating thread.
+#[derive(Debug)]
+pub(crate) struct EdgeStore {
+    /// `rows[lo]` = the entries of every edge `{lo, hi > lo}`, sorted by
+    /// `hi`.
+    rows: Vec<Vec<EdgeShared>>,
+    /// `lower[hi]` = every `lo < hi` whose row holds an entry for
+    /// `{lo, hi}`, ascending (sticky like the entries themselves).
+    lower: Vec<Vec<NodeId>>,
+    /// Number of nodes; edges must lie within `0..n`.
+    n: usize,
+}
+
+impl EdgeStore {
+    /// An empty store over `n` nodes; nothing per node is allocated until
+    /// an edge touches it.
+    pub fn new(n: usize) -> Self {
+        EdgeStore {
+            rows: Vec::new(),
+            lower: Vec::new(),
+            n,
+        }
+    }
+
+    /// Applies one pulled topology change. The entry of `edge` exists
+    /// since the pull that assigned `version`.
     ///
     /// # Panics
     /// When the change contradicts the live edge set — adding a live edge
     /// or removing an absent one — i.e. the source broke its contract.
-    pub fn apply(&mut self, kind: LinkChangeKind, edge: Edge, version: u64, shard_count: usize) {
-        let row = &mut self.rows[edge.lo().index() / shard_count];
+    pub fn apply(&mut self, kind: LinkChangeKind, edge: Edge, version: u64) {
+        let row = &mut self.rows[edge.lo().index()];
         let i = row
             .binary_search_by_key(&edge.hi(), |e| e.neighbor)
             .expect("every pulled edge has an entry");
@@ -152,99 +186,6 @@ impl EdgeShard {
         }
     }
 
-    /// Drains [`batch`](Self::batch), applying every change in the order
-    /// it was pushed (queue-`seq` order — the engine fills batches from
-    /// the sorted instant). Runs on the shard's pinned pool worker
-    /// during a wide batch, inline otherwise; either way the resulting
-    /// edge state is identical.
-    pub fn apply_batch(&mut self, shard_count: usize) {
-        let batch = std::mem::take(&mut self.batch);
-        for &(kind, edge, version) in &batch {
-            self.apply(kind, edge, version, shard_count);
-        }
-        self.batch = batch;
-        self.batch.clear();
-    }
-
-    /// Heap bytes of this shard's rows and lower-neighbor ids.
-    fn heap_bytes(&self) -> usize {
-        column_bytes(&self.rows) + column_bytes(&self.lower)
-    }
-}
-
-/// Heap bytes of a per-node column: its headers plus every node's entries.
-fn column_bytes<T>(column: &Vec<Vec<T>>) -> usize {
-    use std::mem::size_of;
-    column.capacity() * size_of::<Vec<T>>()
-        + column
-            .iter()
-            .map(|v| v.capacity() * size_of::<T>())
-            .sum::<usize>()
-}
-
-/// `v[i]`, first growing `v` with empty entries to cover `i` — per-node
-/// columns grow to the touched watermark instead of being sized to `n`.
-/// Capacity doubles as usual but never exceeds `max_len`, the shard's
-/// node count.
-fn grown<T>(v: &mut Vec<Vec<T>>, i: usize, max_len: usize) -> &mut Vec<T> {
-    if i >= v.len() {
-        if i >= v.capacity() {
-            v.reserve_exact((i + 1).max(2 * v.capacity()).min(max_len) - v.len());
-        }
-        v.resize_with(i + 1, Vec::new);
-    }
-    &mut v[i]
-}
-
-/// The canonical edge state of the whole network — the engine's only
-/// record of the live edge set — sharded by the lower endpoint's owner
-/// so churn events route to the shard that owns them.
-///
-/// Entries appear when an edge first matters (initial set at build,
-/// churned edges at pull time) and add/remove deltas are applied per
-/// instant as the pulled events fire. Content is a function of the event
-/// stream alone — never of the shard count or of pull timing — which is
-/// why traces do not depend on the worker count.
-///
-/// Reads go through a shared reference during parallel segments; writes
-/// happen only at barriers between segments — serially for narrow
-/// topology batches, or split `&mut` per [`EdgeShard`] across the pool
-/// for wide ones (disjoint rows, so the borrow checker enforces what the
-/// old serial-only discipline promised).
-#[derive(Debug)]
-pub(crate) struct EdgeStore {
-    /// One [`EdgeShard`] per worker shard.
-    pub shards: Vec<EdgeShard>,
-    shard_count: usize,
-    /// Number of nodes; edges must lie within `0..n`.
-    n: usize,
-}
-
-impl EdgeStore {
-    /// An empty store over `n` nodes split into `shard_count` shards;
-    /// nothing per node is allocated until an edge touches it.
-    pub fn new(n: usize, shard_count: usize) -> Self {
-        assert!(shard_count >= 1);
-        EdgeStore {
-            shards: (0..shard_count).map(|_| EdgeShard::default()).collect(),
-            shard_count,
-            n,
-        }
-    }
-
-    /// The shard owning `edge`'s canonical row (its lower endpoint's).
-    #[inline]
-    pub fn shard_of(&self, edge: Edge) -> usize {
-        edge.lo().index() % self.shard_count
-    }
-
-    /// Applies one topology change serially (narrow-batch and stepped
-    /// paths; the wide path goes through [`EdgeShard::apply_batch`]).
-    pub fn apply(&mut self, kind: LinkChangeKind, edge: Edge, version: u64) {
-        let s = self.shard_of(edge);
-        self.shards[s].apply(kind, edge, version, self.shard_count);
-    }
-
     /// Marks an initial edge live at epoch 1, change-version 1.
     pub fn insert_initial(&mut self, edge: Edge) {
         let entry = self.entry(edge);
@@ -267,11 +208,7 @@ impl EdgeStore {
     /// past the touched watermark).
     #[inline]
     fn row(&self, u: NodeId) -> &[EdgeShared] {
-        let i = u.index();
-        self.shards[i % self.shard_count]
-            .rows
-            .get(i / self.shard_count)
-            .map_or(&[], Vec::as_slice)
+        self.rows.get(u.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The canonical state of `edge`, if any contact has happened.
@@ -287,11 +224,7 @@ impl EdgeStore {
     /// order: the lower neighbors (each entry found in that neighbor's
     /// row), then `u`'s own row.
     pub fn incident(&self, u: NodeId) -> impl Iterator<Item = (NodeId, &EdgeShared)> + '_ {
-        let i = u.index();
-        let lower = self.shards[i % self.shard_count]
-            .lower
-            .get(i / self.shard_count)
-            .map_or(&[][..], Vec::as_slice);
+        let lower = self.lower.get(u.index()).map_or(&[][..], Vec::as_slice);
         let lower = lower.iter().map(move |&v| {
             let row = self.row(v);
             let k = row
@@ -310,39 +243,25 @@ impl EdgeStore {
     /// When `edge` names a node `≥ n` — a source outside its node set,
     /// which would otherwise grow the per-node columns past `n`.
     fn entry(&mut self, edge: Edge) -> &mut EdgeShared {
-        let (count, n) = (self.shard_count, self.n);
+        let n = self.n;
         let (lo, hi) = (edge.lo().index(), edge.hi().index());
         assert!(hi < n, "edge {edge:?} out of range for n={n}");
-        // The largest shard owns ⌈n / count⌉ nodes: no column gets longer.
-        let max_local = n.div_ceil(count);
-        let row = grown(&mut self.shards[lo % count].rows, lo / count, max_local);
+        let row = grown(&mut self.rows, lo, n);
         let i = match row.binary_search_by_key(&edge.hi(), |e| e.neighbor) {
             Ok(i) => i,
             Err(i) => {
                 row.insert(i, EdgeShared::new(edge.hi()));
-                let lower = grown(&mut self.shards[hi % count].lower, hi / count, max_local);
+                let lower = grown(&mut self.lower, hi, n);
                 lower.insert(lower.partition_point(|&v| v < edge.lo()), edge.lo());
                 i
             }
         };
-        &mut self.shards[lo % count].rows[lo / count][i]
+        &mut self.rows[lo][i]
     }
 
     /// Heap bytes of the canonical edge state (topology plane meter).
-    /// Batch buffers are scratch, metered by
-    /// [`scratch_bytes`](Self::scratch_bytes) instead.
     pub fn heap_bytes(&self) -> usize {
-        self.shards.capacity() * std::mem::size_of::<EdgeShard>()
-            + self.shards.iter().map(EdgeShard::heap_bytes).sum::<usize>()
-    }
-
-    /// Heap bytes of the per-shard topology batch buffers (the
-    /// dispatch-scratch plane meter).
-    pub fn scratch_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.batch.capacity() * std::mem::size_of::<(LinkChangeKind, Edge, u64)>())
-            .sum()
+        column_bytes(&self.rows) + column_bytes(&self.lower)
     }
 }
 
@@ -373,8 +292,7 @@ impl<'a> GraphView<'a> {
     /// All edges currently up, in ascending `(lo, hi)` order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + 'a {
         let store: &'a EdgeStore = self.store;
-        let rows = store.shards.iter().map(|s| s.rows.len()).max().unwrap_or(0);
-        (0..rows * store.shard_count).flat_map(move |i| {
+        (0..store.rows.len()).flat_map(move |i| {
             let lo = NodeId::from_index(i);
             store
                 .row(lo)
@@ -871,9 +789,9 @@ mod tests {
     use gcs_net::node;
 
     #[test]
-    fn edge_store_routes_by_lower_endpoint_shard() {
-        let mut store = EdgeStore::new(10, 3);
-        let e = Edge::between(4, 7); // lo = 4 → shard 1, local 1
+    fn edge_store_rows_live_on_the_lower_endpoint() {
+        let mut store = EdgeStore::new(10);
+        let e = Edge::between(4, 7);
         assert!(store.find(e).is_none());
         store.entry(e).live = true;
         store.entry(e).epoch = 2;
@@ -886,15 +804,15 @@ mod tests {
         let row: Vec<NodeId> = store.row(node(4)).iter().map(|e| e.neighbor).collect();
         assert_eq!(row, vec![node(7), node(9)]);
         // Per-node columns cover the touched watermark only: node 4's
-        // row (local 1) and node 9's lower ids (shard 0, local 3).
-        assert_eq!(store.shards[1].rows.len(), 2);
-        assert_eq!(store.shards[0].lower.len(), 4);
-        assert!(store.shards[2].rows.is_empty() && store.shards[2].lower.is_empty());
+        // row and node 9's lower ids.
+        assert_eq!(store.rows.len(), 5);
+        assert_eq!(store.lower.len(), 10);
+        assert!(store.rows[..4].iter().all(Vec::is_empty));
     }
 
     #[test]
     fn incident_entries_come_from_both_endpoints_in_ascending_order() {
-        let mut store = EdgeStore::new(6, 2);
+        let mut store = EdgeStore::new(6);
         for (i, j) in [(3, 5), (0, 3), (3, 4), (1, 3)] {
             store.entry(Edge::between(i, j));
         }
@@ -907,7 +825,7 @@ mod tests {
 
     #[test]
     fn edge_versions_count_from_initial_presence() {
-        let mut store = EdgeStore::new(6, 2);
+        let mut store = EdgeStore::new(6);
         let seeded = Edge::between(0, 1);
         store.insert_initial(seeded);
         assert_eq!(store.find(seeded).unwrap().versions, 1);
@@ -917,48 +835,6 @@ mod tests {
         let fresh = Edge::between(2, 5);
         assert_eq!(store.next_version(fresh), 1);
         assert!(!store.find(fresh).unwrap().live, "pull does not apply");
-    }
-
-    #[test]
-    fn edge_shard_batch_apply_matches_serial() {
-        let changes = [
-            (LinkChangeKind::Removed, Edge::between(0, 1)),
-            (LinkChangeKind::Added, Edge::between(2, 5)),
-            (LinkChangeKind::Added, Edge::between(0, 1)),
-            (LinkChangeKind::Removed, Edge::between(2, 5)),
-        ];
-        let mut serial = EdgeStore::new(6, 2);
-        let mut batched = EdgeStore::new(6, 2);
-        let mut versions = Vec::new();
-        for store in [&mut serial, &mut batched] {
-            store.insert_initial(Edge::between(0, 1));
-            // The pull: entries and versions exist before any apply.
-            versions = changes
-                .iter()
-                .map(|&(_, e)| store.next_version(e))
-                .collect();
-        }
-        for (&(kind, edge), &version) in changes.iter().zip(&versions) {
-            serial.apply(kind, edge, version);
-        }
-        for (&(kind, edge), &version) in changes.iter().zip(&versions) {
-            let s = batched.shard_of(edge);
-            batched.shards[s].batch.push((kind, edge, version));
-        }
-        for s in &mut batched.shards {
-            s.apply_batch(2);
-        }
-        for e in [Edge::between(0, 1), Edge::between(2, 5)] {
-            let a = serial.find(e).expect("serial entry");
-            let b = batched.find(e).expect("batched entry");
-            assert_eq!(
-                (a.live, a.epoch, a.last_add_version, a.last_remove_version),
-                (b.live, b.epoch, b.last_add_version, b.last_remove_version),
-                "batched apply diverged on {e:?}"
-            );
-        }
-        assert!(batched.shards.iter().all(|s| s.batch.is_empty()));
-        assert!(batched.scratch_bytes() > 0, "batch capacity is retained");
     }
 
     #[test]

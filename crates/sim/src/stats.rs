@@ -73,7 +73,7 @@ pub struct SimStats {
     /// Widest topology batch applied (events in one instant's batch).
     /// Trace-relevant like [`topology_batches`](Self::topology_batches).
     pub peak_batch_len: u64,
-    /// Segments dispatched to the worker pool.
+    /// Segments forked across threads (`dispatch::fork_join`).
     /// **Scheduling only** — depends on the thread count and the
     /// parallel threshold, excluded from equality.
     pub segments_parallel: u64,

@@ -15,7 +15,7 @@ use gcs_sim::{
     Automaton, Context, DelayStrategy, FaultEvent, FaultSource, LinkChange, LinkChangeKind,
     Message, ModelParams, SimBuilder, TimerKind,
 };
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A flooding automaton: spreads the maximum `value` seen; logs everything
 /// it observes so tests can assert on the environment's behaviour.
@@ -493,6 +493,103 @@ fn uniform_discovery_above_d_rejected() {
     build_with_discovery(DiscoveryDelay::Uniform { lo: 0.5, hi: 2.5 });
 }
 
+/// Builds a two-node path under the delay strategy `delay` with `T = 1`.
+fn build_with_delay(delay: DelayStrategy) {
+    let schedule = TopologySchedule::static_graph(2, generators::path(2));
+    SimBuilder::topology(params(), ScheduleSource::new(schedule))
+        .delay(delay)
+        .build_with(|_| Flood::new(0.0, 0.5));
+}
+
+/// `{0,1}` mapped to `d`: a one-edge delay pattern.
+fn one_edge(d: f64) -> BTreeMap<Edge, f64> {
+    [(Edge::between(0, 1), d)].into_iter().collect()
+}
+
+#[test]
+#[should_panic(expected = "constant delay 5 outside [0, T = 1]")]
+fn constant_delay_above_t_rejected() {
+    build_with_delay(DelayStrategy::Constant(5.0));
+}
+
+#[test]
+#[should_panic(expected = "constant delay NaN outside [0, T = 1]")]
+fn non_finite_constant_delay_rejected() {
+    build_with_delay(DelayStrategy::Constant(f64::NAN));
+}
+
+#[test]
+#[should_panic(expected = "delay range [0.8, 0.2] outside 0 <= lo <= hi <= T = 1")]
+fn inverted_uniform_delay_rejected() {
+    build_with_delay(DelayStrategy::Uniform { lo: 0.8, hi: 0.2 });
+}
+
+#[test]
+#[should_panic(expected = "delay range [-0.5, 1] outside 0 <= lo <= hi <= T = 1")]
+fn negative_uniform_delay_rejected() {
+    build_with_delay(DelayStrategy::Uniform { lo: -0.5, hi: 1.0 });
+}
+
+#[test]
+#[should_panic(expected = "masked {n0,n1} delay 1.5 outside [0, T = 1]")]
+fn masked_pattern_above_t_rejected() {
+    build_with_delay(DelayStrategy::Masked {
+        pattern: one_edge(1.5),
+        default: Box::new(DelayStrategy::Max),
+    });
+}
+
+#[test]
+#[should_panic(expected = "delay range [0, 2] outside 0 <= lo <= hi <= T = 1")]
+fn masked_default_is_validated() {
+    build_with_delay(DelayStrategy::Masked {
+        pattern: one_edge(0.5),
+        default: Box::new(DelayStrategy::Uniform { lo: 0.0, hi: 2.0 }),
+    });
+}
+
+#[test]
+#[should_panic(expected = "delay layer vector has 1 entries for n = 2 nodes")]
+fn short_layer_vector_rejected() {
+    build_with_delay(DelayStrategy::Layered {
+        layer: vec![0],
+        constrained: one_edge(0.5),
+        intra: 0.0,
+    });
+}
+
+#[test]
+#[should_panic(expected = "constrained {n0,n1} delay -1 outside [0, T = 1]")]
+fn layered_constrained_delay_below_zero_rejected() {
+    build_with_delay(DelayStrategy::Layered {
+        layer: vec![0, 1],
+        constrained: one_edge(-1.0),
+        intra: 0.0,
+    });
+}
+
+#[test]
+#[should_panic(expected = "intra-layer delay 3 outside [0, T = 1]")]
+fn beta_layered_intra_delay_above_t_rejected() {
+    build_with_delay(DelayStrategy::BetaLayered {
+        layer: vec![0, 0],
+        constrained: one_edge(0.5),
+        rho: 0.01,
+        intra: 3.0,
+    });
+}
+
+#[test]
+#[should_panic(expected = "beta drift bound rho = -0.01 must be finite and >= 0")]
+fn beta_layered_negative_rho_rejected() {
+    build_with_delay(DelayStrategy::BetaLayered {
+        layer: vec![0, 1],
+        constrained: one_edge(0.5),
+        rho: -0.01,
+        intra: 0.0,
+    });
+}
+
 /// A hand-written source over 4 nodes that hands the engine `initial`
 /// and `events` verbatim — no validation — so each test can break one
 /// clause of the pull contract.
@@ -528,8 +625,8 @@ impl TopologySource for Scripted {
 }
 
 /// Builds a simulator over `source` with `threads` workers (the parallel
-/// threshold at 1, so every topology batch on two or more shards goes to
-/// the pool) and runs it to `t = 10`.
+/// threshold at 1, so at two or more threads every segment between the
+/// topology batches is forked) and runs it to `t = 10`.
 fn run_scripted(source: impl TopologySource + 'static, threads: usize) {
     let mut sim = SimBuilder::topology(params(), source)
         .threads(threads)
@@ -566,8 +663,7 @@ fn pulled_edge_beyond_n_rejected() {
     run_scripted(source, 1);
 }
 
-/// Re-adds the live initial edge `{1,2}` (owned by shard 1 of 2, so the
-/// multi-thread case applies it on a pool worker, not the caller).
+/// Re-adds the live initial edge `{1,2}`.
 fn double_add() -> Scripted {
     Scripted::new(
         vec![Edge::between(1, 2)],
@@ -575,7 +671,7 @@ fn double_add() -> Scripted {
     )
 }
 
-/// Removes `{1,3}`, which never came up (also owned by shard 1 of 2).
+/// Removes `{1,3}`, which never came up.
 fn absent_remove() -> Scripted {
     Scripted::new(
         vec![Edge::between(1, 2)],
@@ -591,7 +687,7 @@ fn double_add_rejected() {
 
 #[test]
 #[should_panic(expected = "edge {n1,n2} already present")]
-fn double_add_rejected_on_the_pool() {
+fn double_add_rejected_at_two_threads() {
     run_scripted(double_add(), 2);
 }
 
@@ -603,7 +699,7 @@ fn absent_remove_rejected() {
 
 #[test]
 #[should_panic(expected = "edge {n1,n3} not present")]
-fn absent_remove_rejected_on_the_pool() {
+fn absent_remove_rejected_at_two_threads() {
     run_scripted(absent_remove(), 2);
 }
 

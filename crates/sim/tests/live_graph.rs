@@ -3,9 +3,9 @@
 //! edges, every node's neighbors and edge membership equal
 //! `TopologySchedule::edges_at`.
 //!
-//! At three threads (parallel threshold 1) edges spread over three edge
-//! shards and every batch applies on the pool, so a neighbor query for a
-//! higher endpoint reads its lower neighbors' rows in other shards.
+//! At three threads (parallel threshold 1) every segment is forked over
+//! three node shards while batches apply to the one edge store, and a
+//! neighbor query for a higher endpoint reads its lower neighbors' rows.
 
 use gcs_clocks::time::at;
 use gcs_clocks::Time;

@@ -1,14 +1,12 @@
-//! Lifecycle and boundary-invariance tests for the persistent
-//! shard-resident worker pool.
+//! Panic and boundary-invariance tests for parallel segment dispatch.
 //!
-//! The pool is an *execution backend*, not a semantic feature: its
-//! observable contract is (a) workers spawn once and are reused across
-//! `run_until` calls, (b) dropping a simulator never hangs, (c) a panic
-//! inside a shard worker fails the run loudly with the original payload,
-//! and (d) no combination of thread count, parallel threshold, or
-//! `run_until` split points ever changes the trace. The last
-//! point is also covered at scale by `crates/bench/tests/determinism.rs`;
-//! here a proptest sweeps random small configurations.
+//! Forking a wide segment across threads is an *execution backend*, not
+//! a semantic feature: its observable contract is (a) a panic inside a
+//! forked job fails the run loudly with the original payload, and (b) no
+//! combination of thread count, parallel threshold, or `run_until` split
+//! points ever changes the trace. The last point is also covered at scale
+//! by `crates/bench/tests/determinism.rs`; here a proptest sweeps random
+//! small configurations.
 
 use gcs_clocks::time::at;
 use gcs_net::schedule::{add_at, remove_at};
@@ -80,7 +78,8 @@ fn params() -> ModelParams {
 }
 
 /// Ring of `n` plus bursts of chord churn where many link changes share
-/// one instant — the shape the batched sharded topology apply targets.
+/// one instant — wide topology batches followed by wide discovery
+/// segments.
 fn churn_schedule(n: usize) -> TopologySchedule {
     let mut events = Vec::new();
     for (round, &t) in [1.0, 2.0, 3.0].iter().enumerate() {
@@ -103,57 +102,6 @@ fn gossip_sim(n: usize, threads: usize, par_min: usize, seed: u64) -> Simulator<
         .threads(threads)
         .par_threshold(par_min)
         .build_with(|i| Gossip::new(i as f64))
-}
-
-#[test]
-fn pool_spawns_once_and_is_reused_across_runs() {
-    let mut sim = gossip_sim(32, 4, 1, 7);
-    // `on_start` dispatch at build time is serial: no pool yet.
-    assert_eq!(sim.telemetry().pool_lanes, 0);
-    assert_eq!(sim.telemetry().pool_spawns, 0);
-
-    sim.run_until(at(1.5));
-    assert!(
-        sim.telemetry().pool_lanes >= 2,
-        "pool spawned with OS workers"
-    );
-    assert_eq!(
-        sim.telemetry().pool_spawns,
-        1,
-        "pool spawned lazily, exactly once"
-    );
-    let jobs_after_first = sim.telemetry().pool_jobs;
-    assert!(jobs_after_first > 0, "segments ran on the pool");
-
-    sim.run_until(at(3.5));
-    assert_eq!(
-        sim.telemetry().pool_spawns,
-        1,
-        "second run reuses the live workers"
-    );
-    assert!(
-        sim.telemetry().pool_jobs > jobs_after_first,
-        "reused workers kept taking jobs"
-    );
-
-    let stats = sim.stats();
-    assert!(stats.segments_parallel > 0);
-    assert!(stats.topology_batches > 0);
-    assert!(
-        stats.peak_batch_len > 1,
-        "churn bursts batched whole instants"
-    );
-}
-
-#[test]
-fn dropping_a_simulator_mid_run_joins_workers() {
-    let mut sim = gossip_sim(24, 4, 1, 11);
-    sim.run_until(at(0.6));
-    assert!(
-        sim.telemetry().pool_lanes > 0,
-        "pool must be live before the drop"
-    );
-    drop(sim); // must join all workers and return — a hang fails via test timeout
 }
 
 /// Detonates on its first alarm; used to prove worker panics surface.

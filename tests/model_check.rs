@@ -10,6 +10,8 @@ use gradient_clock_sync::core::GradientNode;
 use gradient_clock_sync::mc::explore::{explore_suite, suite, trace_of_trail};
 use gradient_clock_sync::mc::mutant::{smoke_run, Mutation};
 use gradient_clock_sync::mc::{fuzz, replay_trace, Trace};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Explores `suite(n)` and asserts every scenario is clean and explores
 /// exactly its recorded `(name, states, runs, max depth)`.
@@ -84,6 +86,34 @@ fn exported_trace_replays_bit_identical_through_the_engine() {
         replay_trace(&parsed, threads)
             .unwrap_or_else(|e| panic!("replay diverged at {threads} threads: {e}"));
     }
+}
+
+/// Engine↔model conformance: 50 seeded random trails per scenario of
+/// every CI suite (n = 2 to 4, 21 scenarios), each exported as a trace
+/// and replayed through the engine at one thread and across two node
+/// shards.
+#[test]
+fn random_trails_of_every_suite_replay_through_the_engine() {
+    let mut rng = StdRng::seed_from_u64(2009);
+    let mut scenarios = 0;
+    for n in 2..=4 {
+        for sc in suite(n) {
+            scenarios += 1;
+            let arity = sc.delay_choices.len();
+            for _ in 0..50 {
+                // Longer than any run's decision count (at most 17); the
+                // model ignores the unused tail.
+                let trail = (0..24).map(|_| rng.gen_range(0..arity)).collect();
+                let (trace, _) = trace_of_trail(&sc, |_| GradientNode::new(sc.algo), trail);
+                for threads in [1usize, 2] {
+                    replay_trace(&trace, threads).unwrap_or_else(|e| {
+                        panic!("{} diverged at {threads} threads: {e}", sc.name)
+                    });
+                }
+            }
+        }
+    }
+    assert_eq!(scenarios, 21);
 }
 
 #[test]
