@@ -86,7 +86,7 @@ impl GradientShared {
 }
 
 /// One node running Algorithm 2.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct GradientNode {
     shared: Arc<GradientShared>,
     /// `L_u`.
@@ -110,6 +110,46 @@ pub struct GradientNode {
     weights: Option<Box<FlatMap<f64>>>,
     /// True while idle parking holds the tick timer disarmed.
     parked: bool,
+}
+
+impl Clone for GradientNode {
+    fn clone(&self) -> Self {
+        GradientNode {
+            shared: Arc::clone(&self.shared),
+            l: self.l,
+            lmax: self.lmax,
+            gamma: self.gamma.clone(),
+            upsilon: self.upsilon.clone(),
+            jumps: self.jumps,
+            weights: self.weights.clone(),
+            parked: self.parked,
+        }
+    }
+
+    /// Copies `source` into `self`'s neighbor arrays, allocating only
+    /// where one is too small (the model checker copies nodes at every
+    /// explored state). The exhaustive destructuring makes a new field
+    /// fail to compile until it is copied here.
+    fn clone_from(&mut self, source: &Self) {
+        let GradientNode {
+            shared,
+            l,
+            lmax,
+            gamma,
+            upsilon,
+            jumps,
+            weights,
+            parked,
+        } = source;
+        self.shared.clone_from(shared);
+        self.l = *l;
+        self.lmax = *lmax;
+        self.gamma.clone_from(gamma);
+        self.upsilon.clone_from(upsilon);
+        self.jumps = *jumps;
+        self.weights.clone_from(weights);
+        self.parked = *parked;
+    }
 }
 
 impl GradientNode {

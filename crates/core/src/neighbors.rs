@@ -28,10 +28,23 @@ use gcs_net::NodeId;
 
 /// A map from [`NodeId`] to `T` backed by a compact entry array sorted by
 /// node id. Iteration order is ascending node id.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct FlatMap<T> {
     /// Compact, sorted by node id.
     entries: Vec<(NodeId, T)>,
+}
+
+impl<T: Clone> Clone for FlatMap<T> {
+    fn clone(&self) -> Self {
+        FlatMap {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Reuses `self`'s entry array.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
 }
 
 impl<T> FlatMap<T> {
@@ -120,9 +133,22 @@ impl<T> FlatMap<T> {
 
 /// A set of [`NodeId`]s with the same sorted compact layout as
 /// [`FlatMap`]. Iteration order is ascending node id.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct IdSet {
     items: Vec<NodeId>,
+}
+
+impl Clone for IdSet {
+    fn clone(&self) -> Self {
+        IdSet {
+            items: self.items.clone(),
+        }
+    }
+
+    /// Reuses `self`'s member array.
+    fn clone_from(&mut self, source: &Self) {
+        self.items.clone_from(&source.items);
+    }
 }
 
 impl IdSet {

@@ -22,14 +22,13 @@
 //!
 //! # Checkpointed resumption
 //!
-//! A trail does not re-execute its prefix from time 0. A run snapshots
-//! its `(Model, Oracle, decision record)` at every instant boundary it
-//! continues past, after that state has passed the oracle and entered the
-//! seen set; the time-0 state of [`Model::new`] is the root snapshot. A
-//! trail that branches at decision `j` resumes from the latest snapshot
-//! of the run that pushed it taken with at most `j` decisions made — the
-//! start of the instant in which decision `j` was drawn — and re-executes
-//! only the rest of that instant.
+//! A trail does not re-execute its prefix from time 0. A *boundary* is
+//! the point between two instants where the run callback checks, encodes
+//! and records the state; the time-0 state of [`Model::new`] is the root
+//! snapshot. A trail that branches at decision `j` resumes from the
+//! latest boundary of the run that pushed it with at most `j` decisions
+//! made — the start of the instant in which decision `j` was drawn — and
+//! re-executes only the rest of that instant.
 //!
 //! Resuming is sound because a run is a deterministic function of its
 //! decisions. A replay from time 0 along the same forced prefix would
@@ -42,6 +41,18 @@
 //! checked and inserted, so it is skipped. The root is the exception: no
 //! callback ever saw the time-0 state.
 //!
+//! Only *free* decisions — those past the trail's forced prefix — get
+//! their untaken siblings scheduled, so a boundary is resumed from only
+//! if a free decision is drawn after it and before the next boundary the
+//! run continues past (every later decision has a later latest
+//! boundary). A run therefore copies each boundary it continues past
+//! into one reused buffer, and at the next callback keeps the copy as a
+//! snapshot only if the decision count has grown past both the copy's
+//! and the trail's forced length; otherwise the next boundary overwrites
+//! it. The snapshots kept, the trails pushed and their order are those
+//! of copying every boundary. The run's own model is refilled from each
+//! trail's snapshot in place.
+//!
 //! Snapshots are shared through `Rc` by the trails that branch in the
 //! instant following them and dropped with the last of those trails, so
 //! the live snapshots are bounded by the trails on the stack.
@@ -49,8 +60,9 @@
 //! # Seen-state pruning
 //!
 //! After each instant the model's canonical encoding ([`Model::encode`])
-//! is hashed twice with independent 64-bit FNV-1a variants and inserted
-//! into a seen set. A run may stop early at a previously-seen state —
+//! is digested into a 128-bit key — two independent 64-bit lanes that
+//! each absorb one word per folded multiply — and inserted into a seen
+//! set. A run may stop early at a previously-seen state —
 //! different delay paths frequently converge (e.g. once every in-flight
 //! message is delivered and the queue shape matches) — but **only once
 //! it has made at least one free decision** (`decisions ≥ forced.len()`):
@@ -60,7 +72,9 @@
 //! complete dynamic state (nodes, timers, peers, edges, cursors, pending
 //! queue): identical encodings have identical futures given identical
 //! remaining decisions, and those futures were enumerated from the first
-//! visit.
+//! visit. On every `n = 2` scenario a test enumerates the unpruned tree
+//! and finds as many distinct encodings as distinct digests and explored
+//! states.
 //!
 //! Every instant of every run is also fed to the [`Oracle`]; the first
 //! violation aborts the search and is packaged as an ITF trace.
@@ -88,24 +102,29 @@ pub struct Report {
     pub violation: Option<(Trace, String)>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Second-stream basis: FNV-1a over a different offset keeps the two
-/// 64-bit digests independent enough for a 128-bit effective key.
-const FNV_OFFSET_ALT: u64 = 0x6c62_272e_07bb_0142;
+/// The lanes' multipliers: wyhash's first two secrets, odd and distinct.
+const LANE_A: u64 = 0xa076_1d64_78bd_642f;
+const LANE_B: u64 = 0xe703_7ed1_a0b4_28db;
 
-/// Both seen-set digests of `words` in one pass: 64-bit FNV-1a over the
-/// little-endian bytes from [`FNV_OFFSET`] and from [`FNV_OFFSET_ALT`].
-/// The two multiply chains are independent, so they overlap in the CPU.
+/// wyhash's folded multiply: the 128-bit product's halves XORed.
+fn mum(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// The 128-bit seen-set digest of `words`: two independent 64-bit lanes,
+/// each starting from the other's multiplier and absorbing one word per
+/// step through a folded multiply — the second lane under its own
+/// multiplier and a rotated word — with the word count folded in at the
+/// end.
 fn digest(words: &[u64]) -> (u64, u64) {
-    let (mut a, mut b) = (FNV_OFFSET, FNV_OFFSET_ALT);
+    let (mut a, mut b) = (LANE_B, LANE_A);
     for &w in words {
-        for byte in w.to_le_bytes() {
-            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
+        a = mum(a ^ w, LANE_A);
+        b = mum(b ^ w.rotate_left(32), LANE_B);
     }
-    (a, b)
+    let len = words.len() as u64;
+    (mum(a ^ len, LANE_A), mum(b ^ len, LANE_B))
 }
 
 /// A state trails resume from (see the module docs).
@@ -123,7 +142,7 @@ struct Snapshot<N: ModelNode> {
 ///
 /// `make` builds the nodes of the time-0 state, once per node; it is
 /// called again only to export a violation's trace. Every other run
-/// resumes from a cloned snapshot.
+/// resumes from a copy of a snapshot.
 ///
 /// `max_runs` is a safety valve against mis-sized scenarios: the search
 /// panics once it would execute more runs than that, rather than burning
@@ -141,9 +160,6 @@ pub fn explore<N: ModelNode>(
         checked: false,
     };
     let mut seen: HashSet<(u64, u64)> = HashSet::new();
-    // Pending trails: the snapshot each resumes from, and its forced
-    // choices from decision 0.
-    let mut stack: Vec<(Rc<Snapshot<N>>, Vec<usize>)> = vec![(Rc::new(root), Vec::new())];
     let mut report = Report {
         scenario: sc.name.clone(),
         runs: 0,
@@ -152,9 +168,21 @@ pub fn explore<N: ModelNode>(
         violation: None,
     };
     let mut scratch = Vec::new();
-    // `(decisions made, model, oracle)` at every boundary the current run
-    // continued past, in run order.
+    // The run's own state and decision record, refilled from each
+    // trail's snapshot.
+    let mut model = root.model.clone();
+    let mut oracle = root.oracle.clone();
+    let mut record = Vec::new();
+    // A copy of the last boundary the current run continued past, and
+    // its decision count while that copy is current.
+    let mut spare: Option<(Model<N>, Oracle)> = None;
+    let mut held: Option<usize> = None;
+    // `(decisions made, model, oracle)` at every boundary of the current
+    // run that a trail resumes from, in run order.
     let mut taken: Vec<(usize, Model<N>, Oracle)> = Vec::new();
+    // Pending trails: the snapshot each resumes from, and its forced
+    // choices from decision 0.
+    let mut stack: Vec<(Rc<Snapshot<N>>, Vec<usize>)> = vec![(Rc::new(root), Vec::new())];
     while let Some((mut from, forced)) = stack.pop() {
         report.runs += 1;
         assert!(
@@ -164,16 +192,20 @@ pub fn explore<N: ModelNode>(
             max_runs
         );
         let forced_len = forced.len();
-        let mut model = from.model.clone();
-        let mut oracle = from.oracle.clone();
-        let mut decider = DelayDecider::Trail {
-            forced,
-            record: from.record.clone(),
-        };
+        model.clone_from(&from.model);
+        oracle.clone_from(&from.oracle);
+        record.clone_from(&from.record);
+        let mut decider = DelayDecider::Trail { forced, record };
         let mut skip = from.checked;
         model.run(sc.horizon, &mut decider, |m, decisions| {
             if std::mem::take(&mut skip) {
                 return true;
+            }
+            // The held boundary is a resumption point iff a free decision
+            // was drawn after it (see module docs).
+            if let Some(d) = held.take().filter(|&d| decisions > d.max(forced_len)) {
+                let (copy, copy_oracle) = spare.take().expect("a held boundary has a copy");
+                taken.push((d, copy, copy_oracle));
             }
             if !oracle.check(m) {
                 return false;
@@ -185,13 +217,22 @@ pub fn explore<N: ModelNode>(
             // did not force — see module docs for the soundness argument.
             let go_on = fresh || decisions < forced_len;
             if go_on {
-                taken.push((decisions, m.clone(), oracle.clone()));
+                match &mut spare {
+                    Some((copy, copy_oracle)) => {
+                        copy.clone_from(m);
+                        copy_oracle.clone_from(&oracle);
+                    }
+                    None => spare = Some((m.clone(), oracle.clone())),
+                }
+                held = Some(decisions);
             }
             go_on
         });
-        let DelayDecider::Trail { record, .. } = decider else {
+        held = None;
+        let DelayDecider::Trail { record: done, .. } = decider else {
             unreachable!("explore uses trail deciders");
         };
+        record = done;
         report.max_depth = report.max_depth.max(record.len());
         if let Some(v) = oracle.violation() {
             // Re-run the violating path from time 0, collecting the
@@ -203,15 +244,14 @@ pub fn explore<N: ModelNode>(
             return report;
         }
         // Schedule the untaken siblings of every free decision, each
-        // resuming from the start of the instant that drew it.
+        // resuming from the start of the instant that drew it: the kept
+        // boundary with the most decisions `<= j` (kept boundaries have
+        // strictly growing decision counts, all but the first above
+        // `forced_len`, so it is the next one once `j` reaches it).
         let mut boundaries = taken.drain(..).peekable();
         for (j, &(arity, chosen)) in record.iter().enumerate().skip(forced_len) {
             debug_assert_eq!(chosen, 0, "free decisions default to choice 0");
-            let mut latest = None;
-            while let Some(b) = boundaries.next_if(|&(d, ..)| d <= j) {
-                latest = Some(b);
-            }
-            if let Some((d, model, oracle)) = latest {
+            if let Some((d, model, oracle)) = boundaries.next_if(|&(d, ..)| d <= j) {
                 from = Rc::new(Snapshot {
                     model,
                     oracle,
@@ -462,28 +502,71 @@ mod tests {
         assert!(msg.contains("Property 6.3"), "{msg}");
     }
 
-    /// Reference FNV-1a-64: one byte-wise pass from `basis`.
-    fn fnv1a(basis: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-        bytes
-            .into_iter()
-            .fold(basis, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// FNV-1a-64 of `bytes`: the recorded trace-JSON hashes below.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(FNV_OFFSET, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        })
     }
 
+    /// Runs every leaf of `sc`'s decision tree from time 0, unpruned, and
+    /// returns the exact encodings of every state a run callback sees, and
+    /// the leaf count.
+    fn reachable_encodings(sc: &Scenario) -> (HashSet<Vec<u64>>, usize) {
+        let make = |_| GradientNode::new(sc.algo);
+        let mut encodings = HashSet::new();
+        let mut leaves = 0;
+        let mut trails = vec![Vec::new()];
+        while let Some(forced) = trails.pop() {
+            leaves += 1;
+            let forced_len = forced.len();
+            let mut decider = DelayDecider::trail(forced);
+            Model::new(sc, make).run(sc.horizon, &mut decider, |m, _| {
+                let mut words = Vec::new();
+                m.encode(&mut words);
+                encodings.insert(words);
+                true
+            });
+            let DelayDecider::Trail { record, .. } = decider else {
+                unreachable!("a trail decider");
+            };
+            for (j, &(arity, _)) in record.iter().enumerate().skip(forced_len) {
+                for alt in 1..arity {
+                    let mut trail: Vec<usize> = record[..j].iter().map(|&(_, c)| c).collect();
+                    trail.push(alt);
+                    trails.push(trail);
+                }
+            }
+        }
+        (encodings, leaves)
+    }
+
+    /// On every n = 2 scenario, the distinct exact encodings of the
+    /// unpruned tree, their distinct digests and the explorer's state
+    /// count agree: the digest has no collision there, and pruning plus
+    /// checkpointed resumption visit exactly the reachable states.
     #[test]
-    fn fused_digest_equals_two_separate_fnv1a_passes() {
-        let two_passes = |words: &[u64]| {
-            let bytes = || words.iter().flat_map(|w| w.to_le_bytes());
-            (fnv1a(FNV_OFFSET, bytes()), fnv1a(FNV_OFFSET_ALT, bytes()))
-        };
-        assert_eq!(digest(&[]), two_passes(&[]));
-        let sc = &suite(3)[0];
-        let mut model = Model::new(sc, |_| GradientNode::new(sc.algo));
-        let mut decider = DelayDecider::trail(vec![1, 0, 1, 1]);
-        model.run(sc.horizon / 2.0, &mut decider, |_, _| true);
-        let mut words = Vec::new();
-        model.encode(&mut words);
-        assert!(words.len() > 100, "a mid-run state with messages in flight");
-        assert_eq!(digest(&words), two_passes(&words));
+    fn digest_and_pruned_exploration_are_exact_on_the_n2_suite() {
+        let mut leaves = 0;
+        for sc in suite(2) {
+            let (encodings, sc_leaves) = reachable_encodings(&sc);
+            leaves += sc_leaves;
+            let digests: HashSet<(u64, u64)> = encodings.iter().map(|w| digest(w)).collect();
+            let explored = explore(&sc, |_| GradientNode::new(sc.algo), 1_000_000).states;
+            assert_eq!(
+                (encodings.len(), digests.len()),
+                (explored, explored),
+                "{}",
+                sc.name
+            );
+        }
+        assert!(
+            leaves > 2_000,
+            "the unpruned n = 2 trees have {leaves} leaves"
+        );
     }
 
     #[test]
@@ -517,7 +600,7 @@ mod tests {
             assert!(msg.contains("Property 6.3"), "{name}: {msg}");
             let json = trace.to_json();
             assert_eq!(
-                (json.len(), fnv1a(FNV_OFFSET, json.bytes())),
+                (json.len(), fnv1a(json.bytes())),
                 (json_len, json_fnv),
                 "{name}"
             );

@@ -58,6 +58,7 @@ where
     let mut instants_checked = 0u64;
     for iter in 0..iterations {
         let sc = random_scenario(&mut rng, iter);
+        sc.validate();
         let mut factory = mk(&sc);
         let mut model = Model::new(&sc, &mut factory);
         let mut oracle = Oracle::new(sc.algo.n);
@@ -133,13 +134,15 @@ fn random_scenario(rng: &mut StdRng, iter: usize) -> Scenario {
     }
 }
 
-/// Scripted re-run returning the violation (if still present).
+/// Scripted re-run returning the violation (if still present). Every
+/// shrinking candidate must still validate.
 fn rerun<N, F, G>(sc: &Scenario, delays: &[f64], mk: &F) -> Option<Violation>
 where
     N: ModelNode,
     F: Fn(&Scenario) -> G,
     G: FnMut(usize) -> N,
 {
+    sc.validate();
     let mut factory = mk(sc);
     let mut model = Model::new(sc, &mut factory);
     let mut oracle = Oracle::new(sc.algo.n);
@@ -170,9 +173,17 @@ where
         }
     }
     // 2. Drop fault events one at a time (repeat until no drop helps).
-    prune_events(&mut sc, &delays, mk, |sc| &mut sc.faults);
-    // 3. Drop topology events one at a time.
-    prune_events(&mut sc, &delays, mk, |sc| &mut sc.topology);
+    prune_events(&mut sc, &delays, mk, |sc| &mut sc.faults, |_, _| false);
+    // 3. Drop topology events one at a time, each with the later events
+    //    of its edge, so the log still alternates add and remove per edge
+    //    (the engine rejects any other log at replay).
+    prune_events(
+        &mut sc,
+        &delays,
+        mk,
+        |sc| &mut sc.topology,
+        |dropped, ev| ev.edge == dropped.edge && ev.time > dropped.time,
+    );
     // 4. Snap each delay to 0, else to T.
     let t = sc.algo.model.t;
     for i in 0..delays.len() {
@@ -208,20 +219,26 @@ where
     )
 }
 
-/// Removes every event (selected by `field`) whose removal preserves the
-/// violation.
-fn prune_events<N, F, G, S, E>(sc: &mut Scenario, delays: &[f64], mk: &F, field: S)
-where
+/// Removes every event (selected by `field`), together with the events
+/// `tied` to it, whose removal preserves the violation.
+fn prune_events<N, F, G, S, E>(
+    sc: &mut Scenario,
+    delays: &[f64],
+    mk: &F,
+    field: S,
+    tied: impl Fn(&E, &E) -> bool,
+) where
     N: ModelNode,
     F: Fn(&Scenario) -> G,
     G: FnMut(usize) -> N,
     S: Fn(&mut Scenario) -> &mut Vec<E>,
-    E: Clone,
 {
     let mut i = 0;
     while i < field(sc).len() {
         let mut candidate = sc.clone();
-        field(&mut candidate).remove(i);
+        let events = field(&mut candidate);
+        let dropped = events.remove(i);
+        events.retain(|ev| !tied(&dropped, ev));
         if rerun(&candidate, delays, mk).is_some() {
             *sc = candidate;
         } else {
@@ -285,5 +302,33 @@ mod tests {
             trace.delays
         );
         assert_eq!(trace.violation.as_deref(), Some(message.as_str()));
+    }
+
+    #[test]
+    fn shrinking_churn_keeps_a_valid_topology_log() {
+        // Churn the mutant's edge early: the violation needs neither
+        // event, so both go, the removal taking its edge's later add
+        // with it (an add of the live edge alone would not replay).
+        let mut sc = smoke_scenario(Mutation::LmaxOverwrite);
+        let edge = sc.initial_edges[0];
+        sc.topology = vec![
+            gcs_net::TopologyEvent::remove_at(0.3, edge),
+            gcs_net::TopologyEvent::add_at(0.6, edge),
+        ];
+        sc.validate();
+        let mk = |sc: &Scenario| {
+            let algo = sc.algo;
+            move |_| MutantNode::new(algo, Mutation::LmaxOverwrite)
+        };
+        let mut model = Model::new(&sc, mk(&sc));
+        let mut oracle = Oracle::new(sc.algo.n);
+        let mut decider = DelayDecider::random(7, sc.algo.model.t);
+        model.run(sc.horizon, &mut decider, |m, _| oracle.check(m));
+        let DelayDecider::Random { record, .. } = decider else {
+            unreachable!()
+        };
+        let (trace, message) = shrink(&sc, record, &mk);
+        assert!(message.contains("Property 6.3"), "{message}");
+        assert!(trace.topology.is_empty(), "{:?}", trace.topology);
     }
 }

@@ -25,7 +25,7 @@
 
 use gcs_clocks::{Duration, HardwareClock, Time};
 use gcs_core::GradientNode;
-use gcs_net::schedule::TopologyEventKind;
+use gcs_net::schedule::{TopologyEventKind, TopologySchedule};
 use gcs_net::{Edge, NodeId, TopologyEvent};
 use gcs_sim::{
     Action, Automaton, Context, FaultEvent, FaultKind, LinkChange, LinkChangeKind, Message,
@@ -33,7 +33,7 @@ use gcs_sim::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One bounded-model-checking configuration: the closed world the
 /// explorer enumerates decision interleavings in.
@@ -75,24 +75,27 @@ impl Scenario {
             self.initial_edges.windows(2).all(|w| w[0] < w[1]),
             "initial edges must be sorted and distinct"
         );
-        for e in &self.initial_edges {
-            assert!(e.hi().index() < n, "edge endpoint out of range");
-        }
         assert!(
             self.topology
                 .windows(2)
                 .all(|w| (w[0].time, w[0].edge) <= (w[1].time, w[1].edge)),
             "topology events must be sorted by (time, edge)"
         );
+        // The engine's own validator of the event-log rules: endpoints
+        // `< n`, times `> 0`, adds of absent and removals of present edges.
+        TopologySchedule::new(n, self.initial_edges.iter().copied(), self.topology.clone());
         assert!(
             self.faults.windows(2).all(|w| w[0].time <= w[1].time),
             "fault events must be sorted by time"
         );
         for f in &self.faults {
             assert!(f.time > Time::ZERO, "faults occur after time 0");
+            let (FaultKind::Crash { node } | FaultKind::Restart { node }) = f.kind else {
+                panic!("the model supports crash/restart faults only");
+            };
             assert!(
-                matches!(f.kind, FaultKind::Crash { .. } | FaultKind::Restart { .. }),
-                "the model supports crash/restart faults only"
+                node.index() < n,
+                "fault victim {node:?} out of range for n={n}"
             );
         }
         assert!(!self.delay_choices.is_empty(), "need at least one delay");
@@ -183,7 +186,11 @@ impl DelayDecider {
             DelayDecider::Trail { forced, record } => {
                 let pos = record.len();
                 let chosen = forced.get(pos).copied().unwrap_or(0);
-                debug_assert!(chosen < choices.len(), "forced choice out of range");
+                assert!(
+                    chosen < choices.len(),
+                    "decision {pos}: forced choice {chosen} out of range for {} delay choices",
+                    choices.len()
+                );
                 record.push((choices.len(), chosen));
                 choices[chosen]
             }
@@ -318,41 +325,51 @@ impl QueuedEv {
 }
 
 /// The model's event queue: same total order as the engine's wheel —
-/// `(time, class, seq)` with `seq` assigned at push.
-#[derive(Clone, Debug, Default)]
+/// `(time, class, seq)` with `seq` assigned at push. The events are kept
+/// sorted by that key, so the earliest instant is a prefix.
+#[derive(Debug, Default)]
 struct ModelQueue {
     events: Vec<QueuedEv>,
     next_seq: u64,
+}
+
+impl Clone for ModelQueue {
+    fn clone(&self) -> Self {
+        ModelQueue {
+            events: self.events.clone(),
+            next_seq: self.next_seq,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let ModelQueue { events, next_seq } = source;
+        self.events.clone_from(events);
+        self.next_seq = *next_seq;
+    }
 }
 
 impl ModelQueue {
     fn push(&mut self, time: Time, payload: Payload) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.events.push(QueuedEv { time, seq, payload });
+        let ev = QueuedEv { time, seq, payload };
+        let at = self.events.partition_point(|e| e.key() < ev.key());
+        self.events.insert(at, ev);
     }
 
     fn peek_time(&self) -> Option<Time> {
-        self.events.iter().map(|e| e.time).min()
+        self.events.first().map(|e| e.time)
     }
 
-    /// Removes and returns every event at the earliest pending time, in
-    /// `(class, seq)` order — the engine's `pop_instant`. Events pushed
-    /// afterwards at the same time form the next round, exactly as the
-    /// wheel's larger sequence numbers do.
-    fn pop_instant(&mut self) -> Option<(Time, Vec<QueuedEv>)> {
+    /// Moves every event at the earliest pending time into `round`, in
+    /// `(class, seq)` order — the engine's `pop_instant` — and returns
+    /// that time. Events pushed afterwards at the same time form the next
+    /// round, exactly as the wheel's larger sequence numbers do.
+    fn pop_instant(&mut self, round: &mut Vec<QueuedEv>) -> Option<Time> {
         let t = self.peek_time()?;
-        let mut round: Vec<QueuedEv> = Vec::new();
-        self.events.retain(|e| {
-            if e.time == t {
-                round.push(*e);
-                false
-            } else {
-                true
-            }
-        });
-        round.sort_unstable_by_key(|e| e.key());
-        Some((t, round))
+        let len = self.events.partition_point(|e| e.time == t);
+        round.extend(self.events.drain(..len));
+        Some(t)
     }
 }
 
@@ -413,28 +430,126 @@ pub struct InstantState {
     pub lmax: Vec<f64>,
 }
 
-/// The serial model interpreter over one [`Scenario`].
-#[derive(Clone, Debug)]
-pub struct Model<N: ModelNode> {
+/// The scenario data a run reads but never changes, built once by
+/// [`Model::new`] and shared by every copy of the model.
+#[derive(Debug)]
+struct Fixed {
     algo: gcs_core::AlgoParams,
     clocks: Vec<HardwareClock>,
+    topology: Vec<TopologyEvent>,
+    faults: Vec<FaultEvent>,
+    delay_choices: Vec<f64>,
+}
+
+/// The serial model interpreter over one [`Scenario`].
+///
+/// The per-key tables are vectors of pairs sorted by key, iterated in the
+/// ascending order a `BTreeMap` would give, so a copy is one buffer per
+/// table and [`Clone::clone_from`] reuses it.
+#[derive(Debug)]
+pub struct Model<N: ModelNode> {
+    fixed: Arc<Fixed>,
     nodes: Vec<N>,
-    timers: Vec<BTreeMap<TimerKind, u64>>,
-    peers: Vec<BTreeMap<NodeId, PeerMirror>>,
-    edges: BTreeMap<Edge, EdgeMirror>,
+    /// Per node: armed timer generations by kind.
+    timers: Vec<Vec<(TimerKind, u64)>>,
+    /// Per node: the mirror of each peer it has touched.
+    peers: Vec<Vec<(NodeId, PeerMirror)>>,
+    edges: Vec<(Edge, EdgeMirror)>,
     crashed: Vec<NodeId>,
     restart_count: Vec<u64>,
     queue: ModelQueue,
     now: Time,
-    topology: Vec<TopologyEvent>,
     topo_cursor: usize,
-    faults: Vec<FaultEvent>,
     fault_cursor: usize,
-    delay_choices: Vec<f64>,
     sends: Vec<SendRecord>,
     /// Scratch stream handed to [`Context`]; Algorithm 2 never draws, and
     /// the engine's scratch stream is equally unobservable.
     scratch_rng: StdRng,
+    /// Per-instant scratch buffers, empty between uses, so copies carry
+    /// nothing in them.
+    round: Vec<QueuedEv>,
+    effects: Vec<ModelEffect>,
+    actions: Vec<Action>,
+}
+
+impl<N: ModelNode> Clone for Model<N> {
+    fn clone(&self) -> Self {
+        Model {
+            fixed: Arc::clone(&self.fixed),
+            nodes: self.nodes.clone(),
+            timers: self.timers.clone(),
+            peers: self.peers.clone(),
+            edges: self.edges.clone(),
+            crashed: self.crashed.clone(),
+            restart_count: self.restart_count.clone(),
+            queue: self.queue.clone(),
+            now: self.now,
+            topo_cursor: self.topo_cursor,
+            fault_cursor: self.fault_cursor,
+            sends: self.sends.clone(),
+            scratch_rng: self.scratch_rng.clone(),
+            round: Vec::new(),
+            effects: Vec::new(),
+            actions: Vec::new(),
+        }
+    }
+
+    /// Copies `source` into `self`'s buffers, allocating only where one
+    /// is too small. The exhaustive destructuring makes a new field fail
+    /// to compile until it is copied here.
+    fn clone_from(&mut self, source: &Self) {
+        let Model {
+            fixed,
+            nodes,
+            timers,
+            peers,
+            edges,
+            crashed,
+            restart_count,
+            queue,
+            now,
+            topo_cursor,
+            fault_cursor,
+            sends,
+            scratch_rng,
+            round: _,
+            effects: _,
+            actions: _,
+        } = source;
+        self.fixed.clone_from(fixed);
+        self.nodes.clone_from(nodes);
+        self.timers.clone_from(timers);
+        self.peers.clone_from(peers);
+        self.edges.clone_from(edges);
+        self.crashed.clone_from(crashed);
+        self.restart_count.clone_from(restart_count);
+        self.queue.clone_from(queue);
+        self.now = *now;
+        self.topo_cursor = *topo_cursor;
+        self.fault_cursor = *fault_cursor;
+        self.sends.clone_from(sends);
+        self.scratch_rng.clone_from(scratch_rng);
+    }
+}
+
+/// The value under `key` in `map`, a vector of pairs sorted by key,
+/// inserted in order as `V::default()` if absent — what
+/// `BTreeMap::entry(key).or_default()` does.
+fn entry<K: Ord + Copy, V: Default>(map: &mut Vec<(K, V)>, key: K) -> &mut V {
+    let i = match map.binary_search_by_key(&key, |&(k, _)| k) {
+        Ok(i) => i,
+        Err(i) => {
+            map.insert(i, (key, V::default()));
+            i
+        }
+    };
+    &mut map[i].1
+}
+
+/// The value under `key` in a vector of pairs sorted by key.
+fn lookup<K: Ord + Copy, V>(map: &[(K, V)], key: K) -> Option<&V> {
+    let i = map.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+    Some(&map[i].1)
 }
 
 impl<N: ModelNode> Model<N> {
@@ -442,33 +557,43 @@ impl<N: ModelNode> Model<N> {
     /// initial edges are live at epoch 1 / version 1 with both endpoint
     /// discoveries queued at time 0, then every node's `on_start` runs in
     /// id order with its effects merged per node.
+    ///
+    /// # Panics
+    ///
+    /// If an `on_start` sends on a live edge: the decision tree starts
+    /// after time 0, so such a send would take delay `T` outside it.
     pub fn new(sc: &Scenario, mut make: impl FnMut(usize) -> N) -> Self {
         let n = sc.algo.n;
         let mut model = Model {
-            algo: sc.algo,
-            clocks: sc
-                .rates
-                .iter()
-                .map(|&r| HardwareClock::constant(r, sc.algo.model.rho))
-                .collect(),
+            fixed: Arc::new(Fixed {
+                algo: sc.algo,
+                clocks: sc
+                    .rates
+                    .iter()
+                    .map(|&r| HardwareClock::constant(r, sc.algo.model.rho))
+                    .collect(),
+                topology: sc.topology.clone(),
+                faults: sc.faults.clone(),
+                delay_choices: sc.delay_choices.clone(),
+            }),
             nodes: (0..n).map(&mut make).collect(),
-            timers: vec![BTreeMap::new(); n],
-            peers: vec![BTreeMap::new(); n],
-            edges: BTreeMap::new(),
+            timers: vec![Vec::new(); n],
+            peers: vec![Vec::new(); n],
+            edges: Vec::new(),
             crashed: Vec::new(),
             restart_count: vec![0; n],
             queue: ModelQueue::default(),
             now: Time::ZERO,
-            topology: sc.topology.clone(),
             topo_cursor: 0,
-            faults: sc.faults.clone(),
             fault_cursor: 0,
-            delay_choices: sc.delay_choices.clone(),
             sends: Vec::new(),
             scratch_rng: StdRng::seed_from_u64(0),
+            round: Vec::new(),
+            effects: Vec::new(),
+            actions: Vec::new(),
         };
         for &e in &sc.initial_edges {
-            let entry = model.edges.entry(e).or_default();
+            let entry = entry(&mut model.edges, e);
             entry.live = true;
             entry.epoch = 1;
             entry.versions = 1;
@@ -491,17 +616,16 @@ impl<N: ModelNode> Model<N> {
         // engine's build loop.
         let mut decider = DelayDecider::scripted(Vec::new(), sc.algo.model.t);
         for i in 0..n {
-            let mut effects = Vec::new();
-            model.run_handler(
-                NodeId::from_index(i),
+            let u = NodeId::from_index(i);
+            model.with_effects(|m, effects| {
+                m.run_handler(u, 0, &mut decider, effects, |a, c| a.on_start(c));
+            });
+            assert_eq!(
+                decider.decisions(),
                 0,
-                &mut decider,
-                &mut effects,
-                |a, c| a.on_start(c),
+                "node {i}'s on_start sent on a live edge; the model decides delays only after time 0"
             );
-            model.merge_effects(effects);
         }
-        debug_assert_eq!(decider.decisions(), 0, "on_start must not send");
         model
     }
 
@@ -512,7 +636,7 @@ impl<N: ModelNode> Model<N> {
 
     /// The algorithm parameters this model runs under.
     pub fn algo(&self) -> &gcs_core::AlgoParams {
-        &self.algo
+        &self.fixed.algo
     }
 
     /// Every recorded live-edge send so far, in global order.
@@ -586,9 +710,14 @@ impl<N: ModelNode> Model<N> {
             if t > self.now && !on_instant(self, decider.decisions()) {
                 return RunStatus::Stopped;
             }
-            let (t, round) = self.queue.pop_instant().expect("peek said non-empty");
-            self.now = t;
+            let mut round = std::mem::take(&mut self.round);
+            self.now = self
+                .queue
+                .pop_instant(&mut round)
+                .expect("peek said non-empty");
             self.run_round(&round, decider);
+            round.clear();
+            self.round = round;
         }
         let go_on = on_instant(self, decider.decisions());
         self.now = until;
@@ -605,7 +734,7 @@ impl<N: ModelNode> Model<N> {
     /// lookahead per pull.
     fn pump_topology(&mut self) {
         loop {
-            let Some(ts) = self.topology.get(self.topo_cursor).map(|e| e.time) else {
+            let Some(ts) = self.fixed.topology.get(self.topo_cursor).map(|e| e.time) else {
                 return;
             };
             if let Some(next) = self.queue.peek_time() {
@@ -613,8 +742,9 @@ impl<N: ModelNode> Model<N> {
                     return;
                 }
             }
-            let until = ts + Duration::new(self.algo.model.t);
+            let until = ts + Duration::new(self.fixed.algo.model.t);
             while let Some(&ev) = self
+                .fixed
                 .topology
                 .get(self.topo_cursor)
                 .filter(|e| e.time <= until)
@@ -627,7 +757,7 @@ impl<N: ModelNode> Model<N> {
 
     fn pump_faults(&mut self) {
         loop {
-            let Some(ts) = self.faults.get(self.fault_cursor).map(|e| e.time) else {
+            let Some(ts) = self.fixed.faults.get(self.fault_cursor).map(|e| e.time) else {
                 return;
             };
             if let Some(next) = self.queue.peek_time() {
@@ -635,8 +765,9 @@ impl<N: ModelNode> Model<N> {
                     return;
                 }
             }
-            let until = ts + Duration::new(self.algo.model.t);
+            let until = ts + Duration::new(self.fixed.algo.model.t);
             while let Some(&ev) = self
+                .fixed
                 .faults
                 .get(self.fault_cursor)
                 .filter(|e| e.time <= until)
@@ -651,7 +782,7 @@ impl<N: ModelNode> Model<N> {
     /// plus both endpoint discoveries at `time + D` (the model fixes the
     /// engine's `DiscoveryDelay::Constant(D)`, which draws nothing).
     fn schedule_topology(&mut self, ev: TopologyEvent) {
-        let entry = self.edges.entry(ev.edge).or_default();
+        let entry = entry(&mut self.edges, ev.edge);
         entry.versions += 1;
         let version = entry.versions;
         let kind = match ev.kind {
@@ -684,7 +815,7 @@ impl<N: ModelNode> Model<N> {
 
     /// `DiscoveryDelay::Constant(D)` as the engine evaluates it.
     fn discovery_latency(&self) -> f64 {
-        let d = self.algo.model.d;
+        let d = self.fixed.algo.model.d;
         d.clamp(f64::MIN_POSITIVE, d)
     }
 
@@ -713,16 +844,16 @@ impl<N: ModelNode> Model<N> {
         if i == round.len() {
             return;
         }
-        let mut effects = Vec::new();
-        for ev in &round[i..] {
-            debug_assert_eq!(ev.payload.class(), 2, "barriers sort first");
-            self.run_event(ev, decider, &mut effects);
-        }
-        self.merge_effects(effects);
+        self.with_effects(|m, effects| {
+            for ev in &round[i..] {
+                debug_assert_eq!(ev.payload.class(), 2, "barriers sort first");
+                m.run_event(ev, decider, effects);
+            }
+        });
     }
 
     fn apply_topology(&mut self, kind: LinkChangeKind, edge: Edge, version: u64) {
-        let entry = self.edges.entry(edge).or_default();
+        let entry = entry(&mut self.edges, edge);
         match kind {
             LinkChangeKind::Added => {
                 entry.epoch += 1;
@@ -744,7 +875,7 @@ impl<N: ModelNode> Model<N> {
                     self.crashed.insert(i, node);
                     // All armed timers go stale; entries stay so post-
                     // restart arms never alias in-flight generations.
-                    for gen in self.timers[node.index()].values_mut() {
+                    for (_, gen) in &mut self.timers[node.index()] {
                         *gen = gen.wrapping_add(1);
                     }
                 }
@@ -758,33 +889,29 @@ impl<N: ModelNode> Model<N> {
                     .try_reboot()
                     .expect("model automata support reboot");
                 self.nodes[node.index()] = fresh;
-                for gen in self.timers[node.index()].values_mut() {
+                for (_, gen) in &mut self.timers[node.index()] {
                     *gen = gen.wrapping_add(1);
                 }
-                for peer in self.peers[node.index()].values_mut() {
+                for (_, peer) in &mut self.peers[node.index()] {
                     peer.discovered_version = 0;
                 }
                 // `on_start` at the restart instant, merged under the
                 // fault's sequence number.
-                let mut effects = Vec::new();
-                self.run_handler(node, seq, decider, &mut effects, |a, c| a.on_start(c));
-                self.merge_effects(effects);
+                self.with_effects(|m, effects| {
+                    m.run_handler(node, seq, decider, effects, |a, c| a.on_start(c));
+                });
                 // Rediscover currently-live edges within D, under each
                 // edge's last applied add version.
                 let lat = self.discovery_latency();
-                let neighbors: Vec<NodeId> = (0..self.nodes.len())
-                    .map(NodeId::from_index)
-                    .filter(|&v| {
-                        v != node && self.edges.get(&Edge::new(node, v)).is_some_and(|e| e.live)
-                    })
-                    .collect();
-                for v in neighbors {
+                for v in (0..self.nodes.len()).map(NodeId::from_index) {
+                    if v == node {
+                        continue;
+                    }
                     let edge = Edge::new(node, v);
-                    let version = self
-                        .edges
-                        .get(&edge)
-                        .map(|e| e.last_add_version)
-                        .unwrap_or(1);
+                    let Some(state) = lookup(&self.edges, edge).filter(|e| e.live) else {
+                        continue;
+                    };
+                    let version = state.last_add_version;
                     self.queue.push(
                         self.now + Duration::new(lat),
                         Payload::Discover {
@@ -808,7 +935,7 @@ impl<N: ModelNode> Model<N> {
         if t == Time::ZERO {
             return 0.0;
         }
-        self.clocks[u.index()].read(t)
+        self.fixed.clocks[u.index()].read(t)
     }
 
     /// One non-barrier event — the engine's `dispatch::run_event`.
@@ -838,7 +965,7 @@ impl<N: ModelNode> Model<N> {
                 epoch,
             } => {
                 let edge = Edge::new(from, to);
-                let state = self.edges.get(&edge);
+                let state = lookup(&self.edges, edge);
                 if state.map(|e| e.live && e.epoch == epoch).unwrap_or(false) {
                     self.run_handler(owner, ev.seq, decider, effects, |a, c| {
                         a.on_receive(c, from, msg)
@@ -866,17 +993,17 @@ impl<N: ModelNode> Model<N> {
                 kind, generation, ..
             } => {
                 let timers = &mut self.timers[owner.index()];
-                if timers.get(&kind).copied() != Some(generation) {
+                if lookup(timers, kind) != Some(&generation) {
                     return; // stale
                 }
-                timers.remove(&kind); // disarm: a fired alarm consumes its entry
+                timers.retain(|&(k, _)| k != kind); // disarm: a fired alarm consumes its entry
                 self.run_handler(owner, ev.seq, decider, effects, |a, c| a.on_alarm(c, kind));
             }
             Payload::Discover {
                 change, version, ..
             } => {
                 let other = change.edge.other(owner);
-                let peer = self.peers[owner.index()].entry(other).or_default();
+                let peer = entry(&mut self.peers[owner.index()], other);
                 if version <= peer.discovered_version {
                     return; // stale
                 }
@@ -901,27 +1028,27 @@ impl<N: ModelNode> Model<N> {
         f: impl FnOnce(&mut N, &mut Context<'_>),
     ) {
         let hw = self.read_hw(u, self.now);
-        let mut actions: Vec<Action> = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         {
             let mut ctx = Context::new(u, self.now, hw, &mut actions, &mut self.scratch_rng);
             f(&mut self.nodes[u.index()], &mut ctx);
         }
         let mut k = 0u32;
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
                     let edge = Edge::new(u, to);
-                    let state = self.edges.get(&edge);
+                    let state = lookup(&self.edges, edge);
                     if state.map(|e| e.live).unwrap_or(false) {
                         let epoch = state.expect("live edge has an entry").epoch;
                         // THE decision point: the adversary picks the
                         // delay within [0, T] (the engine's strategy
                         // clamp applied for exactness).
                         let d = decider
-                            .next_delay(&self.delay_choices)
-                            .clamp(0.0, self.algo.model.t);
+                            .next_delay(&self.fixed.delay_choices)
+                            .clamp(0.0, self.fixed.algo.model.t);
                         let mut deliver_at = self.now + Duration::new(d);
-                        let peer = self.peers[u.index()].entry(to).or_default();
+                        let peer = entry(&mut self.peers[u.index()], to);
                         deliver_at = deliver_at.max(peer.fifo_out);
                         peer.fifo_out = deliver_at;
                         self.sends.push(SendRecord {
@@ -960,15 +1087,15 @@ impl<N: ModelNode> Model<N> {
                     k += 1;
                 }
                 Action::SetTimer { delta, kind } => {
-                    let generation = self.timers[u.index()]
-                        .entry(kind)
-                        .and_modify(|g| *g = g.wrapping_add(1))
-                        .or_insert(1);
+                    // Arming an absent timer starts its generations at 1.
+                    let generation = entry(&mut self.timers[u.index()], kind);
+                    *generation = generation.wrapping_add(1);
                     let generation = *generation;
+                    let clock = &self.fixed.clocks[u.index()];
                     let fire = if self.now == Time::ZERO {
-                        self.clocks[u.index()].fire_time(Time::ZERO, delta)
+                        clock.fire_time(Time::ZERO, delta)
                     } else {
-                        self.clocks[u.index()].fire_time(self.now, delta)
+                        clock.fire_time(self.now, delta)
                     };
                     effects.push(ModelEffect {
                         seq,
@@ -984,21 +1111,28 @@ impl<N: ModelNode> Model<N> {
                 }
                 Action::CancelTimer { kind } => {
                     // cancel: bump if armed, entry stays present.
-                    if let Some(gen) = self.timers[u.index()].get_mut(&kind) {
+                    let timers = &mut self.timers[u.index()];
+                    if let Some((_, gen)) = timers.iter_mut().find(|(k, _)| *k == kind) {
                         *gen = gen.wrapping_add(1);
                     }
                 }
             }
         }
+        self.actions = actions;
     }
 
-    /// Canonical effect merge: sort by `(trigger seq, emission idx)`,
-    /// push in that order so new events get the engine's tie-break order.
-    fn merge_effects(&mut self, mut effects: Vec<ModelEffect>) {
+    /// Runs `f` with the (empty) effects buffer, then merges what it
+    /// collected in canonical order: sorted by `(trigger seq, emission
+    /// idx)` and pushed in that order, so new events get the engine's
+    /// tie-break order.
+    fn with_effects(&mut self, f: impl FnOnce(&mut Self, &mut Vec<ModelEffect>)) {
+        let mut effects = std::mem::take(&mut self.effects);
+        f(self, &mut effects);
         effects.sort_unstable_by_key(|e| (e.seq, e.k));
-        for e in effects {
+        for e in effects.drain(..) {
             self.queue.push(e.time, e.payload);
         }
+        self.effects = effects;
     }
 
     /// Appends an exact canonical encoding of the complete model state.
@@ -1017,18 +1151,19 @@ impl<N: ModelNode> Model<N> {
             node.encode(out);
             let timers = &self.timers[i];
             out.push(timers.len() as u64);
-            for (&kind, &gen) in timers {
+            for &(kind, gen) in timers {
                 out.push(timer_code(kind));
                 out.push(gen);
             }
             // Engine peer slots materialize lazily with default content,
             // so default entries encode as absent.
-            let live_peers: Vec<_> = self.peers[i]
-                .iter()
-                .filter(|(_, p)| p.discovered_version != 0 || p.fifo_out != Time::ZERO)
-                .collect();
-            out.push(live_peers.len() as u64);
-            for (&v, p) in live_peers {
+            let live_peers = || {
+                self.peers[i]
+                    .iter()
+                    .filter(|(_, p)| p.discovered_version != 0 || p.fifo_out != Time::ZERO)
+            };
+            out.push(live_peers().count() as u64);
+            for (v, p) in live_peers() {
                 out.push(v.index() as u64);
                 out.push(p.discovered_version);
                 out.push(p.fifo_out.seconds().to_bits());
@@ -1046,10 +1181,10 @@ impl<N: ModelNode> Model<N> {
         }
         out.push(self.topo_cursor as u64);
         out.push(self.fault_cursor as u64);
-        let mut pending = self.queue.events.clone();
-        pending.sort_unstable_by_key(|e| e.key());
+        // The queue is kept in pop order.
+        let pending = &self.queue.events;
         out.push(pending.len() as u64);
-        for ev in &pending {
+        for ev in pending {
             out.push(ev.time.seconds().to_bits());
             match ev.payload {
                 Payload::Deliver {
@@ -1209,5 +1344,93 @@ mod tests {
         m1.encode(&mut e1);
         m2.encode(&mut e2);
         assert_eq!(e1, e2);
+    }
+
+    fn node(i: usize) -> NodeId {
+        NodeId::from_index(i)
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint out of range for n=2")]
+    fn validate_rejects_a_topology_endpoint_outside_the_nodes() {
+        let mut sc = tiny_scenario();
+        sc.topology = vec![TopologyEvent::add_at(0.5, Edge::new(node(0), node(2)))];
+        sc.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "add of already-present edge")]
+    fn validate_rejects_an_add_of_a_live_edge() {
+        let mut sc = tiny_scenario();
+        sc.topology = vec![TopologyEvent::add_at(0.5, sc.initial_edges[0])];
+        sc.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "remove of absent edge")]
+    fn validate_rejects_a_removal_of_an_absent_edge() {
+        let mut sc = tiny_scenario();
+        sc.topology = vec![
+            TopologyEvent::remove_at(0.5, sc.initial_edges[0]),
+            TopologyEvent::remove_at(0.7, sc.initial_edges[0]),
+        ];
+        sc.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault victim n2 out of range for n=2")]
+    fn validate_rejects_a_fault_victim_outside_the_nodes() {
+        let mut sc = tiny_scenario();
+        sc.faults = vec![FaultEvent::crash(0.5, node(2))];
+        sc.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "decision 1: forced choice 2 out of range for 2 delay choices")]
+    fn trail_decider_rejects_a_forced_choice_outside_the_choices() {
+        let sc = tiny_scenario();
+        let mut m = Model::new(&sc, |_| GradientNode::new(sc.algo));
+        m.run(sc.horizon, &mut DelayDecider::trail(vec![1, 2]), |_, _| {
+            true
+        });
+    }
+
+    /// A node that messages its one neighbor from `on_start`.
+    #[derive(Clone)]
+    struct EagerSender(NodeId);
+
+    impl Automaton for EagerSender {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            let msg = Message {
+                logical: 0.0,
+                max_estimate: 0.0,
+            };
+            ctx.send(self.0, msg);
+        }
+        fn on_receive(&mut self, _: &mut Context<'_>, _: NodeId, _: Message) {}
+        fn on_discover(&mut self, _: &mut Context<'_>, _: LinkChange) {}
+        fn on_alarm(&mut self, _: &mut Context<'_>, _: TimerKind) {}
+        fn logical_clock(&self, hw: f64) -> f64 {
+            hw
+        }
+    }
+
+    impl ModelNode for EagerSender {
+        fn probe(&self, hw: f64) -> NodeProbe {
+            NodeProbe {
+                logical: hw,
+                max_estimate: hw,
+                blocked: false,
+                caps: Vec::new(),
+            }
+        }
+        fn encode(&self, _: &mut Vec<u64>) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0's on_start sent on a live edge")]
+    fn model_rejects_a_send_from_on_start() {
+        let sc = tiny_scenario();
+        Model::new(&sc, |i| EagerSender(node(1 - i)));
     }
 }

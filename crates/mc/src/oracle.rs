@@ -54,11 +54,35 @@ impl std::fmt::Display for Violation {
 
 /// Stateful invariant checker for one run (tracks per-node monotonicity
 /// floors across instants).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Oracle {
     floors: Vec<f64>,
     restarts_seen: Vec<u64>,
     violation: Option<Violation>,
+}
+
+impl Clone for Oracle {
+    fn clone(&self) -> Self {
+        Oracle {
+            floors: self.floors.clone(),
+            restarts_seen: self.restarts_seen.clone(),
+            violation: self.violation.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s buffers (the explorer copies the
+    /// oracle with every model). The exhaustive destructuring makes a new
+    /// field fail to compile until it is copied here.
+    fn clone_from(&mut self, source: &Self) {
+        let Oracle {
+            floors,
+            restarts_seen,
+            violation,
+        } = source;
+        self.floors.clone_from(floors);
+        self.restarts_seen.clone_from(restarts_seen);
+        self.violation.clone_from(violation);
+    }
 }
 
 impl Oracle {
