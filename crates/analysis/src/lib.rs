@@ -9,7 +9,7 @@
 //!   `O(n)` snapshot pass per query, `O(1)` per edge).
 //! * [`recorder`] — time-series recording of an execution (global skew,
 //!   worst local skew, watched-edge skews), with optional invariant
-//!   checking, streaming [`recorder::Sink`]s and bounded retention.
+//!   checking.
 //! * [`probe`] — event-driven streaming observability: incremental
 //!   per-edge skew maintained from the engine's per-instant touched-node
 //!   reports, with a certified error bound — no `O(n + m)` snapshots.
@@ -55,7 +55,7 @@ pub mod table;
 pub use mem::{current_rss_bytes, peak_rss_bytes};
 pub use metrics::{global_skew, local_skews, max_local_skew};
 pub use probe::SkewStream;
-pub use recorder::{CsvSink, Recorder, Sample, Sink};
+pub use recorder::{Recorder, Sample};
 pub use stats::Summary;
 pub use sweep::{fan_out, parallel_map};
 pub use table::Table;

@@ -1,25 +1,15 @@
-//! Time-series recording of an execution, with bounded-memory streaming.
+//! Time-series recording of an execution.
 //!
-//! [`Recorder`] samples a simulation at a fixed real-time cadence. By
-//! default it retains every [`Sample`] (the historical behaviour small
-//! experiments rely on), but two knobs make long, large-`n` recordings
-//! bounded-memory:
-//!
-//! * [`Recorder::stream_to`] attaches [`Sink`]s — every sample is pushed
-//!   to each sink the moment it is taken (e.g. a [`CsvSink`] writing rows
-//!   straight to disk through the incremental
-//!   [`CsvWriter`](crate::csv::CsvWriter)),
-//! * [`Recorder::keep_last`] caps the in-memory buffer to a tail window.
-//!
-//! Peak statistics are maintained as running aggregates at ingest, so they
-//! are exact in every retention mode.
+//! [`Recorder`] samples a simulation at a fixed real-time cadence and
+//! retains every [`Sample`], keeping peak skews as running aggregates.
+//! Long, large-`n` runs stream through [`SkewStream`](crate::SkewStream)
+//! instead.
 
 use crate::metrics;
 use gcs_clocks::Time;
 use gcs_core::InvariantMonitor;
 use gcs_net::{node, Edge};
 use gcs_sim::{Automaton, Simulator};
-use std::path::Path;
 
 /// One sampled instant of an execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -39,93 +29,15 @@ pub struct Sample {
     pub watched: Vec<Option<f64>>,
 }
 
-/// A streaming consumer of samples.
-pub trait Sink {
-    /// Called once per sample, in time order.
-    fn record(&mut self, sample: &Sample);
-}
-
-/// A [`Sink`] that appends one CSV row per sample:
-/// `t, global_skew, max_local_skew, topology_events, watched...` (absent
-/// watched edges are written as `NaN`).
-pub struct CsvSink {
-    w: crate::csv::CsvWriter,
-    row: Vec<f64>,
-    io_errors: u64,
-}
-
-impl CsvSink {
-    /// Creates the file and writes a header for `watched` watched edges.
-    pub fn create(path: impl AsRef<Path>, watched: usize) -> std::io::Result<Self> {
-        let mut header: Vec<String> = vec![
-            "t".to_string(),
-            "global_skew".to_string(),
-            "max_local_skew".to_string(),
-            "topology_events".to_string(),
-        ];
-        header.extend((0..watched).map(|i| format!("watched_{i}")));
-        let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        Ok(CsvSink {
-            w: crate::csv::CsvWriter::create(path, &header_refs)?,
-            row: Vec::new(),
-            io_errors: 0,
-        })
-    }
-
-    /// Rows handed to the writer so far (buffered rows count; check
-    /// [`io_error_count`](Self::io_error_count) for failures).
-    pub fn rows_written(&self) -> u64 {
-        self.w.rows_written()
-    }
-
-    /// Number of row writes that failed (sticky; a non-zero value means
-    /// the CSV on disk is incomplete).
-    pub fn io_error_count(&self) -> u64 {
-        self.io_errors
-    }
-}
-
-impl Sink for CsvSink {
-    fn record(&mut self, sample: &Sample) {
-        self.row.clear();
-        self.row.extend([
-            sample.t,
-            sample.global_skew,
-            sample.max_local_skew,
-            sample.topology_events as f64,
-        ]);
-        self.row
-            .extend(sample.watched.iter().map(|w| w.unwrap_or(f64::NAN)));
-        // A failed write must not abort the simulation mid-run, but it
-        // must not vanish either: the sticky error counter records it.
-        // Rows stay in the BufWriter until it fills or the sink drops —
-        // flushing per row would mean one syscall per sample.
-        if self.w.row(&self.row).is_err() {
-            self.io_errors += 1;
-        }
-    }
-}
-
-impl Drop for CsvSink {
-    fn drop(&mut self) {
-        if self.w.flush().is_err() {
-            self.io_errors += 1;
-        }
-    }
-}
-
 /// Samples a simulation at a fixed real-time cadence, optionally feeding an
-/// [`InvariantMonitor`] and any number of streaming [`Sink`]s.
+/// [`InvariantMonitor`].
 pub struct Recorder {
     sample_dt: f64,
     watched: Vec<Edge>,
     samples: Vec<Sample>,
-    keep_last: Option<usize>,
-    sinks: Vec<Box<dyn Sink>>,
     monitor: Option<InvariantMonitor>,
     peak_global: f64,
     peak_local: f64,
-    samples_taken: u64,
     /// Reused logical-snapshot buffer: a long recording allocates one
     /// snapshot vector total, not one per sample.
     snap_buf: Vec<f64>,
@@ -141,12 +53,9 @@ impl Recorder {
             sample_dt,
             watched: Vec::new(),
             samples: Vec::new(),
-            keep_last: None,
-            sinks: Vec::new(),
             monitor: None,
             peak_global: 0.0,
             peak_local: 0.0,
-            samples_taken: 0,
             snap_buf: Vec::new(),
             lmax_buf: Vec::new(),
         }
@@ -161,21 +70,6 @@ impl Recorder {
     /// Attaches an invariant monitor that will be fed every sample.
     pub fn with_monitor(mut self, monitor: InvariantMonitor) -> Self {
         self.monitor = Some(monitor);
-        self
-    }
-
-    /// Attaches a streaming sink; every future sample is pushed to it.
-    pub fn stream_to(mut self, sink: impl Sink + 'static) -> Self {
-        self.sinks.push(Box::new(sink));
-        self
-    }
-
-    /// Caps the in-memory sample buffer to the most recent `n` samples
-    /// (`n ≥ 1`). Peaks stay exact; [`samples`](Self::samples) and
-    /// [`settle_time`](Self::settle_time) then only see the retained tail.
-    pub fn keep_last(mut self, n: usize) -> Self {
-        assert!(n >= 1, "must retain at least one sample");
-        self.keep_last = Some(n);
         self
     }
 
@@ -221,32 +115,16 @@ impl Recorder {
         self.ingest(sample);
     }
 
-    /// Feeds one sample through aggregates, sinks and the retained buffer.
+    /// Feeds one sample through the aggregates and the retained buffer.
     fn ingest(&mut self, sample: Sample) {
         self.peak_global = self.peak_global.max(sample.global_skew);
         self.peak_local = self.peak_local.max(sample.max_local_skew);
-        self.samples_taken += 1;
-        for sink in &mut self.sinks {
-            sink.record(&sample);
-        }
         self.samples.push(sample);
-        if let Some(cap) = self.keep_last {
-            if self.samples.len() > cap {
-                let excess = self.samples.len() - cap;
-                self.samples.drain(..excess);
-            }
-        }
     }
 
-    /// The retained samples (all of them unless [`keep_last`](Self::keep_last)
-    /// is set).
+    /// Every sample taken, in time order.
     pub fn samples(&self) -> &[Sample] {
         &self.samples
-    }
-
-    /// Total samples taken, including any no longer retained.
-    pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
     }
 
     /// The invariant monitor, if attached.
@@ -254,19 +132,17 @@ impl Recorder {
         self.monitor.as_ref()
     }
 
-    /// Maximum global skew over all samples ever taken (exact in every
-    /// retention mode).
+    /// Maximum global skew over all samples taken.
     pub fn peak_global_skew(&self) -> f64 {
         self.peak_global
     }
 
-    /// Maximum local skew over all samples ever taken (exact in every
-    /// retention mode).
+    /// Maximum local skew over all samples taken.
     pub fn peak_local_skew(&self) -> f64 {
         self.peak_local
     }
 
-    /// The first retained sample time at which watched edge `idx` dropped
+    /// The first sample time at which watched edge `idx` dropped
     /// to or below `threshold` and stayed there for all later samples.
     pub fn settle_time(&self, idx: usize, threshold: f64) -> Option<f64> {
         let mut settle = None;
@@ -290,8 +166,6 @@ mod tests {
     use gcs_core::{AlgoParams, GradientNode};
     use gcs_net::{generators, ScheduleSource, TopologySchedule};
     use gcs_sim::{DelayStrategy, ModelParams, SimBuilder};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn small_sim() -> Simulator<GradientNode> {
         let model = ModelParams::new(0.01, 1.0, 2.0);
@@ -310,7 +184,6 @@ mod tests {
         let mut rec = Recorder::new(1.0);
         rec.run(&mut sim, at(10.0));
         assert_eq!(rec.samples().len(), 10);
-        assert_eq!(rec.samples_taken(), 10);
         assert!((rec.samples()[9].t - 10.0).abs() < 1e-12);
     }
 
@@ -352,76 +225,5 @@ mod tests {
         assert_eq!(rec.settle_time(0, 0.1), None);
         assert!((rec.peak_global_skew() - 5.0).abs() < 1e-12);
         assert!((rec.peak_local_skew() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn keep_last_bounds_memory_but_peaks_stay_exact() {
-        let mut rec = Recorder::new(1.0);
-        for i in 0..100 {
-            // Peak (7.5) occurs early, well before the retained tail.
-            let skew = if i == 3 { 7.5 } else { 1.0 };
-            rec.ingest(Sample {
-                t: i as f64,
-                global_skew: skew,
-                max_local_skew: skew,
-                topology_events: 0,
-                watched: vec![],
-            });
-        }
-        let mut bounded = Recorder::new(1.0).keep_last(8);
-        for i in 0..100 {
-            let skew = if i == 3 { 7.5 } else { 1.0 };
-            bounded.ingest(Sample {
-                t: i as f64,
-                global_skew: skew,
-                max_local_skew: skew,
-                topology_events: 0,
-                watched: vec![],
-            });
-        }
-        assert_eq!(bounded.samples().len(), 8);
-        assert_eq!(bounded.samples_taken(), 100);
-        assert_eq!(bounded.samples()[0].t, 92.0);
-        assert_eq!(bounded.peak_global_skew(), rec.peak_global_skew());
-        assert_eq!(bounded.peak_local_skew(), rec.peak_local_skew());
-    }
-
-    #[test]
-    fn sinks_receive_every_sample_in_order() {
-        struct Collect(Rc<RefCell<Vec<f64>>>);
-        impl Sink for Collect {
-            fn record(&mut self, s: &Sample) {
-                self.0.borrow_mut().push(s.t);
-            }
-        }
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let mut rec = Recorder::new(1.0)
-            .keep_last(2)
-            .stream_to(Collect(seen.clone()));
-        let mut sim = small_sim();
-        rec.run(&mut sim, at(5.0));
-        assert_eq!(*seen.borrow(), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(rec.samples().len(), 2, "retention capped");
-    }
-
-    #[test]
-    fn csv_sink_streams_rows_to_disk() {
-        let dir = std::env::temp_dir().join("gcs_recorder_csv_sink");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("series.csv");
-        let mut rec = Recorder::new(1.0)
-            .watch(Edge::between(0, 1))
-            .stream_to(CsvSink::create(&path, 1).unwrap());
-        let mut sim = small_sim();
-        rec.run(&mut sim, at(4.0));
-        drop(rec); // dropping the recorder drops (and flushes) the sink
-        let content = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = content.lines().collect();
-        assert_eq!(
-            lines[0],
-            "t,global_skew,max_local_skew,topology_events,watched_0"
-        );
-        assert_eq!(lines.len(), 1 + 4, "header plus one row per sample");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

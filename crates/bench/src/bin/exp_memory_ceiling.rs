@@ -4,8 +4,8 @@
 //! `cargo run --release -p gcs-bench --bin exp_memory_ceiling`
 //!
 //! CI smoke runs shrink the width with `GCS_SMOKE_N=4096` so the
-//! compact-plane code path is exercised on every push. The wheel-plane,
-//! topology-plane and peak-RSS assertions at the end are
+//! compact-plane code path is exercised on every push. The cold-tier,
+//! wheel-plane, topology-plane and peak-RSS assertions at the end are
 //! **fail-closed**: the binary exits nonzero when the run does not fit
 //! the memory budget for its width.
 
@@ -16,7 +16,7 @@ fn main() {
     let config = e14::Config::scaled_to(smoke_n(e14::Config::default().n));
     println!(
         "claim: the automaton plane needs one shared budget curve, no armed timer on idle\n\
-         nodes, and only packed bytes for quiescent ones — so n = 2^23 fits where the\n\
+         nodes, and only shrunk slots for quiescent ones — so n = 2^23 fits where the\n\
          flat plane would not\n"
     );
     println!(
@@ -37,7 +37,7 @@ fn main() {
     let o = &r.telemetry;
     println!();
     println!(
-        "evictions {} / rehydrations {} -> {} cold nodes in {} packed bytes; \
+        "evictions {} / rehydrations {} -> {} cold nodes in {} cold bytes; \
          watermark {} of n = {}; live RSS after run {} MiB",
         o.evictions,
         o.rehydrations,
@@ -62,6 +62,23 @@ fn main() {
     assert!(
         o.node_state_watermark <= config.backbone + config.visitor_band(),
         "an untouched node claimed a node-state slot"
+    );
+    // Fail closed on the cold tier: every eviction not undone by a wake
+    // is a cold node, and a cold visitor keeps one shrunk peer entry
+    // (24 B) and packs no automaton bytes. The v11 recording held 32 B
+    // per cold node, so a cold node past that budget means the tier
+    // grew back an encoding or kept hot-sized slots.
+    assert_eq!(
+        o.cold_nodes as u64,
+        o.evictions - o.rehydrations,
+        "cold census must balance the eviction counters"
+    );
+    assert!(
+        o.planes.automaton_cold <= 32 * o.cold_nodes,
+        "cold tier {} bytes exceeds 32 B x {} cold nodes at n = {}",
+        o.planes.automaton_cold,
+        o.cold_nodes,
+        config.n
     );
     // Fail closed on the packed event plane: the v8 recording held
     // 1 168 912 384 wheel bytes at the headline width; the compact plane

@@ -13,9 +13,10 @@
 //! * **idle parking** is on: a node with empty `Υ_u` holds no armed
 //!   tick timer, so the untouched majority never enters the event loop
 //!   (protocol-invisible — empty `Υ` forces `L = Lmax` anyway),
-//! * between phases the engine **evicts quiescent nodes** into the
-//!   packed cold tier (`Simulator::evict_quiescent`), which rehydrates
-//!   bit-exactly on touch.
+//! * between phases the engine **evicts quiescent nodes** into the cold
+//!   tier (`Simulator::evict_quiescent`): the automaton packs its heap
+//!   state, the node's timer and peer slots shrink in place, and its
+//!   next handler wakes it bit-exactly.
 //!
 //! The workload makes eviction *matter*: a small path backbone of
 //! always-ticking nodes (low contiguous ids, so the touched watermark
@@ -230,7 +231,7 @@ pub fn report(config: &Config, r: &RunRecord) -> ScenarioReport {
         tel.node_state_watermark, config.n,
     ));
     rep.note(format!(
-        "cold tier holds {} nodes in {} packed bytes at the horizon \
+        "cold tier holds {} nodes in {} bytes at the horizon \
          ({} evictions, {} rehydrations over the run)",
         tel.cold_nodes, tel.planes.automaton_cold, tel.evictions, tel.rehydrations,
     ));

@@ -20,8 +20,8 @@ use gcs_clocks::time::at;
 use gcs_clocks::DriftModel;
 use gcs_core::{AlgoParams, GradientNode, GradientShared};
 use gcs_net::schedule::{add_at, remove_at};
-use gcs_net::{churn, generators, Edge, ScheduleSource, TopologySchedule};
-use gcs_sim::{DelayStrategy, ModelParams, SimBuilder, Simulator};
+use gcs_net::{churn, generators, node, Edge, ScheduleSource, TopologySchedule};
+use gcs_sim::{DelayStrategy, FaultEvent, FaultPlan, ModelParams, SimBuilder, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -222,5 +222,42 @@ fn eviction_census_frees_hot_bytes_and_snapshot_survives() {
     assert_eq!(sim.stats(), flat.stats());
     for (x, y) in flat.logical_snapshot().iter().zip(sim.logical_snapshot()) {
         assert!(x.to_bits() == y.to_bits(), "rehydrated state diverged");
+    }
+}
+
+/// Faults on evicted nodes: a visitor crashed and restarted while cold,
+/// a visitor crashed for good while cold, and a backbone node crashed and
+/// restarted between sweeps. The crash barrier bumps the generations a
+/// cold node keeps in its slots, and the restart wakes it before the
+/// reboot; the never-evicted twin must match bit for bit.
+#[test]
+fn faults_on_evicted_nodes_bit_identical() {
+    let (n, horizon, seed) = (64usize, 40.0, 5u64);
+    let model = ModelParams::new(0.01, 1.0, 2.0);
+    let schedule = with_visitors(&TopologySchedule::static_graph(n, generators::path(n)));
+    let total = schedule.n();
+    let shared = Arc::new(
+        GradientShared::new(AlgoParams::with_minimal_b0(model, total, 0.5)).with_idle_parking(true),
+    );
+    // Visitor 1 departs at 8.5 s and is swept cold at 10 s; visitor 3
+    // departs at 9.5 s and is cold from 11 s.
+    let (visitor1, visitor3) = (node(n + 1), node(n + 3));
+    let faults = FaultPlan::new(vec![
+        FaultEvent::crash(11.0, visitor1),
+        FaultEvent::restart(13.0, visitor1),
+        FaultEvent::crash(12.0, visitor3),
+        FaultEvent::crash(15.0, node(5)),
+        FaultEvent::restart(17.0, node(5)),
+    ]);
+    let mk = |threads: usize| {
+        SimBuilder::topology(model, ScheduleSource::new(schedule.clone()))
+            .faults(faults.clone())
+            .delay(DelayStrategy::Max)
+            .seed(seed)
+            .threads(threads)
+            .build_with(|_| GradientNode::with_shared(shared.clone()))
+    };
+    for threads in THREAD_COUNTS {
+        run_and_compare(mk(threads), mk(threads), horizon, 1.0);
     }
 }

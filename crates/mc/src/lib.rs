@@ -8,10 +8,12 @@
 //! machine-checked invariants over *every reachable state* of a bounded
 //! configuration, and wires the results back into the real engine:
 //!
-//! * [`model`] — a serial, decision-instrumented mirror of the engine's
-//!   exact event semantics (same `(time, class, seq)` total order, same
-//!   effect merge order, same timer/discovery/FIFO/epoch rules), where
-//!   every live-edge message delay is an enumerable choice.
+//! * [`model`] — a serial, decision-instrumented interpreter of the
+//!   engine's exact event semantics (same `(time, class, seq)` total
+//!   order, same effect merge order) on the engine's own event, timer,
+//!   peer and edge types, whose timer/discovery/FIFO/epoch rules it calls
+//!   rather than restates, and where every live-edge message delay is an
+//!   enumerable choice.
 //! * [`oracle`] — the invariant checks, evaluated at every instant of
 //!   every run. The blocked predicate is recomputed from the node's
 //!   observable `(estimate, budget)` caps through

@@ -1,11 +1,14 @@
-//! The executable model: a serial, decision-instrumented mirror of the
-//! engine's event semantics.
+//! The executable model: a serial, decision-instrumented interpreter of
+//! the engine's event semantics.
 //!
-//! [`Model`] re-implements exactly the state machine that
-//! `gcs_sim::Simulator` executes — the same event total order
-//! `(time, class, seq)`, the same canonical effect merge order
-//! `(trigger seq, emission index)`, the same timer-generation, discovery-
-//! version, FIFO-horizon, edge-epoch and crash/restart rules — but
+//! [`Model`] runs exactly the state machine that `gcs_sim::Simulator`
+//! executes — the same event total order `(time, class, seq)` and the
+//! same canonical effect merge order `(trigger seq, emission index)` —
+//! on the engine's own state types: queued [`EventPayload`]s, per-node
+//! [`TimerSlots`] and [`PeerLocal`] entries and per-edge [`EdgeShared`]
+//! entries. The timer-generation, discovery-staleness, FIFO, edge-epoch
+//! and edge-transition rules are those types' methods, so the model and
+//! the engine's dispatch call one definition of each. The model
 //!
 //! * runs strictly serially over a handful of nodes,
 //! * treats every live-edge message delay as an explicit **decision
@@ -27,9 +30,10 @@ use gcs_clocks::{Duration, HardwareClock, Time};
 use gcs_core::GradientNode;
 use gcs_net::schedule::{TopologyEventKind, TopologySchedule};
 use gcs_net::{Edge, NodeId, TopologyEvent};
+use gcs_sim::event::{EventPayload, QueuedEvent};
 use gcs_sim::{
-    Action, Automaton, Context, FaultEvent, FaultKind, LinkChange, LinkChangeKind, Message,
-    TimerKind,
+    Action, Automaton, Context, EdgeShared, FaultEvent, FaultKind, LinkChange, LinkChangeKind,
+    PeerLocal, TimerKind, TimerSlots,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -269,67 +273,12 @@ impl ModelNode for GradientNode {
     }
 }
 
-/// Mirror of the engine's event payloads (the model keeps its own copy so
-/// the engine's internals stay private to `gcs_sim`).
-#[derive(Clone, Copy, Debug)]
-enum Payload {
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: Message,
-        epoch: u64,
-    },
-    Alarm {
-        node: NodeId,
-        kind: TimerKind,
-        generation: u64,
-    },
-    Topology {
-        kind: LinkChangeKind,
-        edge: Edge,
-        version: u64,
-    },
-    Discover {
-        node: NodeId,
-        change: LinkChange,
-        version: u64,
-    },
-    Fault {
-        kind: FaultKind,
-    },
-}
-
-impl Payload {
-    /// The engine's class ranks: topology changes apply before faults,
-    /// faults before protocol events, within one instant.
-    fn class(&self) -> u8 {
-        match self {
-            Payload::Topology { .. } => 0,
-            Payload::Fault { .. } => 1,
-            _ => 2,
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct QueuedEv {
-    time: Time,
-    seq: u64,
-    payload: Payload,
-}
-
-impl QueuedEv {
-    fn key(&self) -> (Time, u8, u64) {
-        (self.time, self.payload.class(), self.seq)
-    }
-}
-
 /// The model's event queue: same total order as the engine's wheel —
 /// `(time, class, seq)` with `seq` assigned at push. The events are kept
 /// sorted by that key, so the earliest instant is a prefix.
 #[derive(Debug, Default)]
 struct ModelQueue {
-    events: Vec<QueuedEv>,
+    events: Vec<QueuedEvent>,
     next_seq: u64,
 }
 
@@ -349,10 +298,10 @@ impl Clone for ModelQueue {
 }
 
 impl ModelQueue {
-    fn push(&mut self, time: Time, payload: Payload) {
+    fn push(&mut self, time: Time, payload: EventPayload) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = QueuedEv { time, seq, payload };
+        let ev = QueuedEvent { time, seq, payload };
         let at = self.events.partition_point(|e| e.key() < ev.key());
         self.events.insert(at, ev);
     }
@@ -365,37 +314,11 @@ impl ModelQueue {
     /// `(class, seq)` order — the engine's `pop_instant` — and returns
     /// that time. Events pushed afterwards at the same time form the next
     /// round, exactly as the wheel's larger sequence numbers do.
-    fn pop_instant(&mut self, round: &mut Vec<QueuedEv>) -> Option<Time> {
+    fn pop_instant(&mut self, round: &mut Vec<QueuedEvent>) -> Option<Time> {
         let t = self.peek_time()?;
         let len = self.events.partition_point(|e| e.time == t);
         round.extend(self.events.drain(..len));
         Some(t)
-    }
-}
-
-/// Mirror of the engine's canonical per-edge state (`EdgeStore` entry).
-#[derive(Clone, Copy, Debug, Default)]
-struct EdgeMirror {
-    live: bool,
-    epoch: u64,
-    versions: u64,
-    last_add_version: u64,
-    last_remove_version: u64,
-}
-
-/// Mirror of the engine's per-directed-pair node-local state.
-#[derive(Clone, Copy, Debug)]
-struct PeerMirror {
-    discovered_version: u64,
-    fifo_out: Time,
-}
-
-impl Default for PeerMirror {
-    fn default() -> Self {
-        PeerMirror {
-            discovered_version: 0,
-            fifo_out: Time::ZERO,
-        }
     }
 }
 
@@ -405,7 +328,7 @@ struct ModelEffect {
     seq: u64,
     k: u32,
     time: Time,
-    payload: Payload,
+    payload: EventPayload,
 }
 
 /// One recorded live-edge send: the replayable decision outcome.
@@ -443,18 +366,23 @@ struct Fixed {
 
 /// The serial model interpreter over one [`Scenario`].
 ///
-/// The per-key tables are vectors of pairs sorted by key, iterated in the
+/// Its per-node and per-edge entries are the engine's own types —
+/// [`TimerSlots`], [`PeerLocal`], [`EdgeShared`] and the queued
+/// [`EventPayload`]s — driven by the same rule methods the engine's
+/// dispatch calls. The tables are vectors sorted by key, iterated in the
 /// ascending order a `BTreeMap` would give, so a copy is one buffer per
 /// table and [`Clone::clone_from`] reuses it.
 #[derive(Debug)]
 pub struct Model<N: ModelNode> {
     fixed: Arc<Fixed>,
     nodes: Vec<N>,
-    /// Per node: armed timer generations by kind.
-    timers: Vec<Vec<(TimerKind, u64)>>,
-    /// Per node: the mirror of each peer it has touched.
-    peers: Vec<Vec<(NodeId, PeerMirror)>>,
-    edges: Vec<(Edge, EdgeMirror)>,
+    /// Per node: its timer generations.
+    timers: Vec<TimerSlots>,
+    /// Per node: its view of each peer it has touched, sorted by
+    /// neighbor.
+    peers: Vec<Vec<PeerLocal>>,
+    /// Every edge ever contacted, sorted by `(lo, hi)`.
+    edges: Vec<(Edge, EdgeShared)>,
     crashed: Vec<NodeId>,
     restart_count: Vec<u64>,
     queue: ModelQueue,
@@ -467,7 +395,7 @@ pub struct Model<N: ModelNode> {
     scratch_rng: StdRng,
     /// Per-instant scratch buffers, empty between uses, so copies carry
     /// nothing in them.
-    round: Vec<QueuedEv>,
+    round: Vec<QueuedEvent>,
     effects: Vec<ModelEffect>,
     actions: Vec<Action>,
 }
@@ -532,24 +460,23 @@ impl<N: ModelNode> Clone for Model<N> {
     }
 }
 
-/// The value under `key` in `map`, a vector of pairs sorted by key,
-/// inserted in order as `V::default()` if absent — what
-/// `BTreeMap::entry(key).or_default()` does.
-fn entry<K: Ord + Copy, V: Default>(map: &mut Vec<(K, V)>, key: K) -> &mut V {
-    let i = match map.binary_search_by_key(&key, |&(k, _)| k) {
+/// The state of `edge` in `edges` (sorted by edge), created on first
+/// contact — the engine's `EdgeStore` entry.
+fn edge_entry(edges: &mut Vec<(Edge, EdgeShared)>, edge: Edge) -> &mut EdgeShared {
+    let i = match edges.binary_search_by_key(&edge, |&(e, _)| e) {
         Ok(i) => i,
         Err(i) => {
-            map.insert(i, (key, V::default()));
+            edges.insert(i, (edge, EdgeShared::new(edge.hi())));
             i
         }
     };
-    &mut map[i].1
+    &mut edges[i].1
 }
 
-/// The value under `key` in a vector of pairs sorted by key.
-fn lookup<K: Ord + Copy, V>(map: &[(K, V)], key: K) -> Option<&V> {
-    let i = map.binary_search_by_key(&key, |&(k, _)| k).ok()?;
-    Some(&map[i].1)
+/// The state of `edge`, if any contact has happened.
+fn edge_state(edges: &[(Edge, EdgeShared)], edge: Edge) -> Option<&EdgeShared> {
+    let i = edges.binary_search_by_key(&edge, |&(e, _)| e).ok()?;
+    Some(&edges[i].1)
 }
 
 impl<N: ModelNode> Model<N> {
@@ -577,7 +504,7 @@ impl<N: ModelNode> Model<N> {
                 delay_choices: sc.delay_choices.clone(),
             }),
             nodes: (0..n).map(&mut make).collect(),
-            timers: vec![Vec::new(); n],
+            timers: vec![TimerSlots::default(); n],
             peers: vec![Vec::new(); n],
             edges: Vec::new(),
             crashed: Vec::new(),
@@ -593,15 +520,11 @@ impl<N: ModelNode> Model<N> {
             actions: Vec::new(),
         };
         for &e in &sc.initial_edges {
-            let entry = entry(&mut model.edges, e);
-            entry.live = true;
-            entry.epoch = 1;
-            entry.versions = 1;
-            entry.last_add_version = 1;
+            edge_entry(&mut model.edges, e).mark_initial();
             for w in [e.lo(), e.hi()] {
                 model.queue.push(
                     Time::ZERO,
-                    Payload::Discover {
+                    EventPayload::Discover {
                         node: w,
                         change: LinkChange {
                             kind: LinkChangeKind::Added,
@@ -773,7 +696,8 @@ impl<N: ModelNode> Model<N> {
                 .filter(|e| e.time <= until)
             {
                 self.fault_cursor += 1;
-                self.queue.push(ev.time, Payload::Fault { kind: ev.kind });
+                self.queue
+                    .push(ev.time, EventPayload::Fault { kind: ev.kind });
             }
         }
     }
@@ -782,16 +706,14 @@ impl<N: ModelNode> Model<N> {
     /// plus both endpoint discoveries at `time + D` (the model fixes the
     /// engine's `DiscoveryDelay::Constant(D)`, which draws nothing).
     fn schedule_topology(&mut self, ev: TopologyEvent) {
-        let entry = entry(&mut self.edges, ev.edge);
-        entry.versions += 1;
-        let version = entry.versions;
+        let version = edge_entry(&mut self.edges, ev.edge).next_version();
         let kind = match ev.kind {
             TopologyEventKind::Add => LinkChangeKind::Added,
             TopologyEventKind::Remove => LinkChangeKind::Removed,
         };
         self.queue.push(
             ev.time,
-            Payload::Topology {
+            EventPayload::Topology {
                 kind,
                 edge: ev.edge,
                 version,
@@ -801,7 +723,7 @@ impl<N: ModelNode> Model<N> {
         for w in [ev.edge.lo(), ev.edge.hi()] {
             self.queue.push(
                 ev.time + Duration::new(lat),
-                Payload::Discover {
+                EventPayload::Discover {
                     node: w,
                     change: LinkChange {
                         kind,
@@ -822,19 +744,19 @@ impl<N: ModelNode> Model<N> {
     /// One instant: topology barriers, then fault barriers, then a single
     /// protocol segment — the order the `(time, class, seq)` sort already
     /// put the round in.
-    fn run_round(&mut self, round: &[QueuedEv], decider: &mut DelayDecider) {
+    fn run_round(&mut self, round: &[QueuedEvent], decider: &mut DelayDecider) {
         let mut i = 0;
         while i < round.len() {
             match round[i].payload {
-                Payload::Topology {
+                EventPayload::Topology {
                     kind,
                     edge,
                     version,
                 } => {
-                    self.apply_topology(kind, edge, version);
+                    edge_entry(&mut self.edges, edge).apply(kind, edge, version);
                     i += 1;
                 }
-                Payload::Fault { kind } => {
+                EventPayload::Fault { kind } => {
                     self.apply_fault(kind, round[i].seq, decider);
                     i += 1;
                 }
@@ -846,25 +768,10 @@ impl<N: ModelNode> Model<N> {
         }
         self.with_effects(|m, effects| {
             for ev in &round[i..] {
-                debug_assert_eq!(ev.payload.class(), 2, "barriers sort first");
+                debug_assert_eq!(ev.payload.class_rank(), 2, "barriers sort first");
                 m.run_event(ev, decider, effects);
             }
         });
-    }
-
-    fn apply_topology(&mut self, kind: LinkChangeKind, edge: Edge, version: u64) {
-        let entry = entry(&mut self.edges, edge);
-        match kind {
-            LinkChangeKind::Added => {
-                entry.epoch += 1;
-                entry.live = true;
-                entry.last_add_version = version;
-            }
-            LinkChangeKind::Removed => {
-                entry.last_remove_version = version;
-                entry.live = false;
-            }
-        }
     }
 
     /// The engine's fault barrier for the crash/restart family.
@@ -875,9 +782,7 @@ impl<N: ModelNode> Model<N> {
                     self.crashed.insert(i, node);
                     // All armed timers go stale; entries stay so post-
                     // restart arms never alias in-flight generations.
-                    for (_, gen) in &mut self.timers[node.index()] {
-                        *gen = gen.wrapping_add(1);
-                    }
+                    self.timers[node.index()].cancel_all();
                 }
             }
             FaultKind::Restart { node } => {
@@ -889,10 +794,8 @@ impl<N: ModelNode> Model<N> {
                     .try_reboot()
                     .expect("model automata support reboot");
                 self.nodes[node.index()] = fresh;
-                for (_, gen) in &mut self.timers[node.index()] {
-                    *gen = gen.wrapping_add(1);
-                }
-                for (_, peer) in &mut self.peers[node.index()] {
+                self.timers[node.index()].cancel_all();
+                for peer in &mut self.peers[node.index()] {
                     peer.discovered_version = 0;
                 }
                 // `on_start` at the restart instant, merged under the
@@ -908,13 +811,13 @@ impl<N: ModelNode> Model<N> {
                         continue;
                     }
                     let edge = Edge::new(node, v);
-                    let Some(state) = lookup(&self.edges, edge).filter(|e| e.live) else {
+                    let Some(state) = edge_state(&self.edges, edge).filter(|e| e.live) else {
                         continue;
                     };
                     let version = state.last_add_version;
                     self.queue.push(
                         self.now + Duration::new(lat),
-                        Payload::Discover {
+                        EventPayload::Discover {
                             node,
                             change: LinkChange {
                                 kind: LinkChangeKind::Added,
@@ -941,16 +844,11 @@ impl<N: ModelNode> Model<N> {
     /// One non-barrier event — the engine's `dispatch::run_event`.
     fn run_event(
         &mut self,
-        ev: &QueuedEv,
+        ev: &QueuedEvent,
         decider: &mut DelayDecider,
         effects: &mut Vec<ModelEffect>,
     ) {
-        let owner = match ev.payload {
-            Payload::Deliver { to, .. } => to,
-            Payload::Alarm { node, .. } => node,
-            Payload::Discover { node, .. } => node,
-            _ => unreachable!("barriers applied above"),
-        };
+        let owner = ev.payload.owner();
         // A crashed node executes nothing: deliveries to it vanish, its
         // alarms and discoveries are suppressed; watermarks are left
         // untouched.
@@ -958,15 +856,15 @@ impl<N: ModelNode> Model<N> {
             return;
         }
         match ev.payload {
-            Payload::Deliver {
+            EventPayload::Deliver {
                 from,
                 to,
                 msg,
                 epoch,
             } => {
                 let edge = Edge::new(from, to);
-                let state = lookup(&self.edges, edge);
-                if state.map(|e| e.live && e.epoch == epoch).unwrap_or(false) {
+                let state = edge_state(&self.edges, edge);
+                if state.is_some_and(|e| e.delivers(epoch)) {
                     self.run_handler(owner, ev.seq, decider, effects, |a, c| {
                         a.on_receive(c, from, msg)
                     });
@@ -978,7 +876,7 @@ impl<N: ModelNode> Model<N> {
                         seq: ev.seq,
                         k: 0,
                         time: self.now,
-                        payload: Payload::Discover {
+                        payload: EventPayload::Discover {
                             node: from,
                             change: LinkChange {
                                 kind: LinkChangeKind::Removed,
@@ -989,25 +887,23 @@ impl<N: ModelNode> Model<N> {
                     });
                 }
             }
-            Payload::Alarm {
+            EventPayload::Alarm {
                 kind, generation, ..
             } => {
                 let timers = &mut self.timers[owner.index()];
-                if lookup(timers, kind) != Some(&generation) {
+                if timers.get(kind) != Some(generation) {
                     return; // stale
                 }
-                timers.retain(|&(k, _)| k != kind); // disarm: a fired alarm consumes its entry
+                timers.disarm(kind);
                 self.run_handler(owner, ev.seq, decider, effects, |a, c| a.on_alarm(c, kind));
             }
-            Payload::Discover {
+            EventPayload::Discover {
                 change, version, ..
             } => {
                 let other = change.edge.other(owner);
-                let peer = entry(&mut self.peers[owner.index()], other);
-                if version <= peer.discovered_version {
+                if !PeerLocal::entry(&mut self.peers[owner.index()], other).learn(version) {
                     return; // stale
                 }
-                peer.discovered_version = version;
                 self.run_handler(owner, ev.seq, decider, effects, |a, c| {
                     a.on_discover(c, change)
                 });
@@ -1038,8 +934,8 @@ impl<N: ModelNode> Model<N> {
             match action {
                 Action::Send { to, msg } => {
                     let edge = Edge::new(u, to);
-                    let state = lookup(&self.edges, edge);
-                    if state.map(|e| e.live).unwrap_or(false) {
+                    let state = edge_state(&self.edges, edge);
+                    if state.is_some_and(|e| e.live) {
                         let epoch = state.expect("live edge has an entry").epoch;
                         // THE decision point: the adversary picks the
                         // delay within [0, T] (the engine's strategy
@@ -1047,10 +943,8 @@ impl<N: ModelNode> Model<N> {
                         let d = decider
                             .next_delay(&self.fixed.delay_choices)
                             .clamp(0.0, self.fixed.algo.model.t);
-                        let mut deliver_at = self.now + Duration::new(d);
-                        let peer = entry(&mut self.peers[u.index()], to);
-                        deliver_at = deliver_at.max(peer.fifo_out);
-                        peer.fifo_out = deliver_at;
+                        let due = self.now + Duration::new(d);
+                        let deliver_at = PeerLocal::entry(&mut self.peers[u.index()], to).fifo(due);
                         self.sends.push(SendRecord {
                             from: u,
                             to,
@@ -1060,7 +954,7 @@ impl<N: ModelNode> Model<N> {
                             seq,
                             k,
                             time: deliver_at,
-                            payload: Payload::Deliver {
+                            payload: EventPayload::Deliver {
                                 from: u,
                                 to,
                                 msg,
@@ -1074,7 +968,7 @@ impl<N: ModelNode> Model<N> {
                             seq,
                             k,
                             time: self.now + Duration::new(self.discovery_latency()),
-                            payload: Payload::Discover {
+                            payload: EventPayload::Discover {
                                 node: u,
                                 change: LinkChange {
                                     kind: LinkChangeKind::Removed,
@@ -1087,10 +981,7 @@ impl<N: ModelNode> Model<N> {
                     k += 1;
                 }
                 Action::SetTimer { delta, kind } => {
-                    // Arming an absent timer starts its generations at 1.
-                    let generation = entry(&mut self.timers[u.index()], kind);
-                    *generation = generation.wrapping_add(1);
-                    let generation = *generation;
+                    let generation = self.timers[u.index()].arm(kind);
                     let clock = &self.fixed.clocks[u.index()];
                     let fire = if self.now == Time::ZERO {
                         clock.fire_time(Time::ZERO, delta)
@@ -1101,7 +992,7 @@ impl<N: ModelNode> Model<N> {
                         seq,
                         k,
                         time: fire,
-                        payload: Payload::Alarm {
+                        payload: EventPayload::Alarm {
                             node: u,
                             kind,
                             generation,
@@ -1109,13 +1000,7 @@ impl<N: ModelNode> Model<N> {
                     });
                     k += 1;
                 }
-                Action::CancelTimer { kind } => {
-                    // cancel: bump if armed, entry stays present.
-                    let timers = &mut self.timers[u.index()];
-                    if let Some((_, gen)) = timers.iter_mut().find(|(k, _)| *k == kind) {
-                        *gen = gen.wrapping_add(1);
-                    }
-                }
+                Action::CancelTimer { kind } => self.timers[u.index()].cancel(kind),
             }
         }
         self.actions = actions;
@@ -1149,22 +1034,22 @@ impl<N: ModelNode> Model<N> {
             let u = NodeId::from_index(i);
             out.push(u64::from(self.is_crashed(u)));
             node.encode(out);
-            let timers = &self.timers[i];
+            let timers = self.timers[i].iter();
             out.push(timers.len() as u64);
-            for &(kind, gen) in timers {
+            for (kind, gen) in timers {
                 out.push(timer_code(kind));
                 out.push(gen);
             }
-            // Engine peer slots materialize lazily with default content,
-            // so default entries encode as absent.
+            // Engine peer slots materialize lazily with fresh content, so
+            // fresh entries encode as absent.
             let live_peers = || {
                 self.peers[i]
                     .iter()
-                    .filter(|(_, p)| p.discovered_version != 0 || p.fifo_out != Time::ZERO)
+                    .filter(|p| **p != PeerLocal::new(p.neighbor))
             };
             out.push(live_peers().count() as u64);
-            for (v, p) in live_peers() {
-                out.push(v.index() as u64);
+            for p in live_peers() {
+                out.push(p.neighbor.index() as u64);
                 out.push(p.discovered_version);
                 out.push(p.fifo_out.seconds().to_bits());
             }
@@ -1187,7 +1072,7 @@ impl<N: ModelNode> Model<N> {
         for ev in pending {
             out.push(ev.time.seconds().to_bits());
             match ev.payload {
-                Payload::Deliver {
+                EventPayload::Deliver {
                     from,
                     to,
                     msg,
@@ -1200,7 +1085,7 @@ impl<N: ModelNode> Model<N> {
                     out.push(msg.max_estimate.to_bits());
                     out.push(epoch);
                 }
-                Payload::Alarm {
+                EventPayload::Alarm {
                     node,
                     kind,
                     generation,
@@ -1210,7 +1095,7 @@ impl<N: ModelNode> Model<N> {
                     out.push(timer_code(kind));
                     out.push(generation);
                 }
-                Payload::Topology {
+                EventPayload::Topology {
                     kind,
                     edge,
                     version,
@@ -1221,7 +1106,7 @@ impl<N: ModelNode> Model<N> {
                     out.push(edge.hi().index() as u64);
                     out.push(version);
                 }
-                Payload::Discover {
+                EventPayload::Discover {
                     node,
                     change,
                     version,
@@ -1233,7 +1118,7 @@ impl<N: ModelNode> Model<N> {
                     out.push(change.edge.hi().index() as u64);
                     out.push(version);
                 }
-                Payload::Fault { kind } => {
+                EventPayload::Fault { kind } => {
                     out.push(4);
                     match kind {
                         FaultKind::Crash { node } => {
@@ -1273,7 +1158,7 @@ fn timer_code(kind: TimerKind) -> u64 {
 mod tests {
     use super::*;
     use gcs_core::AlgoParams;
-    use gcs_sim::ModelParams;
+    use gcs_sim::{Message, ModelParams};
 
     fn tiny_scenario() -> Scenario {
         let model = ModelParams::new(0.05, 1.0, 2.0);

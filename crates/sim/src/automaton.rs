@@ -257,10 +257,12 @@ pub trait Automaton: Send {
     // ---- Compact-plane cold tier (optional; defaults opt out) ----
     //
     // The engine's eviction sweep ([`crate::Simulator::evict_quiescent`])
-    // packs nodes that are quiescent *and* hold no armed timer into byte
-    // blobs, and rehydrates them on the next touching event. The three
-    // methods below are the protocol side of that contract; protocols
-    // that do not implement them are simply never evicted.
+    // moves nodes that are quiescent *and* hold no armed timer into the
+    // cold tier: the automaton packs its heap state into bytes the engine
+    // holds, while the engine's own timer and peer slots stay in place.
+    // The node's next handler (or a restart's reboot) wakes it first. The
+    // three methods below are the protocol side of that contract;
+    // protocols that do not implement them are simply never evicted.
 
     /// True when the node holds no per-neighbor protocol state — for
     /// Algorithm 2, `Γ_u = Υ_u = ∅`. Only quiescent nodes are candidates
@@ -282,8 +284,9 @@ pub trait Automaton: Send {
     }
 
     /// Restores state drained by a [`pack_cold`](Self::pack_cold) that
-    /// returned `true`. Exact inverse: the rehydrated node must be
-    /// bit-for-bit indistinguishable from one that was never evicted.
+    /// returned `true`, before any handler or reboot reads the node.
+    /// Exact inverse: the woken node must be bit-for-bit
+    /// indistinguishable from one that was never evicted.
     fn unpack_cold(&mut self, _bytes: &[u8]) {}
 
     /// Heap bytes currently held by this node's protocol state (the

@@ -89,22 +89,6 @@ pub(crate) struct DispatchCtx<'a> {
     pub observing: bool,
 }
 
-impl DispatchCtx<'_> {
-    /// The owner of an event — the node whose state it may mutate.
-    /// Topology events have no single owner; they are segment barriers and
-    /// never reach [`run_event`].
-    pub fn owner(payload: &EventPayload) -> NodeId {
-        match payload {
-            EventPayload::Deliver { to, .. } => *to,
-            EventPayload::Alarm { node, .. } => *node,
-            EventPayload::Discover { node, .. } => *node,
-            EventPayload::Topology { .. } | EventPayload::Fault { .. } => {
-                unreachable!("topology and fault events are barriers, not dispatched")
-            }
-        }
-    }
-}
-
 /// Hardware reading of `u` at `t` through the lazy drift plane.
 ///
 /// `H(0) = 0` by the model's convention, so queries at time 0 touch
@@ -188,7 +172,7 @@ pub(crate) fn fire_hw(
 pub(crate) fn run_shard<A: Automaton>(ctx: &DispatchCtx<'_>, shard: &mut Shard<A>) {
     let events = std::mem::take(&mut shard.events);
     for ev in &events {
-        let owner = DispatchCtx::owner(&ev.payload);
+        let owner = ev.payload.owner();
         run_event(ctx, shard, owner, ev);
     }
     shard.events = events;
@@ -226,13 +210,8 @@ pub(crate) fn run_event<A: Automaton>(
         } => {
             let edge = Edge::new(from, to);
             let state = ctx.edges.find(edge);
-            if state.map(|e| e.live && e.epoch == epoch).unwrap_or(false) {
+            if state.is_some_and(|e| e.delivers(epoch)) {
                 shard.stats.messages_delivered += 1;
-                // A delivery touches the node: rehydrate it from the cold
-                // tier before the handler observes any state. (The drop
-                // path below touches only the *sender*, so it leaves the
-                // owner cold.)
-                shard.table.rehydrate(local, &mut shard.nodes[local]);
                 run_handler(ctx, shard, owner, local, ev.seq, |a, c| {
                     a.on_receive(c, from, msg)
                 });
@@ -260,19 +239,10 @@ pub(crate) fn run_event<A: Automaton>(
         EventPayload::Alarm {
             kind, generation, ..
         } => {
-            // No rehydration here, by construction: eviction requires no
-            // armed timer, so an alarm reaching a cold node is stale on
-            // the drained slots (`get` → `None`) exactly as it would be
-            // on the hot ones (generation mismatch) — same branch, same
-            // stats.
             if shard.table.timers[local].get(kind) != Some(generation) {
                 shard.stats.alarms_stale += 1;
                 return;
             }
-            debug_assert!(
-                !shard.table.is_cold(local),
-                "live alarm against a cold node: eviction let an armed timer through"
-            );
             shard.table.timers[local].disarm(kind);
             shard.stats.alarms_fired += 1;
             run_handler(ctx, shard, owner, local, ev.seq, |a, c| a.on_alarm(c, kind));
@@ -280,16 +250,11 @@ pub(crate) fn run_event<A: Automaton>(
         EventPayload::Discover {
             change, version, ..
         } => {
-            // Rehydrate before the staleness check: the discovery
-            // watermark being compared lives in the packed peer state.
-            shard.table.rehydrate(local, &mut shard.nodes[local]);
             let other = change.edge.other(owner);
-            let peer = shard.table.peer(local, other);
-            if version <= peer.discovered_version {
+            if !shard.table.peer(local, other).learn(version) {
                 shard.stats.discovers_stale += 1;
                 return;
             }
-            peer.discovered_version = version;
             shard.stats.discovers_delivered += 1;
             run_handler(ctx, shard, owner, local, ev.seq, |a, c| {
                 a.on_discover(c, change)
@@ -305,7 +270,8 @@ pub(crate) fn run_event<A: Automaton>(
 /// effects, applying owner-local side effects (timer generations, FIFO
 /// horizons, RNG draws, cursor advances) immediately so later events of
 /// the *same* node in the same segment observe them — exactly as the
-/// per-event engine did.
+/// per-event engine did. A cold owner wakes first: this is the one place
+/// a handler reads an evicted automaton.
 pub(crate) fn run_handler<A: Automaton>(
     ctx: &DispatchCtx<'_>,
     shard: &mut Shard<A>,
@@ -324,6 +290,7 @@ pub(crate) fn run_handler<A: Automaton>(
         scratch_rng,
         ..
     } = shard;
+    table.wake(local, &mut nodes[local]);
     // One drift-plane evaluation per node per instant (two events at the
     // same instant read the same hardware value by definition). At time 0
     // every clock reads exactly 0, so `on_start` dispatch touches no
@@ -402,12 +369,8 @@ pub(crate) fn run_handler<A: Automaton>(
                             |rng| ctx.delay.delay(edge, u, ctx.now, ctx.params.t, rng),
                         )
                     };
-                    let mut deliver_at = ctx.now + gcs_clocks::Duration::new(d);
-                    // FIFO per directed link: never deliver before an
-                    // earlier message.
-                    let peer = table.peer(local, to);
-                    deliver_at = deliver_at.max(peer.fifo_out);
-                    peer.fifo_out = deliver_at;
+                    let due = ctx.now + gcs_clocks::Duration::new(d);
+                    let deliver_at = table.peer(local, to).fifo(due);
                     effects.push(Effect {
                         seq,
                         k,

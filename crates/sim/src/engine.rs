@@ -558,8 +558,10 @@ impl SimBuilder {
 /// * `topology` — the canonical edge store (rows, lower-neighbor ids),
 /// * `drift` — hardware memo columns and materialized drift cursors,
 /// * `automaton_hot` — automaton structs and their heap state, plus the
-///   engine-side per-node columns (timers, peers, RNG streams),
-/// * `automaton_cold` — packed blobs of evicted quiescent nodes,
+///   engine-side per-node columns (timers, peers, RNG streams) and the
+///   hot nodes' timer and peer entries,
+/// * `automaton_cold` — evicted quiescent nodes: their automata's packed
+///   bytes plus their shrunk timer and peer entries,
 /// * `wheel` — the pending-event calendar queue (packed records plus the
 ///   payload arena),
 /// * `staging` — pulled-but-not-yet-due topology/fault events held in
@@ -575,9 +577,11 @@ pub struct PlaneBytes {
     pub topology: usize,
     /// Hardware memo columns plus materialized drift cursors.
     pub drift: usize,
-    /// Hot automaton structs/heap plus engine-side node columns.
+    /// Hot automaton structs/heap plus engine-side node columns and the
+    /// hot nodes' timer and peer entries.
     pub automaton_hot: usize,
-    /// Packed cold-tier blobs.
+    /// The cold tier: evicted automata's packed bytes plus the evicted
+    /// nodes' shrunk timer and peer entries.
     pub automaton_cold: usize,
     /// Pending-event calendar queue (packed records + payload arena).
     pub wheel: usize,
@@ -626,8 +630,8 @@ pub struct Telemetry {
     /// Lazy per-node RNG streams materialized — zero for runs whose
     /// delay/discovery strategies and automata never draw.
     pub rng_streams: usize,
-    /// Nodes packed into the cold tier (their bytes are
-    /// `planes.automaton_cold`).
+    /// Nodes evicted into the cold tier and not woken since (their bytes
+    /// are `planes.automaton_cold`).
     pub cold_nodes: usize,
     /// [`Simulator::evictions`].
     pub evictions: u64,
@@ -800,7 +804,8 @@ impl<A: Automaton> Simulator<A> {
         self.table_sum(|t| t.evictions)
     }
 
-    /// Rehydrations performed so far (see [`Self::evictions`]).
+    /// Cold nodes woken so far — each by a handler or a restart reading
+    /// its automaton (see [`Self::evictions`]).
     pub fn rehydrations(&self) -> u64 {
         self.table_sum(|t| t.rehydrations)
     }
@@ -811,7 +816,7 @@ impl<A: Automaton> Simulator<A> {
     }
 
     /// Sweeps every touched node and evicts the quiescent ones into the
-    /// packed cold tier; returns how many moved. A serial barrier, and
+    /// cold tier; returns how many moved. A serial barrier, and
     /// every per-node predicate (`NodeTable::pack_node`) reads only
     /// node-local state — so which nodes evict is a function of the
     /// trace alone, identical across thread counts.
@@ -1222,7 +1227,7 @@ impl<A: Automaton> Simulator<A> {
             }
             EventPayload::Fault { kind } => self.apply_fault(kind, ev.seq),
             _ => {
-                let owner = DispatchCtx::owner(&ev.payload);
+                let owner = ev.payload.owner();
                 let (ctx, shards) = self.split_dispatch();
                 let shard_idx = shards.shard_of(owner);
                 dispatch::run_event(&ctx, &mut shards.shards[shard_idx], owner, &ev);
@@ -1275,7 +1280,7 @@ impl<A: Automaton> Simulator<A> {
             self.stats.segments_inline += 1;
             let (ctx, shards) = self.split_dispatch();
             for ev in seg {
-                let owner = DispatchCtx::owner(&ev.payload);
+                let owner = ev.payload.owner();
                 let s = shards.shard_of(owner);
                 dispatch::run_event(&ctx, &mut shards.shards[s], owner, ev);
             }
@@ -1284,7 +1289,7 @@ impl<A: Automaton> Simulator<A> {
         }
         self.stats.segments_parallel += 1;
         for ev in seg {
-            let owner = DispatchCtx::owner(&ev.payload);
+            let owner = ev.payload.owner();
             let s = owner.index() % shard_count;
             self.shards.shards[s].events.push(*ev);
         }
@@ -1371,15 +1376,12 @@ impl<A: Automaton> Simulator<A> {
                 if self.faults.crash(node) {
                     self.stats.crashes += 1;
                     // All armed timers go stale; entries stay so post-
-                    // restart arms never alias in-flight generations. A
-                    // cold node rehydrates first so the generation bumps
-                    // land in the live slots, not a stale blob.
+                    // restart arms never alias in-flight generations.
                     let s = self.shards.shard_of(node);
                     let local = node.index() / self.shards.count();
-                    let shard = &mut self.shards.shards[s];
-                    if local < shard.table.watermark() {
-                        shard.table.rehydrate(local, &mut shard.nodes[local]);
-                        shard.table.timers[local].cancel_all();
+                    let table = &mut self.shards.shards[s].table;
+                    if local < table.watermark() {
+                        table.timers[local].cancel_all();
                     }
                 }
             }
@@ -1396,21 +1398,13 @@ impl<A: Automaton> Simulator<A> {
                 // cursor, RNG stream and FIFO horizons survive — they
                 // model the oscillator, the environment's randomness and
                 // the link discipline, not protocol state.
-                // A cold node rehydrates before the reboot so its timer
-                // generations are restored ahead of the `cancel_all`
-                // bumps and `on_start`'s fresh arm (a first arm against
-                // drained slots would restart at generation 1 and alias
-                // any stale in-flight alarm), and so no stale blob
-                // lingers next to the fresh automaton.
-                {
-                    let shard = &mut self.shards.shards[s];
-                    if local < shard.table.watermark() {
-                        shard.table.rehydrate(local, &mut shard.nodes[local]);
-                    }
-                }
-                let fresh = self.shards.shards[s].nodes[local].reboot();
-                self.shards.shards[s].nodes[local] = fresh;
-                let table = &mut self.shards.shards[s].table;
+                // A cold node wakes first: `reboot` reads the automaton
+                // outside any handler, and the fresh automaton must not
+                // unpack the evicted one's bytes at its first handler.
+                let shard = &mut self.shards.shards[s];
+                shard.table.wake(local, &mut shard.nodes[local]);
+                shard.nodes[local] = shard.nodes[local].reboot();
+                let table = &mut shard.table;
                 if local < table.watermark() {
                     table.timers[local].cancel_all();
                     for p in table.peers[local].iter_mut() {

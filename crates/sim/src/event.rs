@@ -119,6 +119,25 @@ impl EventPayload {
             _ => 2,
         }
     }
+
+    /// The node whose state a protocol event may mutate: the receiver of
+    /// a delivery, the owner of an alarm, the endpoint a discovery
+    /// informs.
+    ///
+    /// # Panics
+    /// On topology and fault events: they are barriers with no single
+    /// owner and are never dispatched to a node.
+    #[inline]
+    pub fn owner(&self) -> NodeId {
+        match self {
+            EventPayload::Deliver { to, .. } => *to,
+            EventPayload::Alarm { node, .. } => *node,
+            EventPayload::Discover { node, .. } => *node,
+            EventPayload::Topology { .. } | EventPayload::Fault { .. } => {
+                unreachable!("topology and fault events are barriers, not dispatched")
+            }
+        }
+    }
 }
 
 /// A queued event: totally ordered by `(time, class, seq)` — earliest

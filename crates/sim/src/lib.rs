@@ -21,6 +21,13 @@
 //! [`Context`] that collects sends and timer operations, mirroring the
 //! event-handler style in which Algorithm 2 is written.
 //!
+//! The engine keeps these rules in one typed form per fact: a node's
+//! [`TimerSlots`] (generations that supersede reset or cancelled alarms),
+//! its [`PeerLocal`] view of each neighbor (FIFO horizon, discovery
+//! watermark) and each edge's [`EdgeShared`] entry (liveness, epoch,
+//! change versions). Their methods are the rules themselves; the model
+//! checker in `gcs-mc` runs on the same types and calls the same methods.
+//!
 //! Determinism: a simulation is a pure function of (model parameters,
 //! topology stream, drift plane, fault stream, delay strategy, seed) —
 //! and of *nothing else*. Topology streams from a lazily pulled
@@ -92,6 +99,6 @@ pub use engine::{
 pub use event::{LinkChange, LinkChangeKind, Message, TimerKind};
 pub use fault::{CrashRestartSource, FaultEvent, FaultKind, FaultPlan, FaultSource};
 pub use model::ModelParams;
-pub use shard::GraphView;
+pub use shard::{EdgeShared, GraphView, PeerLocal, TimerSlots};
 pub use stats::SimStats;
 pub use wheel::TimeWheel;

@@ -56,8 +56,12 @@ use rand::SeedableRng;
 /// Canonical per-edge state, stored on the lower endpoint's row (sorted
 /// by the higher endpoint). Entries are created on first contact and are
 /// sticky: churn toggles fields instead of reshaping the row.
+///
+/// The methods are the §3.2 edge rules — initial presence, per-edge
+/// change versions, add/remove transitions and in-flight loss — shared
+/// by the engine's edge store and the model checker's edge table.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct EdgeShared {
+pub struct EdgeShared {
     /// The higher endpoint of the edge.
     pub neighbor: NodeId,
     /// Whether the edge is in the live edge set `E(t)` — the engine's one
@@ -83,7 +87,10 @@ pub(crate) struct EdgeShared {
 }
 
 impl EdgeShared {
-    fn new(neighbor: NodeId) -> Self {
+    /// The entry of a never-seen edge to `neighbor`: down, epoch 0, no
+    /// version assigned.
+    #[inline]
+    pub fn new(neighbor: NodeId) -> Self {
         EdgeShared {
             neighbor,
             live: false,
@@ -92,6 +99,59 @@ impl EdgeShared {
             last_add_version: 0,
             versions: 0,
         }
+    }
+
+    /// Marks an initial edge live at epoch 1, change-version 1.
+    #[inline]
+    pub fn mark_initial(&mut self) {
+        self.live = true;
+        self.epoch = 1;
+        self.versions = 1;
+        self.last_add_version = 1;
+    }
+
+    /// Assigns the edge's next change version. Called at pull time, in
+    /// stream order, so versions are monotone per edge.
+    #[inline]
+    pub fn next_version(&mut self) -> u64 {
+        self.versions += 1;
+        self.versions
+    }
+
+    /// Applies one pulled change of `edge` (this entry's edge, named in
+    /// the panic message) under `version`: an add goes live in a new
+    /// epoch, a removal goes down.
+    ///
+    /// # Panics
+    /// When the change contradicts liveness — adding a live edge or
+    /// removing an absent one — i.e. the source broke its contract.
+    pub fn apply(&mut self, kind: LinkChangeKind, edge: Edge, version: u64) {
+        match kind {
+            LinkChangeKind::Added => {
+                assert!(
+                    !self.live,
+                    "edge {edge:?} already present at change version {version}"
+                );
+                self.epoch += 1;
+                self.live = true;
+                self.last_add_version = version;
+            }
+            LinkChangeKind::Removed => {
+                assert!(
+                    self.live,
+                    "edge {edge:?} not present at change version {version}"
+                );
+                self.last_remove_version = version;
+                self.live = false;
+            }
+        }
+    }
+
+    /// Whether a message sent in `epoch` arrives: the edge is live and
+    /// has not gone down (and possibly come back) while it was in flight.
+    #[inline]
+    pub fn delivers(&self, epoch: u64) -> bool {
+        self.live && self.epoch == epoch
     }
 }
 
@@ -164,44 +224,21 @@ impl EdgeStore {
         let i = row
             .binary_search_by_key(&edge.hi(), |e| e.neighbor)
             .expect("every pulled edge has an entry");
-        let entry = &mut row[i];
-        match kind {
-            LinkChangeKind::Added => {
-                assert!(
-                    !entry.live,
-                    "edge {edge:?} already present at change version {version}"
-                );
-                entry.epoch += 1;
-                entry.live = true;
-                entry.last_add_version = version;
-            }
-            LinkChangeKind::Removed => {
-                assert!(
-                    entry.live,
-                    "edge {edge:?} not present at change version {version}"
-                );
-                entry.last_remove_version = version;
-                entry.live = false;
-            }
-        }
+        row[i].apply(kind, edge, version);
     }
 
     /// Marks an initial edge live at epoch 1, change-version 1.
+    #[inline]
     pub fn insert_initial(&mut self, edge: Edge) {
-        let entry = self.entry(edge);
-        entry.live = true;
-        entry.epoch = 1;
-        entry.versions = 1;
-        entry.last_add_version = 1;
+        self.entry(edge).mark_initial();
     }
 
     /// Assigns the next change version of `edge` (creating the entry on
     /// first contact). Called at pull time, in stream order, so version
     /// numbers are monotone per edge and independent of thread count.
+    #[inline]
     pub fn next_version(&mut self, edge: Edge) -> u64 {
-        let entry = self.entry(edge);
-        entry.versions += 1;
-        entry.versions
+        self.entry(edge).next_version()
     }
 
     /// `u`'s row: the entries of its edges to higher neighbors (empty
@@ -309,13 +346,31 @@ impl<'a> GraphView<'a> {
 /// entry (generation continuity — removing it would let a later `arm`
 /// restart at generation 1 and alias a stale in-flight alarm); firing
 /// removes the entry.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TimerSlots {
+///
+/// These are the §3.2 timer rules — a reset or cancel supersedes the old
+/// alarm — shared by the engine's node table and the model checker.
+#[derive(Debug, Default)]
+pub struct TimerSlots {
     /// `(kind, generation, armed)`.
     v: Vec<(TimerKind, u64, bool)>,
 }
 
+impl Clone for TimerSlots {
+    fn clone(&self) -> Self {
+        TimerSlots { v: self.v.clone() }
+    }
+
+    /// Copies `source` into `self`'s buffer, allocating only when it is
+    /// too small (the model checker copies whole models per branch).
+    fn clone_from(&mut self, source: &Self) {
+        let TimerSlots { v } = source;
+        self.v.clone_from(v);
+    }
+}
+
 impl TimerSlots {
+    /// The generation of `kind`'s entry, armed or cancelled; `None` once
+    /// fired or never set. An alarm is live iff it carries this value.
     #[inline]
     pub fn get(&self, kind: TimerKind) -> Option<u64> {
         self.v
@@ -358,8 +413,8 @@ impl TimerSlots {
         }
     }
 
-    /// Crash support: bump *every* timer's generation so all in-flight
-    /// alarms go stale. Entries stay present (like
+    /// Crash and restart support: bump *every* timer's generation so all
+    /// in-flight alarms go stale. Entries stay present (like
     /// [`cancel`](Self::cancel)).
     pub fn cancel_all(&mut self) {
         for e in &mut self.v {
@@ -368,24 +423,37 @@ impl TimerSlots {
         }
     }
 
+    /// `(kind, generation)` of every entry, armed or cancelled, in kind
+    /// order.
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (TimerKind, u64)> + '_ {
+        self.v
+            .iter()
+            .map(|&(kind, generation, _)| (kind, generation))
+    }
+
     /// True if any timer is armed (an alarm is genuinely in flight).
     /// Cancelled entries — generation counters kept for continuity — do
     /// not count.
     #[inline]
-    pub fn any_armed(&self) -> bool {
+    pub(crate) fn any_armed(&self) -> bool {
         self.v.iter().any(|e| e.2)
     }
 
     /// Heap bytes backing the entry array.
     #[inline]
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.v.capacity() * std::mem::size_of::<(TimerKind, u64, bool)>()
     }
 }
 
 /// A node's view of one neighbor: state that only this node ever touches.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PeerLocal {
+///
+/// The methods are the §3.2 per-link rules — FIFO delivery on a directed
+/// link and discovery staleness — shared by the engine's node table and
+/// the model checker.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PeerLocal {
     /// The other endpoint.
     pub neighbor: NodeId,
     /// Highest change version this node has been told about.
@@ -396,12 +464,50 @@ pub(crate) struct PeerLocal {
 }
 
 impl PeerLocal {
-    fn new(neighbor: NodeId) -> Self {
+    /// A node's fresh view of `neighbor`: nothing discovered, nothing
+    /// sent.
+    #[inline]
+    pub fn new(neighbor: NodeId) -> Self {
         PeerLocal {
             neighbor,
             discovered_version: 0,
             fifo_out: Time::ZERO,
         }
+    }
+
+    /// The entry for `v` in `peers` (sorted by neighbor), inserted fresh
+    /// on first contact.
+    #[inline]
+    pub fn entry(peers: &mut Vec<PeerLocal>, v: NodeId) -> &mut PeerLocal {
+        match peers.binary_search_by_key(&v, |p| p.neighbor) {
+            Ok(i) => &mut peers[i],
+            Err(i) => {
+                peers.insert(i, PeerLocal::new(v));
+                &mut peers[i]
+            }
+        }
+    }
+
+    /// FIFO on the directed link: a message due at `due` arrives no
+    /// earlier than the one scheduled before it. Records and returns the
+    /// delivery time.
+    #[inline]
+    pub fn fifo(&mut self, due: Time) -> Time {
+        self.fifo_out = due.max(self.fifo_out);
+        self.fifo_out
+    }
+
+    /// Discovery staleness: a change under `version` is news only when it
+    /// is newer than every change already learned on this link, since a
+    /// discovery may skip a superseded change. Records it and returns
+    /// `true` if news, else returns `false` (stale).
+    #[inline]
+    pub fn learn(&mut self, version: u64) -> bool {
+        if version <= self.discovered_version {
+            return false;
+        }
+        self.discovered_version = version;
+        true
     }
 }
 
@@ -433,18 +539,17 @@ pub(crate) struct NodeTable {
     /// drift plane. `None` until the node's clock is first evaluated
     /// past time 0 (and permanently for stateless eager adapters).
     pub drift: Vec<Option<Box<DriftCursor>>>,
-    /// The cold tier: a packed byte blob per evicted node, `None` while
-    /// hot. The blob holds the automaton's drained heap state plus this
-    /// table's timer generations and peer watermarks; the next touching
-    /// event rehydrates it in place (see [`NodeTable::rehydrate`]).
+    /// The cold tier: `Some` while the node is evicted, holding the bytes
+    /// its automaton's `pack_cold` drained (an empty box allocates
+    /// nothing); `None` while hot. The node's timer and peer slots stay
+    /// in place, shrunk to fit; the next handler wakes the automaton (see
+    /// [`NodeTable::wake`]).
     pub cold: Vec<Option<Box<[u8]>>>,
-    /// Total bytes across all cold blobs (the automaton-cold meter).
-    cold_blob_bytes: usize,
     /// Nodes evicted so far (engine diagnostic; deliberately *not* in
     /// [`crate::SimStats`], so stats stay equal between runs that do and
     /// do not evict).
     pub evictions: u64,
-    /// Nodes rehydrated so far.
+    /// Cold nodes woken so far.
     pub rehydrations: u64,
 }
 
@@ -473,14 +578,7 @@ impl NodeTable {
     /// Node `local`'s state for neighbor `v`, created on first contact.
     #[inline]
     pub fn peer(&mut self, local: usize, v: NodeId) -> &mut PeerLocal {
-        let peers = &mut self.peers[local];
-        match peers.binary_search_by_key(&v, |p| p.neighbor) {
-            Ok(i) => &mut peers[i],
-            Err(i) => {
-                peers.insert(i, PeerLocal::new(v));
-                &mut peers[i]
-            }
-        }
+        PeerLocal::entry(&mut self.peers[local], v)
     }
 
     /// Drift cursors materialized in this table.
@@ -504,10 +602,18 @@ impl NodeTable {
         self.cold.iter().filter(|c| c.is_some()).count()
     }
 
-    /// Total packed bytes in the cold tier.
-    #[inline]
+    /// Bytes the cold tier holds: every cold node's automaton bytes plus
+    /// its shrunk timer and peer entries (the automaton-cold meter).
     pub fn cold_bytes(&self) -> usize {
-        self.cold_blob_bytes
+        let cold = self.cold.iter().enumerate();
+        cold.filter_map(|(local, c)| Some(c.as_ref()?.len() + self.slot_bytes(local)))
+            .sum()
+    }
+
+    /// Heap bytes of node `local`'s timer and peer entries.
+    fn slot_bytes(&self, local: usize) -> usize {
+        self.timers[local].heap_bytes()
+            + self.peers[local].capacity() * std::mem::size_of::<PeerLocal>()
     }
 
     /// Tries to evict node `local` into the cold tier. Succeeds only when
@@ -517,18 +623,19 @@ impl NodeTable {
     /// * the automaton reports [`Automaton::quiescent`] and agrees to
     ///   pack (weighted nodes refuse),
     /// * no timer is armed, so every alarm still in the wheel is stale
-    ///   whether checked against the hot entry (generation mismatch) or
-    ///   the drained one (`get` → `None`) — alarms therefore never need
-    ///   to rehydrate,
+    ///   and no alarm ever wakes a cold node,
     /// * no RNG stream has materialized (stream position is not
     ///   reconstructible from the seed).
     ///
-    /// On success the automaton's heap state, the timer generations and
-    /// the peer watermarks are packed into one blob, their hot storage is
-    /// released, and the drift cursor is dropped (re-materialization is
-    /// bit-neutral by the lazy-drift contract). Inline state — clocks,
-    /// hardware memo — stays hot, so snapshots of cold nodes read
-    /// exactly.
+    /// On success the automaton's drained heap state moves into the
+    /// `cold` column, the node's timer and peer slots shrink in place —
+    /// generations and watermarks never leave them, so crash, restart and
+    /// staleness checks read them as on a hot node — and the drift cursor
+    /// is dropped (re-materialization is bit-neutral by the lazy-drift
+    /// contract). Inline state — clocks, hardware memo — stays hot, so
+    /// snapshots of cold nodes read exactly.
+    ///
+    /// [`Automaton::quiescent`]: crate::Automaton::quiescent
     pub fn pack_node<A: crate::automaton::Automaton>(
         &mut self,
         local: usize,
@@ -542,81 +649,31 @@ impl NodeTable {
         {
             return false;
         }
-        let mut auto = Vec::new();
-        if !node.pack_cold(&mut auto) {
+        let mut bytes = Vec::new();
+        if !node.pack_cold(&mut bytes) {
             return false;
         }
-        let timers = std::mem::take(&mut self.timers[local]);
-        let peers = std::mem::take(&mut self.peers[local]);
-        let mut blob = Vec::with_capacity(12 + auto.len() + 13 * timers.v.len() + 20 * peers.len());
-        blob.extend_from_slice(&(auto.len() as u32).to_le_bytes());
-        blob.extend_from_slice(&auto);
-        blob.extend_from_slice(&(timers.v.len() as u32).to_le_bytes());
-        for &(kind, generation, armed) in &timers.v {
-            debug_assert!(!armed, "armed timers block eviction");
-            match kind {
-                TimerKind::Tick => {
-                    blob.push(0);
-                    blob.extend_from_slice(&0u32.to_le_bytes());
-                }
-                TimerKind::Lost(v) => {
-                    blob.push(1);
-                    blob.extend_from_slice(&(v.index() as u32).to_le_bytes());
-                }
-            }
-            blob.extend_from_slice(&generation.to_le_bytes());
-        }
-        blob.extend_from_slice(&(peers.len() as u32).to_le_bytes());
-        for p in &peers {
-            blob.extend_from_slice(&(p.neighbor.index() as u32).to_le_bytes());
-            blob.extend_from_slice(&p.discovered_version.to_le_bytes());
-            blob.extend_from_slice(&p.fifo_out.seconds().to_bits().to_le_bytes());
-        }
+        self.timers[local].v.shrink_to_fit();
+        self.peers[local].shrink_to_fit();
         self.drift[local] = None;
-        self.cold_blob_bytes += blob.len();
-        self.cold[local] = Some(blob.into_boxed_slice());
+        self.cold[local] = Some(bytes.into_boxed_slice());
         self.evictions += 1;
         true
     }
 
-    /// Restores a cold node in place: exact inverse of
-    /// [`pack_node`](Self::pack_node). No-op when the node is hot.
-    pub fn rehydrate<A: crate::automaton::Automaton>(&mut self, local: usize, node: &mut A) {
-        let Some(blob) = self.cold.get_mut(local).and_then(|c| c.take()) else {
-            return;
-        };
-        self.cold_blob_bytes -= blob.len();
-        let mut r = BlobReader::new(&blob);
-        let auto_len = r.u32() as usize;
-        node.unpack_cold(r.bytes(auto_len));
-        let timer_len = r.u32() as usize;
-        let mut timers = TimerSlots::default();
-        for _ in 0..timer_len {
-            let tag = r.u8();
-            let id = r.u32() as usize;
-            let kind = match tag {
-                0 => TimerKind::Tick,
-                _ => TimerKind::Lost(NodeId::from_index(id)),
-            };
-            // Packed in sorted order; cancelled (unarmed) by invariant.
-            timers.v.push((kind, r.u64(), false));
+    /// Wakes node `local` if it is cold: its automaton unpacks the bytes
+    /// it packed. Runs before anything reads the automaton — at the top
+    /// of every handler and before a reboot. A hot node pays one load and
+    /// a branch.
+    #[inline]
+    pub fn wake<A: crate::automaton::Automaton>(&mut self, local: usize, node: &mut A) {
+        if self.is_cold(local) {
+            let bytes = self.cold[local]
+                .take()
+                .expect("a cold node holds its bytes");
+            node.unpack_cold(&bytes);
+            self.rehydrations += 1;
         }
-        let peer_len = r.u32() as usize;
-        let mut peers = Vec::with_capacity(peer_len);
-        for _ in 0..peer_len {
-            let neighbor = NodeId::from_index(r.u32() as usize);
-            let discovered_version = r.u64();
-            let fifo_out = Time::new(f64::from_bits(r.u64()));
-            peers.push(PeerLocal {
-                neighbor,
-                discovered_version,
-                fifo_out,
-            });
-        }
-        r.finish();
-        self.timers[local] = timers;
-        self.peers[local] = peers;
-        self.rehydrations += 1;
     }
 
     /// Heap bytes of the drift plane's share of this table: the hardware
@@ -631,64 +688,21 @@ impl NodeTable {
     }
 
     /// Heap bytes of the engine-side node state counted into the
-    /// automaton-hot plane: timer/peer/RNG/cold columns plus the nested
-    /// timer and peer entries and materialized RNG boxes. (Automaton
-    /// struct and heap bytes, cold blobs and drift state are metered
-    /// separately.)
+    /// automaton-hot plane: timer/peer/RNG/cold columns plus the hot
+    /// nodes' timer and peer entries and materialized RNG boxes.
+    /// (Automaton struct and heap bytes, the cold tier and drift state are
+    /// metered separately.)
     pub fn engine_hot_bytes(&self) -> usize {
         use std::mem::size_of;
         let columns = self.timers.capacity() * size_of::<TimerSlots>()
             + self.peers.capacity() * size_of::<Vec<PeerLocal>>()
             + self.rng.capacity() * size_of::<Option<Box<StdRng>>>()
             + self.cold.capacity() * size_of::<Option<Box<[u8]>>>();
-        let nested: usize = self
-            .timers
-            .iter()
-            .map(TimerSlots::heap_bytes)
-            .sum::<usize>()
-            + self
-                .peers
-                .iter()
-                .map(|p| p.capacity() * size_of::<PeerLocal>())
-                .sum::<usize>()
-            + self.rng.iter().flatten().count() * size_of::<StdRng>();
-        columns + nested
-    }
-}
-
-/// Little-endian cursor over a cold blob (see [`NodeTable::pack_node`]);
-/// panics on truncation — blobs are produced and consumed by the same
-/// code, so a short read is a bug, not an input condition.
-struct BlobReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BlobReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        BlobReader { bytes, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> &'a [u8] {
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        out
-    }
-
-    fn u8(&mut self) -> u8 {
-        self.bytes(1)[0]
-    }
-
-    fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.bytes(4).try_into().unwrap())
-    }
-
-    fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.bytes(8).try_into().unwrap())
-    }
-
-    fn finish(self) {
-        assert_eq!(self.pos, self.bytes.len(), "cold blob has trailing bytes");
+        let slots: usize = (0..self.watermark())
+            .filter(|&local| !self.is_cold(local))
+            .map(|local| self.slot_bytes(local))
+            .sum();
+        columns + slots + self.rng.iter().flatten().count() * size_of::<StdRng>()
     }
 }
 
@@ -956,18 +970,26 @@ mod tests {
         t.timers[0].cancel(TimerKind::Lost(node(5)));
         t.peer(0, node(5)).discovered_version = 3;
         t.peer(0, node(5)).fifo_out = Time::new(1.25);
+        let hot = t.engine_hot_bytes();
         assert!(t.pack_node(0, &mut a), "quiescent node must pack");
         assert!(t.is_cold(0));
         assert_eq!(t.cold_nodes(), 1);
-        assert!(t.cold_bytes() > 0);
         assert!(a.data.is_empty(), "automaton drained");
-        assert_eq!(t.timers[0].get(TimerKind::Tick), None, "timers drained");
-        assert!(t.peers[0].is_empty(), "peers drained");
+        // Generations and watermarks stay in their slots, shrunk to fit;
+        // the cold meter counts them with the automaton's bytes.
+        assert_eq!(t.timers[0].get(TimerKind::Tick), Some(2));
+        assert_eq!(t.timers[0].get(TimerKind::Lost(node(5))), Some(2));
+        assert_eq!(t.peers[0].len(), 1, "peers stay in place");
+        assert_eq!(t.cold_bytes(), 3 + t.slot_bytes(0));
+        assert!(
+            t.engine_hot_bytes() + t.slot_bytes(0) <= hot,
+            "hot meter shrank"
+        );
         assert_eq!(t.evictions, 1);
         // Double eviction is refused.
         assert!(!t.pack_node(0, &mut a));
 
-        t.rehydrate(0, &mut a);
+        t.wake(0, &mut a);
         assert!(!t.is_cold(0));
         assert_eq!(t.cold_bytes(), 0);
         assert_eq!(a.data, vec![9, 8, 7]);
@@ -977,8 +999,8 @@ mod tests {
         assert_eq!(t.peer(0, node(5)).discovered_version, 3);
         assert_eq!(t.peer(0, node(5)).fifo_out, Time::new(1.25));
         assert_eq!(t.rehydrations, 1);
-        // Rehydrating a hot node is a no-op.
-        t.rehydrate(0, &mut a);
+        // Waking a hot node is a no-op.
+        t.wake(0, &mut a);
         assert_eq!(t.rehydrations, 1);
     }
 

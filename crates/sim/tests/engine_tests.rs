@@ -12,8 +12,8 @@ use gcs_net::{
 };
 use gcs_sim::engine::DiscoveryDelay;
 use gcs_sim::{
-    Automaton, Context, DelayStrategy, FaultEvent, FaultSource, LinkChange, LinkChangeKind,
-    Message, ModelParams, SimBuilder, TimerKind,
+    Automaton, Context, DelayStrategy, FaultEvent, FaultPlan, FaultSource, LinkChange,
+    LinkChangeKind, Message, ModelParams, RebootUnsupported, SimBuilder, TimerKind,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -447,6 +447,61 @@ fn alarms_cancelled_before_firing_are_stale() {
     sim.run_until(at(50.0));
     assert_eq!(sim.stats().alarms_stale, 2); // one per node
     assert_eq!(sim.stats().alarms_fired, 2);
+}
+
+/// A node whose whole configuration is heap state it packs cold, so a
+/// reboot that read it while evicted would copy a drained configuration.
+struct Configured {
+    config: Vec<u8>,
+}
+
+const CONFIG: [u8; 3] = [3, 1, 4];
+
+impl Automaton for Configured {
+    fn on_start(&mut self, _: &mut Context<'_>) {}
+    fn on_receive(&mut self, _: &mut Context<'_>, _: NodeId, _: Message) {}
+    fn on_discover(&mut self, _: &mut Context<'_>, _: LinkChange) {
+        assert_eq!(self.config, CONFIG, "a handler ran on a drained node");
+    }
+    fn on_alarm(&mut self, _: &mut Context<'_>, _: TimerKind) {}
+    fn logical_clock(&self, hw: f64) -> f64 {
+        hw
+    }
+    fn try_reboot(&self) -> Result<Self, RebootUnsupported> {
+        assert_eq!(self.config, CONFIG, "reboot read a drained configuration");
+        Ok(Configured {
+            config: self.config.clone(),
+        })
+    }
+    fn quiescent(&self) -> bool {
+        true
+    }
+    fn pack_cold(&mut self, out: &mut Vec<u8>) -> bool {
+        out.append(&mut self.config);
+        true
+    }
+    fn unpack_cold(&mut self, bytes: &[u8]) {
+        self.config = bytes.to_vec();
+    }
+}
+
+#[test]
+fn restart_wakes_an_evicted_node_before_reboot() {
+    let schedule = TopologySchedule::static_graph(2, [Edge::between(0, 1)]);
+    let mut sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
+        .faults(FaultPlan::new(vec![
+            FaultEvent::crash(2.0, node(0)),
+            FaultEvent::restart(3.0, node(0)),
+        ]))
+        .build_with(|_| Configured {
+            config: CONFIG.to_vec(),
+        });
+    sim.run_until(at(1.0));
+    assert_eq!(sim.evict_quiescent(), 2, "both nodes go cold");
+    sim.run_until(at(10.0));
+    assert_eq!(sim.stats().restarts, 1);
+    assert_eq!(sim.rehydrations(), 1, "only the restart woke a node");
+    assert_eq!(sim.telemetry().cold_nodes, 1, "node 1 stays cold");
 }
 
 /// Builds a two-node path under `discovery` with `D = 2`.

@@ -61,7 +61,7 @@ struct ReadmeDoctests;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use gcs_analysis::{metrics, CsvSink, Recorder, SkewStream, Summary, Table};
+    pub use gcs_analysis::{metrics, Recorder, SkewStream, Summary, Table};
     pub use gcs_bench::scenario::{Scenario, ScenarioReport};
     pub use gcs_clocks::{
         time::at, DriftModel, DriftSource, Duration, HardwareClock, ModelDrift, RateSchedule,
