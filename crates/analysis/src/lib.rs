@@ -53,7 +53,7 @@ pub mod sweep;
 pub mod table;
 
 pub use mem::{current_rss_bytes, peak_rss_bytes};
-pub use metrics::{global_skew, local_skews, max_local_skew};
+pub use metrics::{global_skew, max_local_skew};
 pub use probe::SkewStream;
 pub use recorder::{Recorder, Sample};
 pub use stats::Summary;

@@ -7,10 +7,10 @@
 //! into `n`, which is what keeps fixed-cadence sampling affordable as the
 //! graphs grow.
 //!
-//! For fixed-cadence sampling **loops**, the `*_with` variants
-//! additionally reuse a caller-held scratch buffer through
-//! [`Simulator::logical_snapshot_into`], so a long recording allocates
-//! one snapshot vector total instead of one per sample (the
+//! Fixed-cadence sampling **loops** take the snapshot themselves, into a
+//! scratch buffer they keep, through [`Simulator::logical_snapshot_into`],
+//! and pass it to the `*_in` functions, so a long recording allocates one
+//! snapshot vector total instead of one per sample (the
 //! [`Recorder`](crate::Recorder) samples this way).
 
 use gcs_net::Edge;
@@ -24,38 +24,15 @@ pub fn global_skew(logical: &[f64]) -> f64 {
     max - min
 }
 
-/// Skew on one edge at the simulator's current time.
-pub fn edge_skew<A: Automaton>(sim: &Simulator<A>, e: Edge) -> f64 {
-    (sim.logical(e.lo()) - sim.logical(e.hi())).abs()
-}
-
 /// Skew on one edge, read from a prepared logical snapshot.
 #[inline]
 pub fn edge_skew_in(logical: &[f64], e: Edge) -> f64 {
     (logical[e.lo().index()] - logical[e.hi().index()]).abs()
 }
 
-/// `(edge, |L_u − L_v|)` for every edge currently present.
-pub fn local_skews<A: Automaton>(sim: &Simulator<A>) -> Vec<(Edge, f64)> {
-    let logical = sim.logical_snapshot();
-    sim.graph()
-        .edges()
-        .map(|e| (e, edge_skew_in(&logical, e)))
-        .collect()
-}
-
 /// The worst local skew over all currently present edges (0 if none).
 pub fn max_local_skew<A: Automaton>(sim: &Simulator<A>) -> f64 {
     max_local_skew_in(&sim.logical_snapshot(), sim.graph().edges())
-}
-
-/// [`max_local_skew`] reusing a caller-held snapshot buffer — the
-/// allocation-free variant for sampling loops. On return `scratch` holds
-/// the logical snapshot the result was computed from, for further
-/// same-instant metrics ([`global_skew`], [`edge_skew_in`]).
-pub fn max_local_skew_with<A: Automaton>(sim: &Simulator<A>, scratch: &mut Vec<f64>) -> f64 {
-    sim.logical_snapshot_into(scratch);
-    max_local_skew_in(scratch, sim.graph().edges())
 }
 
 /// The worst local skew over `edges` (typically `sim.graph().edges()`),
@@ -65,26 +42,6 @@ pub fn max_local_skew_in(logical: &[f64], edges: impl IntoIterator<Item = Edge>)
     edges
         .into_iter()
         .map(|e| edge_skew_in(logical, e))
-        .fold(0.0, f64::max)
-}
-
-/// The worst local skew restricted to a fixed edge set (edges absent from
-/// the graph are skipped).
-pub fn max_local_skew_over<A: Automaton>(sim: &Simulator<A>, edges: &[Edge]) -> f64 {
-    max_local_skew_over_with(sim, edges, &mut Vec::new())
-}
-
-/// [`max_local_skew_over`] reusing a caller-held snapshot buffer.
-pub fn max_local_skew_over_with<A: Automaton>(
-    sim: &Simulator<A>,
-    edges: &[Edge],
-    scratch: &mut Vec<f64>,
-) -> f64 {
-    sim.logical_snapshot_into(scratch);
-    edges
-        .iter()
-        .filter(|e| sim.graph().contains(**e))
-        .map(|&e| edge_skew_in(scratch, e))
         .fold(0.0, f64::max)
 }
 

@@ -5,11 +5,15 @@
 //! `cargo run --release -p gcs-bench --bin run_all`
 //! `cargo run --release -p gcs-bench --bin run_all -- --engine-only`
 //!
-//! All scenarios come from [`gcs_bench::scenario::all_scenarios`]. The
-//! claim experiments (E1–E10) fan out in parallel over scoped threads;
-//! E11–E14 are themselves wall-clock/memory benchmarks and E15 is a
-//! CPU-heavy search, so they run **alone** after the parallel batch.
-//! `--engine-only` skips the scenario tables. The final phase times the
+//! Any other argument exits 2 with the usage. All scenarios come from
+//! [`gcs_bench::scenario::all_scenarios`] and print as under `exp <id>`.
+//! The claim experiments (E1–E10) fan out in parallel over scoped
+//! threads; E11–E14 are themselves wall-clock/memory benchmarks and E15
+//! is a CPU-heavy search, so they run **alone** after the parallel
+//! batch. Each experiment checks its own fail-closed gates, so a
+//! violated gate panics before the JSON is written. `--engine-only`
+//! skips the scenario tables and E11 (E12–E15 still run, gates included:
+//! their outcomes feed the JSON). The final phase times the
 //! engine on the E1 workload (`n = 1024`) and on the E11 workload
 //! (`n = 65 536`, churn on) at each worker count in {1, 2, 8} that the
 //! host has CPUs for. The **batched serial engine (`threads = 1`) is the
@@ -31,9 +35,9 @@ use gcs_bench::e12_dynamic_workloads::{self as e12, FamilyOutcome};
 use gcs_bench::e13_scale_ceiling as e13;
 use gcs_bench::e14_memory_ceiling as e14;
 use gcs_bench::e15_faults as e15;
-use gcs_bench::engine_bench::{measure_threads, smoke_n, Workload};
+use gcs_bench::engine_bench::{measure_threads, Workload};
 use gcs_bench::record::{plane_regressions, RunRecord};
-use gcs_bench::scenario::{driver_plan, run_parallel, Scenario, ScenarioReport};
+use gcs_bench::scenario::{driver_plan, print_report, run_parallel, OUTPUT_DIR};
 use gcs_mc::explore::SuiteReport;
 use gcs_mc::json::{Json, JsonObj};
 use std::path::{Path, PathBuf};
@@ -42,19 +46,14 @@ use std::process::exit;
 /// The committed trajectory, relative to the repository root.
 const BENCH_FILE: &str = "BENCH_engine.json";
 
-fn csv_dir() -> PathBuf {
-    let dir = PathBuf::from("target/experiments");
-    let _ = std::fs::create_dir_all(&dir);
-    dir
-}
-
-fn print_report(s: &dyn Scenario, rep: &ScenarioReport, dir: &Path) {
-    println!("=== {} / {} ===", s.id(), s.claim());
-    rep.print();
-    if let Err(e) = rep.write_csv(dir) {
-        eprintln!("warning: could not write CSV for {}: {e}", s.id());
+/// Whether `args` ask for `--engine-only`, or the usage error: the
+/// driver takes no argument or exactly that one.
+fn parse_args(args: &[String]) -> Result<bool, String> {
+    match args {
+        [] => Ok(false),
+        [flag] if flag == "--engine-only" => Ok(true),
+        _ => Err(format!("usage: run_all [--engine-only] (got {args:?})")),
     }
-    println!();
 }
 
 /// The console trajectory line of one timed run.
@@ -164,29 +163,22 @@ fn suite_json(s: &SuiteReport) -> Json {
 
 fn main() {
     let t0 = std::time::Instant::now();
-    let engine_only = std::env::args().any(|a| a == "--engine-only");
-    let dir = csv_dir();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let engine_only = parse_args(&args).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        exit(2)
+    });
+    let dir = Path::new(OUTPUT_DIR);
     let host_cpus = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
 
-    // E12–E15 run in both modes: their outcomes feed the JSON
-    // trajectory.
-    let e12_config = e12::Config::default();
-    let e13_config = e13::Config::default();
-    let e14_config = e14::Config::scaled_to(smoke_n(e14::Config::default().n));
-    let e15_config = e15::Config::default();
-
-    let mut e12_outcomes = None;
-    let mut e13_outcomes = None;
-    let mut e14_record = None;
-    let mut e15_outcomes = None;
+    // The typed execution plan: the claim batch fans out in parallel;
+    // scale scenarios (themselves wall-clock/memory benchmarks) and the
+    // fault family (CPU-heavy adversary search) run alone afterwards, in
+    // registry order.
+    let (claim_batch, solo) = driver_plan();
     if !engine_only {
-        // The typed execution plan: the claim batch fans out in
-        // parallel; scale scenarios (themselves wall-clock/memory
-        // benchmarks) and the fault family (CPU-heavy adversary search)
-        // run alone afterwards, in registry order.
-        let (claim_batch, solo) = driver_plan();
         println!(
             "running {} claim experiments in parallel over scoped threads, then {} alone...\n",
             claim_batch.len(),
@@ -194,31 +186,38 @@ fn main() {
         );
         let reports = run_parallel(&claim_batch);
         for (s, rep) in claim_batch.iter().zip(&reports) {
-            print_report(s.as_ref(), rep, &dir);
-        }
-        // E12 at n = 2^17, E13 at n = 2^20, E14 at n = 2^23 and E15's
-        // adversary search are expensive: run each outcome set once and
-        // reuse it for both the report and the JSON trajectory below.
-        for s in &solo {
-            let rep = match s.meta().name {
-                "E12" => {
-                    let outcomes = e12::run(&e12_config);
-                    e12::report(&e12_config, e12_outcomes.insert(outcomes))
-                }
-                "E13" => {
-                    let outcomes = e13::run(&e13_config);
-                    e13::report(&e13_config, e13_outcomes.insert(outcomes))
-                }
-                "E14" => e14::report(&e14_config, e14_record.insert(e14::run(&e14_config))),
-                "E15" => {
-                    let outcomes = e15::run(&e15_config);
-                    e15::report(&e15_config, e15_outcomes.insert(outcomes))
-                }
-                _ => s.run_scenario(),
-            };
-            print_report(s.as_ref(), &rep, &dir);
+            print_report(s.as_ref(), rep);
         }
     }
+    // E12 at n = 2^17, E13 at n = 2^20, E14 at n = 2^23 and E15's
+    // adversary search are expensive: run each outcome set once, in both
+    // modes, and reuse it for both the gated report and the JSON
+    // trajectory below.
+    let e12_config = e12::Config::default();
+    let e13_config = e13::Config::default();
+    let e14_config = e14::Config::default();
+    let e15_config = e15::Config::default();
+    let mut e12_outcomes = None;
+    let mut e13_outcomes = None;
+    let mut e14_record = None;
+    let mut e15_outcomes = None;
+    for s in &solo {
+        let rep = match s.id() {
+            "E12" => e12::report(&e12_config, e12_outcomes.insert(e12::run(&e12_config))),
+            "E13" => e13::report(&e13_config, e13_outcomes.insert(e13::run(&e13_config))),
+            "E14" => e14::report(&e14_config, e14_record.insert(e14::run(&e14_config))),
+            "E15" => e15::report(&e15_config, e15_outcomes.insert(e15::run(&e15_config))),
+            _ if engine_only => continue,
+            _ => s.run_scenario(),
+        };
+        if !engine_only {
+            print_report(s.as_ref(), &rep);
+        }
+    }
+    let e12_outcomes = e12_outcomes.expect("the solo batch holds E12");
+    let e13_outcomes = e13_outcomes.expect("the solo batch holds E13");
+    let e14_record = e14_record.expect("the solo batch holds E14");
+    let e15_outcomes = e15_outcomes.expect("the solo batch holds E15");
 
     println!("=== engine trajectory (baseline: batched serial; host_cpus = {host_cpus}) ===");
     let w1 = Workload::acceptance();
@@ -246,17 +245,13 @@ fn main() {
     let speedup = serial
         .zip(best_parallel)
         .map(|(s, p)| p / s.events_per_sec());
-    let e12_outcomes = e12_outcomes.unwrap_or_else(|| e12::run(&e12_config));
     for o in &e12_outcomes {
         trajectory("E12", e12_config.n, o.family, &o.record);
     }
-    let e13_outcomes = e13_outcomes.unwrap_or_else(|| e13::run(&e13_config));
     for o in &e13_outcomes {
         trajectory("E13", e13_config.n, o.family, &o.record);
     }
-    let e14_record = e14_record.unwrap_or_else(|| e14::run(&e14_config));
     trajectory("E14", e14_config.n, "compact plane", &e14_record);
-    let e15_outcomes = e15_outcomes.unwrap_or_else(|| e15::run(&e15_config));
     println!(
         "E15 n={:>7} {:>16}: adversary peak local {:.2} (baseline {:.2}), {} crashes/{} restarts, control violations {}",
         e15_config.n,
@@ -327,6 +322,7 @@ fn main() {
     let path = if problems.is_empty() {
         PathBuf::from(BENCH_FILE)
     } else {
+        let _ = std::fs::create_dir_all(dir);
         dir.join(BENCH_FILE)
     };
     if let Err(e) = std::fs::write(&path, doc.write(usize::MAX)) {
@@ -350,4 +346,31 @@ fn main() {
         t0.elapsed().as_secs_f64(),
         dir.display()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn takes_no_argument_or_exactly_engine_only() {
+        assert_eq!(parse_args(&args(&[])), Ok(false));
+        assert_eq!(parse_args(&args(&["--engine-only"])), Ok(true));
+        for bad in [
+            &["--engine_only"][..],
+            &["--engine-only", "--engine-only"],
+            &["E1"],
+            &[""],
+        ] {
+            let usage = parse_args(&args(bad)).expect_err("must be rejected");
+            assert!(
+                usage.starts_with("usage: run_all [--engine-only]"),
+                "{usage}"
+            );
+        }
+    }
 }

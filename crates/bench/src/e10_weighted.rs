@@ -145,13 +145,8 @@ impl crate::scenario::Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "§7 extension — stable skew floors at B0·w per edge"
     }
-    fn meta(&self) -> crate::scenario::ScenarioMeta {
-        crate::scenario::ScenarioMeta {
-            name: "E10",
-            n: Some(self.config.n),
-            family: crate::scenario::ScenarioFamily::Claim,
-            fault_profile: None,
-        }
+    fn family(&self) -> crate::scenario::ScenarioFamily {
+        crate::scenario::ScenarioFamily::Claim
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
         let points = run(&self.config);

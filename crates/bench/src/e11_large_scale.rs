@@ -20,7 +20,7 @@
 //! * streamed peak global/local skew with the probe's certified error
 //!   bound.
 
-use crate::engine_bench::{measure, Workload};
+use crate::engine_bench::{measure, smoke_n, Workload};
 use crate::record::RunRecord;
 use gcs_analysis::{SkewStream, Table};
 use gcs_clocks::time::at;
@@ -39,10 +39,12 @@ pub struct Config {
 }
 
 impl Default for Config {
+    /// The headline run, shrunk to `GCS_SMOKE_N` nodes when that is set
+    /// ([`smoke_n`]).
     fn default() -> Self {
         let w = Workload::large_scale();
         Config {
-            n: w.n,
+            n: smoke_n(w.n),
             horizon: w.horizon,
             threads: vec![1, 2, 8],
             seed: w.seed,
@@ -109,6 +111,25 @@ pub fn run(config: &Config) -> Outcome {
     }
 }
 
+/// E11's fail-closed gate: every worker count reproduced the baseline
+/// run's execution counters.
+///
+/// # Panics
+/// When `outcome.deterministic` is false, naming the events each worker
+/// count processed.
+pub fn check(outcome: &Outcome) {
+    assert!(
+        outcome.deterministic,
+        "E11 determinism gate: counters diverged across thread counts \
+         (events per thread count: {:?})",
+        outcome
+            .points
+            .iter()
+            .map(|p| (p.telemetry.threads, p.events()))
+            .collect::<Vec<_>>()
+    );
+}
+
 /// Renders the throughput-vs-threads table.
 pub fn render(outcome: &Outcome) -> Table {
     let base = outcome.points[0].events_per_sec();
@@ -153,21 +174,18 @@ impl crate::scenario::Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "Theorem 4.1 — large-n scale-up (deterministic parallel engine)"
     }
-    fn meta(&self) -> crate::scenario::ScenarioMeta {
-        crate::scenario::ScenarioMeta {
-            name: "E11",
-            n: Some(self.config.n),
-            family: crate::scenario::ScenarioFamily::Scale,
-            fault_profile: None,
-        }
+    fn family(&self) -> crate::scenario::ScenarioFamily {
+        crate::scenario::ScenarioFamily::Scale
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
         let out = run(&self.config);
+        check(&out);
         let mut rep = crate::scenario::ScenarioReport::new();
         rep.table(render(&out));
         rep.note(format!(
-            "determinism cross-check (equal counters at all thread counts): {}",
-            if out.deterministic { "PASS" } else { "FAIL" }
+            "n = {}, horizon {}s, threads {:?}; determinism cross-check \
+             (equal counters at all thread counts): PASS",
+            self.config.n, self.config.horizon, self.config.threads
         ));
         rep.note(format!(
             "streamed peaks: global {:.2}, local {:.2} (certified error <= {:.3})",
@@ -213,7 +231,7 @@ mod tests {
     #[test]
     fn scaled_down_run_is_deterministic_and_streams_skew() {
         // The module logic at a test-friendly width; the full n = 65 536
-        // configuration runs via `run_all` / `exp_large_scale`.
+        // configuration runs via `run_all` / `exp E11`.
         let config = Config {
             n: 192,
             horizon: 12.0,
@@ -221,12 +239,38 @@ mod tests {
             seed: 11,
         };
         let out = run(&config);
-        assert!(out.deterministic, "counters diverged across thread counts");
+        check(&out);
         assert_eq!(out.points.len(), 3);
         let events = out.points[0].events();
         assert!(events > 10_000, "workload too small: {events} events");
         assert!(out.points.iter().all(|p| p.events() == events));
         assert!(out.peak_global > 0.0);
         assert!(out.skew_error_bound.is_finite());
+    }
+
+    #[test]
+    fn determinism_gate_rejects_unequal_counters() {
+        let point = |threads, events_processed| {
+            RunRecord::of(gcs_sim::Telemetry {
+                threads,
+                stats: gcs_sim::SimStats {
+                    events_processed,
+                    ..Default::default()
+                },
+                ..Default::default()
+            })
+        };
+        let out = Outcome {
+            points: vec![point(1, 5), point(8, 6)],
+            peak_global: 0.0,
+            peak_local: 0.0,
+            skew_error_bound: 0.0,
+            deterministic: false,
+        };
+        crate::assert_gate_fails(
+            "E11 determinism gate: counters diverged across thread counts \
+             (events per thread count: [(1, 5), (8, 6)])",
+            || check(&out),
+        );
     }
 }

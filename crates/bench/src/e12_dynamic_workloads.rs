@@ -23,8 +23,9 @@
 //! bounded by the events of one pull window — it still scales with the
 //! churn *rate*, but not with the horizon or the total event count.
 
+use crate::engine_bench::smoke_n;
 use crate::record::RunRecord;
-use crate::scenario::{Scenario, ScenarioFamily, ScenarioMeta, ScenarioReport};
+use crate::scenario::{Scenario, ScenarioFamily, ScenarioReport};
 use gcs_analysis::{SkewStream, Table};
 use gcs_clocks::time::at;
 use gcs_clocks::DriftModel;
@@ -47,9 +48,11 @@ pub struct Config {
 }
 
 impl Default for Config {
+    /// The headline run, shrunk to `GCS_SMOKE_N` nodes when that is set
+    /// ([`smoke_n`]).
     fn default() -> Self {
         Config {
-            n: 1 << 17,
+            n: smoke_n(1 << 17),
             horizon: 4.0,
             seed: 42,
             threads: gcs_sim::threads_from_env(),
@@ -216,25 +219,40 @@ impl Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "§3.1–3.2 — dynamic networks at scale on the streaming topology pipeline"
     }
-    fn meta(&self) -> ScenarioMeta {
-        ScenarioMeta {
-            name: "E12",
-            n: Some(self.config.n),
-            family: ScenarioFamily::Scale,
-            fault_profile: None,
-        }
+    fn family(&self) -> ScenarioFamily {
+        ScenarioFamily::Scale
     }
     fn run_scenario(&self) -> ScenarioReport {
         report(&self.config, &run(&self.config))
     }
 }
 
+/// E12's fail-closed gate: every topology event a family pulled was
+/// applied by the horizon.
+///
+/// # Panics
+/// On the first family whose pulled and applied counts differ, naming
+/// both.
+pub fn check(outcomes: &[FamilyOutcome]) {
+    for o in outcomes {
+        let stats = &o.record.telemetry.stats;
+        assert_eq!(
+            stats.topology_pulled, stats.topology_events,
+            "E12 pulled-equals-applied gate: {} pulled {} topology events but applied {}",
+            o.family, stats.topology_pulled, stats.topology_events
+        );
+    }
+}
+
 /// Builds the scenario report from already-computed outcomes (shared by
 /// [`Scenario::run_scenario`] and `run_all`, which reuses one expensive
-/// `n = 2^17` run for both the report and the JSON trajectory).
+/// `n = 2^17` run for both the report and the JSON trajectory) after
+/// [`check`] passes.
 pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
+    check(outcomes);
     let mut rep = ScenarioReport::new();
     rep.table(render(config, outcomes));
+    rep.note(format!("horizon {}s", config.horizon));
     for o in outcomes {
         rep.note(format!(
             "{}: backlog peaked at {} of {} pulled topology events ({} applied) — \
@@ -245,8 +263,8 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
             o.record.telemetry.stats.topology_events,
         ));
     }
-    // Memory goes into the dedicated field (and `print`), never into the
-    // trace-compared notes; per-family live RSS is in the JSON trajectory.
+    // Memory goes into the dedicated field (and `print`) and the CSV,
+    // never into the trace-compared notes.
     rep.record_memory();
     rep.csv(
         "e12_dynamic_workloads.csv",
@@ -259,6 +277,7 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
             "topology_events",
             "peak_backlog",
             "peak_global_skew",
+            "live_rss_bytes",
         ],
         outcomes
             .iter()
@@ -274,6 +293,7 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
                     r.telemetry.stats.topology_events as f64,
                     r.telemetry.stats.peak_topology_backlog as f64,
                     o.peak_global,
+                    r.live_rss(),
                 ]
             })
             .collect(),
@@ -313,13 +333,27 @@ mod tests {
                 "{}: no churn reached the engine",
                 o.family
             );
-            assert_eq!(
-                stats.topology_pulled, stats.topology_events,
-                "{}: every pulled event must apply by the horizon",
-                o.family
-            );
             assert!(o.skew_error_bound.is_finite());
         }
+        check(&outcomes);
+    }
+
+    #[test]
+    fn gate_rejects_pulled_events_left_unapplied() {
+        let mut t = gcs_sim::Telemetry::default();
+        t.stats.topology_pulled = 7;
+        t.stats.topology_events = 6;
+        let outcome = FamilyOutcome {
+            family: "partition",
+            peak_global: 0.0,
+            peak_local: 0.0,
+            skew_error_bound: 0.0,
+            record: RunRecord::of(t),
+        };
+        crate::assert_gate_fails(
+            "E12 pulled-equals-applied gate: partition pulled 7 topology events but applied 6",
+            || check(&[outcome]),
+        );
     }
 
     #[test]

@@ -29,7 +29,8 @@
 
 use crate::e12_dynamic_workloads as e12;
 pub use crate::e12_dynamic_workloads::FamilyOutcome;
-use crate::scenario::{Scenario, ScenarioFamily, ScenarioMeta, ScenarioReport};
+use crate::engine_bench::smoke_n;
+use crate::scenario::{Scenario, ScenarioFamily, ScenarioReport};
 use gcs_analysis::Table;
 use gcs_clocks::DriftModel;
 use gcs_net::churn::ChurnSource;
@@ -51,9 +52,11 @@ pub struct Config {
 }
 
 impl Default for Config {
+    /// The headline run, shrunk to `GCS_SMOKE_N` nodes when that is set
+    /// ([`smoke_n`]).
     fn default() -> Self {
         Config {
-            n: 1 << 20,
+            n: smoke_n(1 << 20),
             horizon: 2.0,
             seed: 42,
             threads: gcs_sim::threads_from_env(),
@@ -162,12 +165,44 @@ pub fn render(config: &Config, outcomes: &[FamilyOutcome]) -> Table {
     t
 }
 
+/// E13's fail-closed gates, per family: every pulled topology event was
+/// applied by the horizon, the drift plane holds at most one cursor per
+/// touched node-state slot, and max delays materialized no RNG stream.
+///
+/// # Panics
+/// On the first family and gate that fails, naming both values.
+pub fn check(outcomes: &[FamilyOutcome]) {
+    for o in outcomes {
+        let t = &o.record.telemetry;
+        assert_eq!(
+            t.stats.topology_pulled, t.stats.topology_events,
+            "E13 pulled-equals-applied gate: {} pulled {} topology events but applied {}",
+            o.family, t.stats.topology_pulled, t.stats.topology_events
+        );
+        assert!(
+            t.drift_cursors <= t.node_state_watermark,
+            "E13 cursor-census gate: {} holds {} drift cursors for {} touched slots",
+            o.family,
+            t.drift_cursors,
+            t.node_state_watermark
+        );
+        assert_eq!(
+            t.rng_streams, 0,
+            "E13 rng-stream gate: {} materialized {} node streams under max delays",
+            o.family, t.rng_streams
+        );
+    }
+}
+
 /// Builds the scenario report from already-computed outcomes (shared by
 /// [`Scenario::run_scenario`] and `run_all`, which reuses one expensive
-/// `n = 2^20` run for both the report and the JSON trajectory).
+/// `n = 2^20` run for both the report and the JSON trajectory) after
+/// [`check`] passes.
 pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
+    check(outcomes);
     let mut rep = ScenarioReport::new();
     rep.table(render(config, outcomes));
+    rep.note(format!("horizon {}s", config.horizon));
     for o in outcomes {
         rep.note(format!(
             "{}: drift plane holds {} cursors for {} touched slots \
@@ -179,8 +214,8 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
             o.record.telemetry.rng_streams,
         ));
     }
-    // Memory goes into the dedicated field (and `print`), never into the
-    // trace-compared notes; per-family live RSS is in the JSON trajectory.
+    // Memory goes into the dedicated field (and `print`) and the CSV,
+    // never into the trace-compared notes.
     rep.record_memory();
     rep.csv(
         "e13_scale_ceiling.csv",
@@ -194,6 +229,7 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
             "drift_cursors",
             "node_state_watermark",
             "peak_global_skew",
+            "live_rss_bytes",
         ],
         outcomes
             .iter()
@@ -210,6 +246,7 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
                     r.telemetry.drift_cursors as f64,
                     r.telemetry.node_state_watermark as f64,
                     o.peak_global,
+                    r.live_rss(),
                 ]
             })
             .collect(),
@@ -234,13 +271,8 @@ impl Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "§3 drift axioms at scale — per-node rate state evaluated on demand"
     }
-    fn meta(&self) -> ScenarioMeta {
-        ScenarioMeta {
-            name: "E13",
-            n: Some(self.config.n),
-            family: ScenarioFamily::Scale,
-            fault_profile: None,
-        }
+    fn family(&self) -> ScenarioFamily {
+        ScenarioFamily::Scale
     }
     fn run_scenario(&self) -> ScenarioReport {
         report(&self.config, &run(&self.config))
@@ -275,27 +307,55 @@ mod tests {
                 "{}: no churn reached the engine",
                 o.family
             );
-            assert_eq!(
-                t.stats.topology_pulled, t.stats.topology_events,
-                "{}: every pulled event must apply by the horizon",
-                o.family
-            );
             assert!(
                 t.drift_cursors > 0,
                 "{}: multi-segment drift must cursor",
                 o.family
             );
-            assert!(
-                t.drift_cursors <= t.node_state_watermark,
-                "{}: at most one cursor per touched slot",
-                o.family
-            );
-            assert_eq!(
-                t.rng_streams, 0,
-                "{}: max delays must not materialize node streams",
-                o.family
-            );
             assert!(o.skew_error_bound.is_finite());
+        }
+        check(&outcomes);
+    }
+
+    /// Turns a passing outcome into one that fails a single gate.
+    type Doctor = fn(&mut gcs_sim::Telemetry);
+
+    #[test]
+    fn each_gate_rejects_its_doctored_family() {
+        let family = |doctor: Doctor| {
+            let mut t = gcs_sim::Telemetry::default();
+            t.stats.topology_pulled = 9;
+            t.stats.topology_events = 9;
+            t.drift_cursors = 4;
+            t.node_state_watermark = 5;
+            doctor(&mut t);
+            vec![FamilyOutcome {
+                family: "churn-walk",
+                peak_global: 0.0,
+                peak_local: 0.0,
+                skew_error_bound: 0.0,
+                record: crate::record::RunRecord::of(t),
+            }]
+        };
+        check(&family(|_| {}));
+        let cases: [(&str, Doctor); 3] = [
+            (
+                "E13 pulled-equals-applied gate: churn-walk pulled 10 topology events but \
+                 applied 9",
+                |t| t.stats.topology_pulled = 10,
+            ),
+            (
+                "E13 cursor-census gate: churn-walk holds 6 drift cursors for 5 touched slots",
+                |t| t.drift_cursors = 6,
+            ),
+            (
+                "E13 rng-stream gate: churn-walk materialized 1 node streams under max delays",
+                |t| t.rng_streams = 1,
+            ),
+        ];
+        for (expected, doctor) in cases {
+            let outcomes = family(doctor);
+            crate::assert_gate_fails(expected, || check(&outcomes));
         }
     }
 

@@ -31,8 +31,9 @@
 //! the acceptance number for "break the memory ceiling" is peak RSS at
 //! `n = 2^23`, recorded in `BENCH_engine.json`.
 
+use crate::engine_bench::smoke_n;
 use crate::record::RunRecord;
-use crate::scenario::{Scenario, ScenarioFamily, ScenarioMeta, ScenarioReport};
+use crate::scenario::{Scenario, ScenarioFamily, ScenarioReport};
 use gcs_analysis::Table;
 use gcs_clocks::time::at;
 use gcs_core::{AlgoParams, GradientNode, GradientShared};
@@ -70,8 +71,19 @@ pub struct Config {
 }
 
 impl Default for Config {
+    /// The headline run, shrunk to `GCS_SMOKE_N` nodes when that is set
+    /// ([`smoke_n`], [`Config::scaled_to`]).
     fn default() -> Self {
-        Config {
+        Config::scaled_to(smoke_n(1 << 23))
+    }
+}
+
+impl Config {
+    /// The headline configuration (`n = 2^23`) shrunk to `n` nodes: the
+    /// backbone and visitor bands scale with `n`, keeping the same
+    /// shape — touched prefix, departing waves, untouched majority.
+    pub fn scaled_to(n: usize) -> Config {
+        let full = Config {
             n: 1 << 23,
             backbone: 1 << 16,
             waves: 8,
@@ -80,24 +92,15 @@ impl Default for Config {
             horizon: 18.0,
             seed: 42,
             threads: gcs_sim::threads_from_env(),
-        }
-    }
-}
-
-impl Config {
-    /// The headline configuration shrunk to `n` nodes (CI smoke): the
-    /// backbone and visitor bands scale with `n`, keeping the same
-    /// shape — touched prefix, departing waves, untouched majority.
-    pub fn scaled_to(n: usize) -> Config {
-        let d = Config::default();
-        if n >= d.n {
-            return d;
+        };
+        if n >= full.n {
+            return full;
         }
         Config {
             n,
             backbone: (n / 128).max(8),
             wave_visitors: (n / 256).max(4),
-            ..d
+            ..full
         }
     }
 
@@ -218,12 +221,91 @@ pub fn render(config: &Config, r: &RunRecord) -> Table {
     t
 }
 
+/// E14's fail-closed gates on one run and the process peak RSS read
+/// after it: every pulled topology event applied; departed waves in the
+/// cold tier; no slot claimed above the backbone and visitor band; a
+/// balanced cold census; at most 32 B per cold node (one shrunk 24-byte
+/// peer entry, no automaton bytes); the wheel plane under half the v8
+/// recording at the headline width (256 MiB at smoke widths); the
+/// topology plane under one 24-byte container header per node (an
+/// `n`-length per-node array crosses it); peak RSS under 8 GiB at the
+/// headline width (2 GiB at smoke widths). The RSS reading is
+/// process-wide: inside `run_all` it includes E12 and E13.
+///
+/// # Panics
+/// On the first gate that fails, naming it and its values.
+pub fn check(config: &Config, r: &RunRecord, peak_rss_bytes: Option<u64>) {
+    let o = &r.telemetry;
+    let n = config.n;
+    let headline = n >= 1 << 23;
+    assert_eq!(
+        o.stats.topology_pulled, o.stats.topology_events,
+        "E14 pulled-equals-applied gate: pulled {} topology events but applied {}",
+        o.stats.topology_pulled, o.stats.topology_events
+    );
+    assert!(
+        o.evictions > 0 && o.cold_nodes > 0,
+        "E14 eviction gate: departed waves must reach the cold tier \
+         ({} evictions, {} cold nodes)",
+        o.evictions,
+        o.cold_nodes
+    );
+    let band = config.backbone + config.visitor_band();
+    assert!(
+        o.node_state_watermark <= band,
+        "E14 watermark gate: watermark {} exceeds backbone plus visitor band {band} — \
+         an untouched node claimed a node-state slot",
+        o.node_state_watermark
+    );
+    assert_eq!(
+        o.evictions.checked_sub(o.rehydrations),
+        Some(o.cold_nodes as u64),
+        "E14 cold-census gate: {} cold nodes after {} evictions and {} rehydrations",
+        o.cold_nodes,
+        o.evictions,
+        o.rehydrations
+    );
+    assert!(
+        o.planes.automaton_cold <= 32 * o.cold_nodes,
+        "E14 cold-bytes gate: cold tier {} bytes exceeds 32 B x {} cold nodes at n = {n}",
+        o.planes.automaton_cold,
+        o.cold_nodes
+    );
+    let wheel_limit: usize = if headline { 584_456_192 } else { 256 << 20 };
+    assert!(
+        o.planes.wheel < wheel_limit,
+        "E14 wheel-plane gate: wheel plane {} bytes exceeds the {wheel_limit} byte budget \
+         at n = {n}",
+        o.planes.wheel
+    );
+    assert!(
+        o.planes.topology < 24 * n,
+        "E14 topology-plane gate: topology plane {} bytes reaches 24 B x n = {} at n = {n}",
+        o.planes.topology,
+        24 * n
+    );
+    if let Some(peak) = peak_rss_bytes {
+        let limit: u64 = if headline { 8 << 30 } else { 2 << 30 };
+        assert!(
+            peak < limit,
+            "E14 peak-RSS gate: peak RSS {peak} bytes exceeds the {limit} byte budget at n = {n}"
+        );
+    }
+}
+
 /// Builds the scenario report from an already-recorded run (shared by
-/// [`Scenario::run_scenario`] and `run_all`).
+/// [`Scenario::run_scenario`] and `run_all`) after [`check`] passes on
+/// it and the process peak RSS.
 pub fn report(config: &Config, r: &RunRecord) -> ScenarioReport {
+    let peak_rss_bytes = gcs_analysis::peak_rss_bytes();
+    check(config, r, peak_rss_bytes);
     let tel = &r.telemetry;
     let mut rep = ScenarioReport::new();
     rep.table(render(config, r));
+    rep.note(format!(
+        "workload: backbone {}, {} waves x {} visitors, horizon {}s",
+        config.backbone, config.waves, config.wave_visitors, config.horizon,
+    ));
     rep.note(format!(
         "touched watermark {} of n = {} — the untouched majority above the \
          visitor band claims no node-state slot (idle parking keeps it out \
@@ -235,7 +317,7 @@ pub fn report(config: &Config, r: &RunRecord) -> ScenarioReport {
          ({} evictions, {} rehydrations over the run)",
         tel.cold_nodes, tel.planes.automaton_cold, tel.evictions, tel.rehydrations,
     ));
-    rep.record_memory();
+    rep.peak_rss_bytes = peak_rss_bytes;
     rep.record_planes(tel.planes);
     rep.csv(
         "e14_memory_ceiling.csv",
@@ -253,6 +335,7 @@ pub fn report(config: &Config, r: &RunRecord) -> ScenarioReport {
             "plane_automaton_cold_bytes",
             "plane_wheel_bytes",
             "plane_staging_bytes",
+            "live_rss_bytes",
         ],
         vec![vec![
             r.events() as f64,
@@ -268,6 +351,7 @@ pub fn report(config: &Config, r: &RunRecord) -> ScenarioReport {
             tel.planes.automaton_cold as f64,
             tel.planes.wheel as f64,
             tel.planes.staging as f64,
+            r.live_rss(),
         ]],
     );
     rep
@@ -290,13 +374,8 @@ impl Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "§3/§5 at scale — shared parameters, quiescent-node eviction"
     }
-    fn meta(&self) -> ScenarioMeta {
-        ScenarioMeta {
-            name: "E14",
-            n: Some(self.config.n),
-            family: ScenarioFamily::Scale,
-            fault_profile: None,
-        }
+    fn family(&self) -> ScenarioFamily {
+        ScenarioFamily::Scale
     }
     fn run_scenario(&self) -> ScenarioReport {
         let config = self.config.clone();
@@ -326,29 +405,83 @@ mod tests {
         let r = run(&config);
         let o = &r.telemetry;
         assert!(r.events() > 1_000, "workload too small: {}", r.events());
-        assert!(
-            o.evictions > 0,
-            "departed visitor waves must reach the cold tier"
-        );
-        assert!(o.cold_nodes > 0, "cold tier empty at the horizon");
-        assert_eq!(
-            o.cold_nodes as u64,
-            o.evictions - o.rehydrations,
-            "cold census must balance the counters"
-        );
-        let touched_band = config.backbone + config.visitor_band();
-        assert!(
-            o.node_state_watermark <= touched_band,
-            "watermark {} exceeds the touched band {} — an untouched node \
-             claimed a slot",
-            o.node_state_watermark,
-            touched_band
-        );
+        check(&config, &r, None);
         assert!(
             o.planes.automaton_cold > 0,
             "plane census must see the cold tier"
         );
         assert!(o.planes.automaton_hot > 0 && o.planes.topology > 0);
+    }
+
+    /// Turns a passing outcome into one that fails a single gate.
+    type Doctor = fn(&mut gcs_sim::Telemetry);
+
+    #[test]
+    fn each_gate_rejects_its_doctored_run() {
+        // A run at `small()`'s width that passes every gate: 96 visitors
+        // gone cold at 24 B each, the watermark at backbone plus band.
+        let run = |doctor: Doctor| {
+            let mut t = gcs_sim::Telemetry::default();
+            t.stats.topology_pulled = 192;
+            t.stats.topology_events = 192;
+            t.evictions = 96;
+            t.cold_nodes = 96;
+            t.node_state_watermark = 160;
+            t.planes.automaton_cold = 24 * 96;
+            t.planes.wheel = 1 << 20;
+            t.planes.topology = 4096;
+            doctor(&mut t);
+            RunRecord::of(t)
+        };
+        let config = small();
+        check(&config, &run(|_| {}), Some(1 << 30));
+        let cases: [(&str, Doctor); 7] = [
+            (
+                "E14 pulled-equals-applied gate: pulled 193 topology events but applied 192",
+                |t| t.stats.topology_pulled = 193,
+            ),
+            (
+                "E14 eviction gate: departed waves must reach the cold tier \
+                 (0 evictions, 0 cold nodes)",
+                |t| {
+                    t.evictions = 0;
+                    t.cold_nodes = 0;
+                },
+            ),
+            (
+                "E14 watermark gate: watermark 161 exceeds backbone plus visitor band 160",
+                |t| t.node_state_watermark = 161,
+            ),
+            (
+                "E14 cold-census gate: 96 cold nodes after 96 evictions and 1 rehydrations",
+                |t| t.rehydrations = 1,
+            ),
+            (
+                "E14 cold-bytes gate: cold tier 3168 bytes exceeds 32 B x 96 cold nodes \
+                 at n = 4096",
+                |t| t.planes.automaton_cold = 33 * 96,
+            ),
+            (
+                "E14 wheel-plane gate: wheel plane 268435456 bytes exceeds the 268435456 \
+                 byte budget at n = 4096",
+                |t| t.planes.wheel = 256 << 20,
+            ),
+            (
+                "E14 topology-plane gate: topology plane 98304 bytes reaches \
+                 24 B x n = 98304 at n = 4096",
+                |t| t.planes.topology = 24 * 4096,
+            ),
+        ];
+        for (expected, doctor) in cases {
+            let r = run(doctor);
+            crate::assert_gate_fails(expected, || check(&config, &r, None));
+        }
+        let r = run(|_| {});
+        crate::assert_gate_fails(
+            "E14 peak-RSS gate: peak RSS 2147483648 bytes exceeds the 2147483648 byte \
+             budget at n = 4096",
+            || check(&config, &r, Some(2 << 30)),
+        );
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! number is bit-identical at any worker count — pinned by
 //! `crates/bench/tests/faults.rs`.
 
-use crate::scenario::{merge, ScenarioFamily, ScenarioMeta, ScenarioReport};
+use crate::engine_bench::smoke_n;
+use crate::scenario::{merge, ScenarioFamily, ScenarioReport};
 use gcs_analysis::Recorder;
 use gcs_clocks::time::at;
 use gcs_clocks::DriftModel;
@@ -56,9 +57,11 @@ pub struct Config {
 }
 
 impl Default for Config {
+    /// The headline run, shrunk to `GCS_SMOKE_N` nodes when that is set
+    /// ([`smoke_n`]).
     fn default() -> Self {
         Config {
-            n: 64,
+            n: smoke_n(64),
             horizon: 600.0,
             model: ModelParams::new(0.05, 1.0, 2.0),
             delta_h: 0.5,
@@ -297,8 +300,36 @@ pub fn run(config: &Config) -> Outcomes {
     }
 }
 
-/// Renders the outcomes into a scenario report.
+/// E15's fail-closed gates: the negative control tripped the invariant
+/// monitor (a silent monitor would make every green report vacuous),
+/// the searched attack dominates the well-behaved merge baseline, and
+/// every crash was followed by its restart.
+///
+/// # Panics
+/// On the first gate that fails, naming it and its values.
+pub fn check(out: &Outcomes) {
+    assert!(
+        out.control.violations > 0,
+        "E15 negative-control gate: the drift excursion left the invariant monitor silent"
+    );
+    let a = &out.adversary;
+    assert!(
+        a.peak_local >= a.baseline_peak_local,
+        "E15 adversary gate: the searched attack ({:.3}) must dominate the well-behaved \
+         merge baseline ({:.3})",
+        a.peak_local,
+        a.baseline_peak_local
+    );
+    assert_eq!(
+        out.fault.crashes, out.fault.restarts,
+        "E15 crash-restart gate: {} crashes but {} restarts",
+        out.fault.crashes, out.fault.restarts
+    );
+}
+
+/// Renders the outcomes into a scenario report after [`check`] passes.
 pub fn report(config: &Config, out: &Outcomes) -> ScenarioReport {
+    check(out);
     let mut rep = ScenarioReport::new();
     let g = config.params().global_skew_bound();
     let mut t = gcs_analysis::Table::new(
@@ -346,13 +377,16 @@ pub fn report(config: &Config, out: &Outcomes) -> ScenarioReport {
     ]);
     rep.table(t);
     rep.note(format!(
-        "fault plane: {} crashes, {} restarts, {} deliveries dropped, {} sends spiked over {} events",
+        "fault plane: {} crashes, {} restarts, {} deliveries dropped, {} sends spiked over {} events \
+         (horizon {}s)",
         out.fault.crashes, out.fault.restarts, out.fault.dropped, out.fault.delay_spiked,
-        out.fault.events
+        out.fault.events, config.horizon
     ));
     rep.note(format!(
-        "adversary search: {} evaluations; attack peak {:.2} >= merge baseline {:.2}: {}",
+        "adversary search: {} evaluations ({} refinement rounds); attack peak {:.2} >= \
+         merge baseline {:.2}: {}",
         out.adversary.evaluations,
+        config.refine_steps,
         out.adversary.peak_local,
         out.adversary.baseline_peak_local,
         out.adversary.peak_local >= out.adversary.baseline_peak_local
@@ -393,13 +427,8 @@ impl crate::scenario::Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "Theorem 4.1 (adversarial chord skew) + fail-closed model-violation detection"
     }
-    fn meta(&self) -> ScenarioMeta {
-        ScenarioMeta {
-            name: "E15",
-            n: Some(self.config.n),
-            family: ScenarioFamily::Fault,
-            fault_profile: Some("crash-restart + loss/delay windows + drift excursion + chords"),
-        }
+    fn family(&self) -> ScenarioFamily {
+        ScenarioFamily::Fault
     }
     fn run_scenario(&self) -> ScenarioReport {
         let out = run(&self.config);
@@ -445,6 +474,58 @@ mod tests {
             out.baseline_peak_local
         );
         assert!(out.evaluations >= candidate_attacks(&config).len());
+    }
+
+    /// Turns a passing outcome into one that fails a single gate.
+    type Doctor = fn(&mut Outcomes);
+
+    #[test]
+    fn each_gate_rejects_its_doctored_outcome() {
+        let outcomes = |doctor: Doctor| {
+            let mut out = Outcomes {
+                fault: FaultOutcome {
+                    peak_global: 0.0,
+                    final_global: 0.0,
+                    recovery_s: None,
+                    crashes: 2,
+                    restarts: 2,
+                    dropped: 0,
+                    delay_spiked: 0,
+                    events: 0,
+                },
+                adversary: AdversaryOutcome {
+                    attack: BridgeAttack::permanent(1.0, Edge::between(0, 1)),
+                    peak_local: 2.0,
+                    baseline_peak_local: 1.0,
+                    evaluations: 1,
+                },
+                control: ControlOutcome {
+                    violations: 1,
+                    first_violation: None,
+                },
+            };
+            doctor(&mut out);
+            out
+        };
+        check(&outcomes(|_| {}));
+        let cases: [(&str, Doctor); 3] = [
+            (
+                "E15 negative-control gate: the drift excursion left the invariant monitor silent",
+                |o| o.control.violations = 0,
+            ),
+            (
+                "E15 adversary gate: the searched attack (0.500) must dominate the \
+                 well-behaved merge baseline (1.000)",
+                |o| o.adversary.peak_local = 0.5,
+            ),
+            ("E15 crash-restart gate: 2 crashes but 1 restarts", |o| {
+                o.fault.restarts = 1
+            }),
+        ];
+        for (expected, doctor) in cases {
+            let out = outcomes(doctor);
+            crate::assert_gate_fails(expected, || check(&out));
+        }
     }
 
     #[test]

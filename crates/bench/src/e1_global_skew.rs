@@ -135,20 +135,18 @@ impl crate::scenario::Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "Theorem 6.9 — global skew ≤ G(n), linear in n"
     }
-    fn meta(&self) -> crate::scenario::ScenarioMeta {
-        crate::scenario::ScenarioMeta {
-            name: "E1",
-            n: self.config.ns.iter().copied().max(),
-            family: crate::scenario::ScenarioFamily::Claim,
-            fault_profile: None,
-        }
+    fn family(&self) -> crate::scenario::ScenarioFamily {
+        crate::scenario::ScenarioFamily::Claim
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
         let out = run(&self.config);
         let mut rep = crate::scenario::ScenarioReport::new();
         rep.table(render(&out));
-        let (slope, _, r2) = out.fit;
-        rep.note(format!("linear fit: slope {slope:.4}, r^2 {r2:.4}"));
+        let (slope, intercept, r2) = out.fit;
+        rep.note(format!(
+            "linear fit of measured skew vs n: slope {slope:.4}, intercept {intercept:.3}, \
+             r^2 {r2:.4}"
+        ));
         rep.csv(
             "e1_global_skew.csv",
             &["n", "bound", "measured"],

@@ -167,21 +167,20 @@ impl crate::scenario::Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "Corollary 6.13 — dynamic local skew envelope s(n, Δt)"
     }
-    fn meta(&self) -> crate::scenario::ScenarioMeta {
-        crate::scenario::ScenarioMeta {
-            name: "E2",
-            n: Some(self.config.n),
-            family: crate::scenario::ScenarioFamily::Claim,
-            fault_profile: None,
-        }
+    fn family(&self) -> crate::scenario::ScenarioFamily {
+        crate::scenario::ScenarioFamily::Claim
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
         let out = run(&self.config);
         let mut rep = crate::scenario::ScenarioReport::new();
         rep.table(render(&out));
         rep.note(format!(
-            "initial bridge skew {:.2}, stable bound {:.2}",
-            out.initial_skew, out.stable_bound
+            "initial bridge skew {:.2}; W = {:.1}, budget settle age = {:.1}, \
+             stable bound = {:.3}",
+            out.initial_skew,
+            out.params.w(),
+            out.params.budget_settle_age(),
+            out.stable_bound
         ));
         rep.csv(
             "e2_local_skew_decay.csv",

@@ -163,20 +163,15 @@ impl crate::scenario::Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "Corollary 6.14 — settle time proportional to n/B0"
     }
-    fn meta(&self) -> crate::scenario::ScenarioMeta {
-        crate::scenario::ScenarioMeta {
-            name: "E3",
-            n: self.config.ns.iter().copied().max(),
-            family: crate::scenario::ScenarioFamily::Claim,
-            fault_profile: None,
-        }
+    fn family(&self) -> crate::scenario::ScenarioFamily {
+        crate::scenario::ScenarioFamily::Claim
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
         let out = run(&self.config);
         let mut rep = crate::scenario::ScenarioReport::new();
         rep.table(render(&out));
         rep.note(format!(
-            "log-log slope of settle time vs B0: {:.3}",
+            "log-log slope of settle time vs B0 (largest n): {:.3} (expected ~ -1)",
             out.slope_vs_b0
         ));
         rep

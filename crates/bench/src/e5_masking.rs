@@ -162,18 +162,8 @@ impl crate::scenario::Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "Lemma 4.2 (Masking Lemma) — ≥ T·d/4 skew with legal delays"
     }
-    fn meta(&self) -> crate::scenario::ScenarioMeta {
-        crate::scenario::ScenarioMeta {
-            name: "E5",
-            n: self
-                .config
-                .distances
-                .iter()
-                .map(|d| d + self.config.masked_prefix + 1)
-                .max(),
-            family: crate::scenario::ScenarioFamily::Claim,
-            fault_profile: None,
-        }
+    fn family(&self) -> crate::scenario::ScenarioFamily {
+        crate::scenario::ScenarioFamily::Claim
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
         let points = run(&self.config);

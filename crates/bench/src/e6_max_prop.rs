@@ -152,13 +152,8 @@ impl crate::scenario::Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "Lemma 6.8 — Lmax reaches every node within the propagation window"
     }
-    fn meta(&self) -> crate::scenario::ScenarioMeta {
-        crate::scenario::ScenarioMeta {
-            name: "E6",
-            n: self.config.ns.iter().copied().max(),
-            family: crate::scenario::ScenarioFamily::Claim,
-            fault_profile: None,
-        }
+    fn family(&self) -> crate::scenario::ScenarioFamily {
+        crate::scenario::ScenarioFamily::Claim
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
         let mut rep = crate::scenario::ScenarioReport::new();

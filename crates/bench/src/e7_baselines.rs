@@ -200,13 +200,8 @@ impl crate::scenario::Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "§1 motivation — only the aging budget gives a dynamic gradient"
     }
-    fn meta(&self) -> crate::scenario::ScenarioMeta {
-        crate::scenario::ScenarioMeta {
-            name: "E7",
-            n: Some(self.config.n),
-            family: crate::scenario::ScenarioFamily::Claim,
-            fault_profile: None,
-        }
+    fn family(&self) -> crate::scenario::ScenarioFamily {
+        crate::scenario::ScenarioFamily::Claim
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
         let rows = run(&self.config);

@@ -117,11 +117,32 @@ pub fn render(n: usize, rows: &[ProfileRow]) -> Table {
     t
 }
 
-/// E9 behind the [`Scenario`](crate::scenario::Scenario) surface.
-#[derive(Clone, Debug, Default)]
+/// E9 behind the [`Scenario`](crate::scenario::Scenario) surface: one
+/// profile per path length.
+#[derive(Clone, Debug)]
 pub struct Experiment {
-    /// Profile configuration.
-    pub config: Config,
+    /// Profile configurations, one per path length.
+    pub configs: Vec<Config>,
+}
+
+impl Default for Experiment {
+    /// Paths of 32, 64 and 128 nodes, each profiled at the powers of two
+    /// below its diameter and at the diameter itself.
+    fn default() -> Self {
+        let configs = [32, 64, 128]
+            .into_iter()
+            .map(|n: usize| Config {
+                n,
+                distances: (0..usize::BITS)
+                    .map(|k| 1 << k)
+                    .take_while(|&d| d < n - 1)
+                    .chain([n - 1])
+                    .collect(),
+                ..Config::default()
+            })
+            .collect();
+        Experiment { configs }
+    }
 }
 
 impl crate::scenario::Scenario for Experiment {
@@ -134,24 +155,23 @@ impl crate::scenario::Scenario for Experiment {
     fn claim(&self) -> &'static str {
         "§6 gradient property — skew grows with distance, bounded per hop"
     }
-    fn meta(&self) -> crate::scenario::ScenarioMeta {
-        crate::scenario::ScenarioMeta {
-            name: "E9",
-            n: Some(self.config.n),
-            family: crate::scenario::ScenarioFamily::Claim,
-            fault_profile: None,
-        }
+    fn family(&self) -> crate::scenario::ScenarioFamily {
+        crate::scenario::ScenarioFamily::Claim
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
-        let rows = run(&self.config);
         let mut rep = crate::scenario::ScenarioReport::new();
-        rep.table(render(self.config.n, &rows));
+        let mut csv = Vec::new();
+        for (n, rows) in run_multi(&self.configs) {
+            rep.table(render(n, &rows));
+            csv.extend(
+                rows.iter()
+                    .map(|r| vec![n as f64, r.distance as f64, r.worst_skew, r.bound]),
+            );
+        }
         rep.csv(
             "e9_gradient_profile.csv",
-            &["distance", "worst_skew", "bound"],
-            rows.iter()
-                .map(|r| vec![r.distance as f64, r.worst_skew, r.bound])
-                .collect(),
+            &["n", "distance", "worst_skew", "bound"],
+            csv,
         );
         rep
     }
@@ -160,6 +180,16 @@ impl crate::scenario::Scenario for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn registry_profiles_three_paths_up_to_their_diameters() {
+        let configs = Experiment::default().configs;
+        let ns: Vec<usize> = configs.iter().map(|c| c.n).collect();
+        assert_eq!(ns, [32, 64, 128]);
+        assert_eq!(configs[0].distances, [1, 2, 4, 8, 16, 31]);
+        assert_eq!(configs[1].distances, Config::default().distances);
+        assert_eq!(configs[2].distances, [1, 2, 4, 8, 16, 32, 64, 127]);
+    }
 
     #[test]
     fn skew_grows_with_distance_and_neighbors_stay_tight() {

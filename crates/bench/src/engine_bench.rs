@@ -122,9 +122,9 @@ pub fn measure(w: &Workload) -> RunRecord {
 }
 
 /// The environment variable CI smoke jobs use to shrink the large-scale
-/// experiment widths (`GCS_SMOKE_N=4096 cargo run ... --bin
-/// exp_large_scale`), so the scale paths run on every push instead of
-/// only in benches.
+/// experiment widths (`GCS_SMOKE_N=4096 cargo run ... --bin exp --
+/// E11`), so the scale paths run on every push instead of only in
+/// benches. E11–E15 read it once each, in their `Config::default()`.
 pub const SMOKE_N_ENV: &str = "GCS_SMOKE_N";
 
 /// The configured large-scale width: `full` unless [`SMOKE_N_ENV`]

@@ -3,13 +3,15 @@
 //! The experiment harness. Every quantitative claim of the paper runs
 //! behind the [`scenario::Scenario`] trait: one module per experiment,
 //! each exposing a `run(config)` function, a rendered table, and an
-//! `Experiment` wrapper registered in [`scenario::all_scenarios`]. The
-//! binaries in `src/bin/` are thin wrappers (`run_all` fans them all out
-//! in parallel and records the engine perf trajectory as
-//! `BENCH_engine.json`, one [`record::RunRecord`] per timed run);
-//! criterion microbenchmarks live in `benches/`, with the throughput
-//! workloads (serial baseline and the parallel dispatcher's thread
-//! sweep) in [`engine_bench`].
+//! `Experiment` wrapper registered in [`scenario::all_scenarios`] — the
+//! only definition of E1–E15. E11–E15 also check their fail-closed gates
+//! (a `check` function in each module) on every path that builds their
+//! report. Two binaries drive the registry: `exp <id>` runs one
+//! experiment, and `run_all` runs them all and records the engine perf
+//! trajectory as `BENCH_engine.json`, one [`record::RunRecord`] per
+//! timed run. Criterion microbenchmarks live in `benches/`, with the
+//! throughput workloads (serial baseline and the parallel dispatcher's
+//! thread sweep) in [`engine_bench`].
 //!
 //! | id | claim | module |
 //! |----|-------|--------|
@@ -32,8 +34,8 @@
 //! # Example
 //!
 //! The experiment registry is itself checkable — every scenario names
-//! the claim it reproduces and carries typed metadata
-//! ([`scenario::ScenarioMeta`]) that drivers partition on:
+//! the claim it reproduces and the typed driver batch
+//! ([`scenario::ScenarioFamily`]) it belongs to:
 //!
 //! ```
 //! use gcs_bench::scenario::{all_scenarios, scenarios_in, ScenarioFamily};
@@ -76,8 +78,17 @@ pub fn default_model() -> ModelParams {
     ModelParams::new(0.01, 1.0, 2.0)
 }
 
-/// A high-drift regime (`ρ = 0.05`) used where visible skew must build up
-/// quickly (local-skew decay, tradeoff, baselines).
-pub fn high_drift_model() -> ModelParams {
-    ModelParams::new(0.05, 1.0, 2.0)
+/// Asserts that `f` panics with a message containing `expected` — how
+/// the E11–E15 gate tests check that a doctored outcome fails its gate.
+#[cfg(test)]
+pub(crate) fn assert_gate_fails(expected: &str, f: impl FnOnce() + std::panic::UnwindSafe) {
+    let err = std::panic::catch_unwind(f).expect_err(expected);
+    let msg = match err.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(err) => err
+            .downcast_ref::<&str>()
+            .expect("a text panic")
+            .to_string(),
+    };
+    assert!(msg.contains(expected), "expected {expected:?}, got {msg:?}");
 }

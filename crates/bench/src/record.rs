@@ -54,6 +54,24 @@ impl RunRecord {
         }
     }
 
+    /// A record carrying only `telemetry` — the doctored runs of the gate
+    /// tests.
+    #[cfg(test)]
+    pub(crate) fn of(telemetry: Telemetry) -> RunRecord {
+        RunRecord {
+            setup_s: 0.0,
+            wall_s: 1.0,
+            current_rss_bytes: None,
+            telemetry,
+        }
+    }
+
+    /// [`current_rss_bytes`](Self::current_rss_bytes) as a CSV cell:
+    /// `NaN` on platforms without a reading.
+    pub fn live_rss(&self) -> f64 {
+        self.current_rss_bytes.map_or(f64::NAN, |b| b as f64)
+    }
+
     /// Events processed.
     pub fn events(&self) -> u64 {
         self.telemetry.stats.events_processed

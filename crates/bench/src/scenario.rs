@@ -5,9 +5,10 @@
 //! an example binary), states the paper claim it reproduces, and produces
 //! a [`ScenarioReport`] — rendered tables, free-form notes, and CSV series
 //! for the perf/shape trajectory. [`all_scenarios`] enumerates all fifteen
-//! (E1–E15) so `run_all` (and any future driver) cannot silently drop an
-//! experiment, and [`run_parallel`] fans scenarios out over scoped
-//! threads via [`gcs_analysis::sweep::fan_out`].
+//! (E1–E15) so neither driver — `exp <id>` for one experiment, `run_all`
+//! for all of them — can silently drop one, [`print_report`] renders a
+//! report the same way for both, and [`run_parallel`] fans scenarios out
+//! over scoped threads via [`gcs_analysis::sweep::fan_out`].
 //!
 //! The *cluster merge* below is the shared workload behind E2, E3 and E7
 //! (and the paper's motivating story): two halves of the network evolve
@@ -137,7 +138,7 @@ impl ScenarioReport {
         if let Some(bytes) = self.peak_rss_bytes {
             println!(
                 "process peak RSS: {} MiB (process-lifetime high-water mark — \
-                 faithful only in a fresh process, e.g. the standalone bins)",
+                 faithful only in a fresh process, e.g. under `exp`)",
                 gcs_analysis::mem::fmt_mib(Some(bytes))
             );
         }
@@ -178,21 +179,6 @@ pub enum ScenarioFamily {
     Example,
 }
 
-/// Structured self-description of a scenario — the typed replacement
-/// for matching on [`Scenario::id`] strings in drivers and registries.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScenarioMeta {
-    /// Short identifier, identical to [`Scenario::id`].
-    pub name: &'static str,
-    /// The (largest) node count the scenario runs at, when meaningful.
-    pub n: Option<usize>,
-    /// Driver batch.
-    pub family: ScenarioFamily,
-    /// Human-readable summary of the fault injections, for
-    /// [`ScenarioFamily::Fault`] scenarios.
-    pub fault_profile: Option<&'static str>,
-}
-
 /// A named, self-describing experiment.
 ///
 /// Implemented by all `E*` experiment modules (each wraps its `Config`
@@ -205,17 +191,11 @@ pub trait Scenario: Send + Sync {
     fn title(&self) -> &'static str;
     /// The paper claim it reproduces (section/theorem).
     fn claim(&self) -> &'static str;
-    /// Structured metadata. The default marks the scenario an
-    /// [`ScenarioFamily::Example`] with unspecified size — the
-    /// `examples/` binaries take it as-is; every registry experiment
-    /// overrides it.
-    fn meta(&self) -> ScenarioMeta {
-        ScenarioMeta {
-            name: self.id(),
-            n: None,
-            family: ScenarioFamily::Example,
-            fault_profile: None,
-        }
+    /// The driver batch. The default, [`ScenarioFamily::Example`], is
+    /// for the `examples/` binaries; every registry experiment overrides
+    /// it.
+    fn family(&self) -> ScenarioFamily {
+        ScenarioFamily::Example
     }
     /// Runs the workload and collects the report.
     fn run_scenario(&self) -> ScenarioReport;
@@ -254,11 +234,11 @@ pub type ScenarioBatch = Vec<Box<dyn Scenario>>;
 pub fn scenarios_in(family: ScenarioFamily) -> Vec<Box<dyn Scenario>> {
     all_scenarios()
         .into_iter()
-        .filter(|s| s.meta().family == family)
+        .filter(|s| s.family() == family)
         .collect()
 }
 
-/// The driver's execution plan, derived from typed scenario metadata:
+/// The driver's execution plan, derived from the typed scenario families:
 /// `(claim batch, solo batch)`. The claim batch fans out in parallel;
 /// the solo batch — [`ScenarioFamily::Scale`] runs (themselves
 /// wall-clock/memory benchmarks) and [`ScenarioFamily::Fault`] runs
@@ -269,11 +249,11 @@ pub fn driver_plan() -> (ScenarioBatch, ScenarioBatch) {
     let mut claim = Vec::new();
     let mut solo = Vec::new();
     for s in all_scenarios() {
-        match s.meta().family {
+        match s.family() {
             ScenarioFamily::Claim => claim.push(s),
             ScenarioFamily::Scale | ScenarioFamily::Fault => solo.push(s),
             ScenarioFamily::Example => {
-                unreachable!("registry scenarios must not use the Example default meta")
+                unreachable!("registry scenarios must not use the Example default family")
             }
         }
     }
@@ -287,6 +267,22 @@ pub fn run_parallel(scenarios: &[Box<dyn Scenario>]) -> Vec<ScenarioReport> {
         .map(|s| Box::new(move || s.run_scenario()) as Box<dyn FnOnce() -> ScenarioReport + Send>)
         .collect();
     gcs_analysis::sweep::fan_out(jobs)
+}
+
+/// Where the drivers write CSV series, relative to the repository root.
+pub const OUTPUT_DIR: &str = "target/experiments";
+
+/// Prints `rep` under the `=== id / claim ===` header and writes its CSV
+/// series under [`OUTPUT_DIR`]: the one rendering `exp` and `run_all`
+/// share, so a scenario reads the same from either driver. A failed CSV
+/// write is a warning.
+pub fn print_report(s: &dyn Scenario, rep: &ScenarioReport) {
+    println!("=== {} / {} ===", s.id(), s.claim());
+    rep.print();
+    if let Err(e) = rep.write_csv(Path::new(OUTPUT_DIR)) {
+        eprintln!("warning: could not write CSV for {}: {e}", s.id());
+    }
+    println!();
 }
 
 /// A cluster-merge workload.
@@ -364,12 +360,10 @@ mod tests {
         for s in all_scenarios() {
             assert!(!s.title().is_empty(), "{} needs a title", s.id());
             assert!(!s.claim().is_empty(), "{} needs a claim", s.id());
-            let meta = s.meta();
-            assert_eq!(meta.name, s.id(), "meta name must equal id");
             assert_ne!(
-                meta.family,
+                s.family(),
                 ScenarioFamily::Example,
-                "{}: registry experiments must override the default meta",
+                "{}: registry experiments must override the default family",
                 s.id()
             );
         }
@@ -385,12 +379,6 @@ mod tests {
         assert_eq!(scale_ids, vec!["E11", "E12", "E13", "E14"]);
         let fault_ids: Vec<&str> = fault.iter().map(|s| s.id()).collect();
         assert_eq!(fault_ids, vec!["E15"]);
-        for s in fault {
-            assert!(
-                s.meta().fault_profile.is_some(),
-                "fault scenarios must describe their injections"
-            );
-        }
         assert_eq!(claim.len() + scale_ids.len() + fault_ids.len(), 15);
     }
 
@@ -449,10 +437,10 @@ mod tests {
             "driver plan must cover the registry in order"
         );
         for s in claim {
-            assert_eq!(s.meta().family, ScenarioFamily::Claim);
+            assert_eq!(s.family(), ScenarioFamily::Claim);
         }
         for s in solo {
-            assert_ne!(s.meta().family, ScenarioFamily::Claim);
+            assert_ne!(s.family(), ScenarioFamily::Claim);
         }
     }
 

@@ -78,11 +78,6 @@ impl GradientShared {
     pub fn params(&self) -> &AlgoParams {
         &self.params
     }
-
-    /// Whether idle parking is enabled.
-    pub fn parks_idle(&self) -> bool {
-        self.park_idle
-    }
 }
 
 /// One node running Algorithm 2.

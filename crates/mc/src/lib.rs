@@ -32,11 +32,11 @@
 //!   healthy trace on request), built on [`json`].
 //! * [`json`] — the workspace's one JSON value type, parser and writer
 //!   (no serde), shared with `gcs-bench`'s `BENCH_engine.json`.
-//! * [`replay`] — [`replay::TraceReplaySource`], a
-//!   single source implementing the engine's `TopologySource` /
-//!   `DriftSource` / `FaultSource` contracts, plus scripted delays, so an
-//!   exported trace re-executes through `SimBuilder` bit-identically to
-//!   the model at any thread count.
+//! * [`replay`] — [`replay_trace`], which serves an exported trace's
+//!   topology, faults and drift through the engine's own eager adapters
+//!   (`ScheduleSource`, `FaultPlan`, `ScheduleDrift`) plus scripted
+//!   delays, so the trace re-executes through `SimBuilder`
+//!   bit-identically to the model at any thread count.
 //! * [`mutant`] — intentionally broken Algorithm 2 variants proving the
 //!   oracle actually rejects (the CI mutation smoke test fails closed).
 //!
@@ -61,4 +61,4 @@ pub use fuzz::{fuzz, FuzzOutcome};
 pub use itf::Trace;
 pub use model::{DelayDecider, InstantState, Model, ModelNode, NodeProbe, Scenario};
 pub use oracle::{Oracle, Violation};
-pub use replay::{replay_trace, TraceReplaySource};
+pub use replay::replay_trace;

@@ -1,15 +1,15 @@
 //! Counterexample replay: executing an ITF trace through the real engine.
 //!
-//! [`TraceReplaySource`] packages a trace's scheduled nondeterminism as
-//! one object implementing all three of the engine's source-plane
-//! contracts — [`TopologySource`] (the recorded initial edges + churn),
-//! [`FaultSource`] (the recorded crash/restart schedule), and
-//! [`DriftSource`] (the recorded constant per-node rates, served
-//! statelessly through [`ScheduleDrift`], the exact plane
-//! `SimBuilder::clocks` installs). One value is cloned into each of the
-//! `SimBuilder::topology/drift/faults` slots; the recorded per-send
-//! delays go in as a [`DelayStrategy::Scripted`] script and discovery is
-//! pinned at the model's `DiscoveryDelay::Constant(D)`.
+//! [`replay_trace`] serves a trace's scheduled nondeterminism through
+//! the engine's own eager adapters: the recorded initial edges and churn
+//! as a [`ScheduleSource`] over a validated [`TopologySchedule`], the
+//! recorded crash/restart schedule as a [`FaultPlan`], and the recorded
+//! constant per-node rates as a [`ScheduleDrift`], the plane
+//! `SimBuilder::clocks` installs. A trace that breaks a schedule rule
+//! (say, removing an absent edge) fails in that adapter's validator
+//! before the run. The recorded per-send delays go in as a
+//! [`DelayStrategy::Scripted`] script and discovery is pinned at the
+//! model's `DiscoveryDelay::Constant(D)`.
 //!
 //! With every nondeterministic input pinned, the engine's trace is a
 //! pure function of the trace file — and because the model interpreter
@@ -24,149 +24,12 @@
 //! replay inputs.
 
 use crate::itf::Trace;
-use gcs_clocks::{DriftCursor, DriftSource, HardwareClock, ScheduleDrift, Time};
+use gcs_clocks::{HardwareClock, ScheduleDrift, Time};
 use gcs_core::{AlgoParams, GradientNode};
-use gcs_net::{Edge, NodeId, TopologyEvent, TopologySource};
+use gcs_net::{Edge, NodeId, ScheduleSource, TopologyEvent, TopologySchedule};
 use gcs_sim::{
-    DelayScript, DelayStrategy, DiscoveryDelay, FaultEvent, FaultSource, ModelParams, SimBuilder,
+    DelayScript, DelayStrategy, DiscoveryDelay, FaultEvent, FaultPlan, ModelParams, SimBuilder,
 };
-use std::sync::Arc;
-
-/// A trace's nondeterminism as a single engine source plane (see module
-/// docs). Clone one instance into each `SimBuilder` slot.
-#[derive(Clone, Debug)]
-pub struct TraceReplaySource {
-    n: usize,
-    initial: Vec<Edge>,
-    topology: Vec<TopologyEvent>,
-    topo_cursor: usize,
-    faults: Vec<FaultEvent>,
-    fault_cursor: usize,
-    drift: Arc<ScheduleDrift>,
-}
-
-impl TraceReplaySource {
-    /// Builds the source plane for `trace`.
-    pub fn new(trace: &Trace) -> Self {
-        let initial: Vec<Edge> = trace
-            .initial_edges
-            .iter()
-            .map(|&(lo, hi)| {
-                Edge::new(
-                    NodeId::from_index(lo as usize),
-                    NodeId::from_index(hi as usize),
-                )
-            })
-            .collect();
-        let topology: Vec<TopologyEvent> = trace
-            .topology
-            .iter()
-            .map(|ev| {
-                let edge = Edge::new(
-                    NodeId::from_index(ev.lo as usize),
-                    NodeId::from_index(ev.hi as usize),
-                );
-                if ev.add {
-                    TopologyEvent::add_at(ev.time, edge)
-                } else {
-                    TopologyEvent::remove_at(ev.time, edge)
-                }
-            })
-            .collect();
-        let faults: Vec<FaultEvent> = trace
-            .faults
-            .iter()
-            .map(|ev| {
-                let node = NodeId::from_index(ev.node as usize);
-                if ev.restart {
-                    FaultEvent::restart(ev.time, node)
-                } else {
-                    FaultEvent::crash(ev.time, node)
-                }
-            })
-            .collect();
-        let clocks: Vec<HardwareClock> = trace
-            .rates
-            .iter()
-            .map(|&r| HardwareClock::constant(r, trace.rho))
-            .collect();
-        TraceReplaySource {
-            n: trace.n,
-            initial,
-            topology,
-            topo_cursor: 0,
-            faults,
-            fault_cursor: 0,
-            drift: Arc::new(ScheduleDrift::new(clocks)),
-        }
-    }
-}
-
-impl TopologySource for TraceReplaySource {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn initial_edges(&mut self) -> Vec<Edge> {
-        self.initial.clone()
-    }
-
-    fn peek_time(&mut self) -> Option<Time> {
-        self.topology.get(self.topo_cursor).map(|ev| ev.time)
-    }
-
-    fn pull_until(&mut self, until: Time, buf: &mut Vec<TopologyEvent>) {
-        while let Some(ev) = self.topology.get(self.topo_cursor) {
-            if ev.time > until {
-                break;
-            }
-            buf.push(*ev);
-            self.topo_cursor += 1;
-        }
-    }
-}
-
-impl FaultSource for TraceReplaySource {
-    fn peek_time(&mut self) -> Option<Time> {
-        self.faults.get(self.fault_cursor).map(|ev| ev.time)
-    }
-
-    fn pull_until(&mut self, until: Time, buf: &mut Vec<FaultEvent>) {
-        while let Some(ev) = self.faults.get(self.fault_cursor) {
-            if ev.time > until {
-                break;
-            }
-            buf.push(*ev);
-            self.fault_cursor += 1;
-        }
-    }
-}
-
-impl DriftSource for TraceReplaySource {
-    fn rho(&self) -> f64 {
-        self.drift.rho()
-    }
-
-    fn init(&self, index: usize) -> DriftCursor {
-        self.drift.init(index)
-    }
-
-    fn next_segment(&self, index: usize, cursor: &mut DriftCursor) {
-        self.drift.next_segment(index, cursor)
-    }
-
-    fn stateless(&self) -> bool {
-        true
-    }
-
-    fn read_at(&self, index: usize, t: Time) -> f64 {
-        self.drift.read_at(index, t)
-    }
-
-    fn fire_at(&self, index: usize, now: Time, delta: f64) -> Time {
-        self.drift.fire_at(index, now, delta)
-    }
-}
 
 /// Replays `trace` through the real engine at `threads` workers and
 /// checks bit identity against the recorded snapshots.
@@ -177,7 +40,28 @@ impl DriftSource for TraceReplaySource {
 pub fn replay_trace(trace: &Trace, threads: usize) -> Result<(), String> {
     let model = ModelParams::new(trace.rho, trace.t, trace.d);
     let algo = AlgoParams::new(model, trace.n, trace.delta_h, trace.b0);
-    let source = TraceReplaySource::new(trace);
+    let edge = |lo: u32, hi: u32| Edge::between(lo as usize, hi as usize);
+    let initial = trace.initial_edges.iter().map(|&(lo, hi)| edge(lo, hi));
+    let churn = trace.topology.iter().map(|ev| {
+        let e = edge(ev.lo, ev.hi);
+        if ev.add {
+            TopologyEvent::add_at(ev.time, e)
+        } else {
+            TopologyEvent::remove_at(ev.time, e)
+        }
+    });
+    let faults = trace.faults.iter().map(|ev| {
+        let node = NodeId::from_index(ev.node as usize);
+        if ev.restart {
+            FaultEvent::restart(ev.time, node)
+        } else {
+            FaultEvent::crash(ev.time, node)
+        }
+    });
+    let clocks = trace
+        .rates
+        .iter()
+        .map(|&r| HardwareClock::constant(r, trace.rho));
     let script = DelayScript::new();
     for d in &trace.delays {
         script.push(
@@ -186,9 +70,10 @@ pub fn replay_trace(trace: &Trace, threads: usize) -> Result<(), String> {
             d.delay,
         );
     }
-    let mut sim = SimBuilder::topology(model, source.clone())
-        .drift(source.clone())
-        .faults(source)
+    let schedule = TopologySchedule::new(trace.n, initial, churn.collect());
+    let mut sim = SimBuilder::topology(model, ScheduleSource::new(schedule))
+        .drift(ScheduleDrift::new(clocks.collect()))
+        .faults(FaultPlan::new(faults.collect()))
         .delay(DelayStrategy::Scripted(script.clone()))
         .discovery(DiscoveryDelay::Constant(model.d))
         .seed(0)
@@ -271,6 +156,25 @@ mod tests {
         let parsed = Trace::from_json(&trace.to_json()).expect("parse");
         assert_eq!(parsed, trace);
         replay_trace(&parsed, 1).expect("replay of parsed trace");
+    }
+
+    #[test]
+    #[should_panic(expected = "remove of absent edge")]
+    fn parsed_trace_removing_an_absent_edge_fails_before_the_run() {
+        let suite = suite(2);
+        let sc = &suite[0];
+        let (trace, _) = trace_of_trail(sc, |_| GradientNode::new(sc.algo), Vec::new());
+        let mut parsed = Trace::from_json(&trace.to_json()).expect("parse");
+        // Two removals of one edge at one instant: whether or not the
+        // edge is up, one of them names an absent edge.
+        let removal = crate::itf::TraceTopology {
+            time: 0.5,
+            add: false,
+            lo: 0,
+            hi: 1,
+        };
+        parsed.topology = vec![removal, removal];
+        let _ = replay_trace(&parsed, 1);
     }
 
     #[test]

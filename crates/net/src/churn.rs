@@ -11,9 +11,13 @@
 //!   schedule T-interval connected even though no single edge is long-lived.
 //! * [`staggered_ring`] — ring whose edges take turns failing; with outage
 //!   spacing `> T` the surviving graph in every T-window is a path.
-//! * [`random_churn`] — static backbone plus randomly flapping chords.
-//! * [`mobility`] — random-waypoint motion over the unit square with a
-//!   geometric connectivity radius, sampled every `sample_dt`.
+//! * [`random_churn`] — static backbone plus randomly flapping chords;
+//!   [`ChurnSource`] streams the same family lazily.
+//!
+//! Random-waypoint mobility is generated lazily only, by
+//! [`MobilitySource`](crate::workloads::MobilitySource);
+//! [`collect_schedule`](crate::source::collect_schedule) turns it into a
+//! validated schedule where one is needed.
 
 use crate::generators;
 use crate::ids::{node, Edge};
@@ -166,65 +170,6 @@ pub fn random_churn<R: Rng>(
             };
             t += dwell;
         }
-    }
-    TopologySchedule::new(n, initial, events)
-}
-
-/// Random-waypoint mobility over the unit square.
-///
-/// Each node picks a random waypoint and moves toward it at `speed`,
-/// re-picking on arrival. Connectivity is the geometric graph with the
-/// given `radius`, sampled every `sample_dt`; edge diffs between samples
-/// become add/remove events. If `backbone` is true a static path backbone
-/// is overlaid so the schedule stays connected regardless of geometry.
-#[allow(clippy::too_many_arguments)]
-pub fn mobility<R: Rng>(
-    n: usize,
-    radius: f64,
-    speed: f64,
-    sample_dt: f64,
-    horizon: f64,
-    backbone: bool,
-    rng: &mut R,
-) -> TopologySchedule {
-    assert!(n >= 2 && radius > 0.0 && speed > 0.0 && sample_dt > 0.0);
-    let mut pos = generators::random_positions(n, rng);
-    let mut waypoint = generators::random_positions(n, rng);
-    let backbone_edges: BTreeSet<Edge> = if backbone {
-        generators::path(n).into_iter().collect()
-    } else {
-        BTreeSet::new()
-    };
-    let geo_now: BTreeSet<Edge> = generators::geometric(&pos, radius).into_iter().collect();
-    let mut current: BTreeSet<Edge> = geo_now.union(&backbone_edges).copied().collect();
-    let initial: Vec<Edge> = current.iter().copied().collect();
-    let mut events = Vec::new();
-    let mut t = sample_dt;
-    while t <= horizon {
-        // Advance every node toward its waypoint.
-        for i in 0..n {
-            let (px, py) = pos[i];
-            let (wx, wy) = waypoint[i];
-            let (dx, dy) = (wx - px, wy - py);
-            let d = (dx * dx + dy * dy).sqrt();
-            let step = speed * sample_dt;
-            if d <= step {
-                pos[i] = (wx, wy);
-                waypoint[i] = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-            } else {
-                pos[i] = (px + dx / d * step, py + dy / d * step);
-            }
-        }
-        let geo: BTreeSet<Edge> = generators::geometric(&pos, radius).into_iter().collect();
-        let next: BTreeSet<Edge> = geo.union(&backbone_edges).copied().collect();
-        for &e in next.difference(&current) {
-            events.push(ev(t, TopologyEventKind::Add, e));
-        }
-        for &e in current.difference(&next) {
-            events.push(ev(t, TopologyEventKind::Remove, e));
-        }
-        current = next;
-        t += sample_dt;
     }
     TopologySchedule::new(n, initial, events)
 }
@@ -467,13 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn mobility_with_backbone_connected() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let s = mobility(12, 0.3, 0.05, 1.0, 50.0, true, &mut rng);
-        assert!(is_interval_connected(&s, secs(1.0), at(50.0)));
-    }
-
-    #[test]
     fn churn_source_collects_to_valid_schedule() {
         let src = ChurnSource::new(12, generators::path(12), 8, (2.0, 6.0), (1.0, 3.0), 80.0, 7);
         // `collect_schedule` runs the full TopologySchedule::new validator.
@@ -551,18 +489,5 @@ mod tests {
             s.events().iter().map(|ev| ev.edge).collect()
         };
         assert_eq!(edges_of(&eager), edges_of(&lazy));
-    }
-
-    #[test]
-    fn mobility_produces_churn() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let s = mobility(15, 0.25, 0.1, 1.0, 80.0, false, &mut rng);
-        let adds = s
-            .events()
-            .iter()
-            .filter(|e| e.kind == TopologyEventKind::Add)
-            .count();
-        let removes = s.events().len() - adds;
-        assert!(adds > 0 && removes > 0, "adds={adds} removes={removes}");
     }
 }

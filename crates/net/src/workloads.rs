@@ -437,11 +437,23 @@ mod tests {
 
     #[test]
     fn mobility_source_collects_to_valid_schedule_and_churns() {
-        let src = MobilitySource::new(24, 0.25, 0.08, 1.0, 40.0, true, 5);
-        let sched = collect_schedule(src);
-        assert!(!sched.events().is_empty(), "mobility must produce churn");
-        // Backbone keeps every instantaneous graph connected.
-        assert!(is_interval_connected(&sched, secs(1.0), at(40.0)));
+        for (n, speed, horizon, backbone, seed) in
+            [(24, 0.08, 40.0, true, 5), (15, 0.1, 80.0, false, 6)]
+        {
+            let src = MobilitySource::new(n, 0.25, speed, 1.0, horizon, backbone, seed);
+            let sched = collect_schedule(src);
+            let adds = sched
+                .events()
+                .iter()
+                .filter(|e| e.kind == TopologyEventKind::Add)
+                .count();
+            let removes = sched.events().len() - adds;
+            assert!(adds > 0 && removes > 0, "adds={adds} removes={removes}");
+            // A backbone keeps every instantaneous graph connected.
+            if backbone {
+                assert!(is_interval_connected(&sched, secs(1.0), at(horizon)));
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! Run with: `cargo run --release --example mobile_adhoc`
 
+use gcs_net::source::collect_schedule;
+use gcs_net::workloads::MobilitySource;
 use gcs_net::ScheduleSource;
 use gradient_clock_sync::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The mobility workload: random-waypoint motion, geometric links.
 struct MobileAdhoc {
@@ -36,16 +36,15 @@ impl Scenario for MobileAdhoc {
         let params = AlgoParams::with_minimal_b0(model, self.n, 0.5);
         let mut rep = ScenarioReport::new();
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let schedule = churn::mobility(
+        let schedule = collect_schedule(MobilitySource::new(
             self.n,
             /* radius */ 0.3,
             /* speed */ 0.02,
             /* sample_dt */ 1.0,
             self.horizon,
             /* backbone */ true,
-            &mut rng,
-        );
+            self.seed,
+        ));
         let adds = schedule
             .events()
             .iter()
