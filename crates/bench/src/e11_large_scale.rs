@@ -130,11 +130,14 @@ pub fn check(outcome: &Outcome) {
     );
 }
 
-/// Renders the throughput-vs-threads table.
-pub fn render(outcome: &Outcome) -> Table {
+/// Renders the throughput-vs-threads table of a run over `n` nodes.
+pub fn render(outcome: &Outcome, n: usize) -> Table {
     let base = outcome.points[0].events_per_sec();
     let mut t = Table::new(
-        "E11 / Theorem 4.1 at scale — events/sec vs worker count (n = 65 536 class, churn on)",
+        format!(
+            "E11 / Theorem 4.1 at scale — events/sec vs worker count (n = {} class, churn on)",
+            grouped(n)
+        ),
         &[
             "threads",
             "events",
@@ -155,6 +158,19 @@ pub fn render(outcome: &Outcome) -> Table {
         ]);
     }
     t
+}
+
+/// `n` with its digits in space-separated groups of three (`65 536`).
+fn grouped(n: usize) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, digit) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(' ');
+        }
+        out.push(digit);
+    }
+    out
 }
 
 /// E11 behind the [`Scenario`](crate::scenario::Scenario) surface.
@@ -181,7 +197,7 @@ impl crate::scenario::Scenario for Experiment {
         let out = run(&self.config);
         check(&out);
         let mut rep = crate::scenario::ScenarioReport::new();
-        rep.table(render(&out));
+        rep.table(render(&out, self.config.n));
         rep.note(format!(
             "n = {}, horizon {}s, threads {:?}; determinism cross-check \
              (equal counters at all thread counts): PASS",
@@ -246,6 +262,31 @@ mod tests {
         assert!(out.points.iter().all(|p| p.events() == events));
         assert!(out.peak_global > 0.0);
         assert!(out.skew_error_bound.is_finite());
+    }
+
+    #[test]
+    fn table_title_names_the_run_width() {
+        let out = Outcome {
+            points: vec![RunRecord::of(gcs_sim::Telemetry::default())],
+            peak_global: 0.0,
+            peak_local: 0.0,
+            skew_error_bound: 0.0,
+            deterministic: true,
+        };
+        for (n, shown) in [
+            (4096, "4 096"),
+            (65_536, "65 536"),
+            (16, "16"),
+            (1 << 23, "8 388 608"),
+        ] {
+            assert!(
+                render(&out, n).render().starts_with(&format!(
+                    "## E11 / Theorem 4.1 at scale — events/sec vs worker count \
+                     (n = {shown} class, churn on)\n"
+                )),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -27,21 +27,23 @@
 //! Everything a handler *emits* — message deliveries, alarms, drop
 //! notifications — is buffered as an [`Effect`] tagged with the
 //! triggering event's queue sequence number and the emission index within
-//! that event. After the segment, the engine sorts all effects by
-//! `(trigger seq, emission idx)` and pushes them into the wheel in that
-//! canonical order, so new events receive the same sequence numbers (and
-//! therefore the same tie-break order) no matter how many workers ran or
-//! how their execution interleaved. Randomness cannot break ties either:
-//! every draw comes from the consuming node's private stream
+//! that event. Each shard's buffer is therefore already ascending in
+//! `(trigger seq, emission idx)`. After the segment, the engine merges
+//! the shards' buffers ([`merge_runs`]) and pushes them into the wheel in
+//! that canonical order, so new events receive the same sequence numbers
+//! (and therefore the same tie-break order) no matter how many workers
+//! ran or how their execution interleaved. Randomness cannot break ties
+//! either: every draw comes from the consuming node's private stream
 //! (see [`Context::rng`](crate::Context::rng)), never from a shared one.
 
 use crate::automaton::{Action, Automaton, Context};
 use crate::delay::DelayStrategy;
-use crate::engine::DiscoveryDelay;
+use crate::engine::{DiscoveryDelay, MAX_THREADS};
 use crate::event::{EventPayload, LinkChange, LinkChangeKind, QueuedEvent};
 use crate::fault::FaultState;
 use crate::model::ModelParams;
 use crate::shard::{lazy_rng, EdgeStore, Shard};
+use crate::wheel::TimeWheel;
 use gcs_clocks::{DriftCursor, DriftSource, Time};
 use gcs_net::{Edge, NodeId};
 use rand::rngs::StdRng;
@@ -65,6 +67,82 @@ pub(crate) struct Effect {
     pub time: Time,
     /// What it is.
     pub payload: EventPayload,
+}
+
+impl Effect {
+    /// The canonical merge key `(trigger seq, emission idx)`.
+    #[inline]
+    pub fn key(&self) -> (u64, u32) {
+        (self.seq, self.k)
+    }
+}
+
+/// Pushes the effects of the per-shard `runs` into `queue` in the
+/// canonical `(trigger seq, emission idx)` order.
+///
+/// Each run is one shard's effects since the last merge. A shard
+/// dispatches its slice of a segment in seq order and numbers each
+/// event's emissions from 0, so its run is already ascending, and no
+/// trigger seq occurs in two runs (an event has one owner). The order is
+/// therefore a merge, not a sort: one run drains as it is, several (one
+/// per shard, so at most `MAX_THREADS`) are merged by a linear scan of
+/// their heads.
+///
+/// # Panics
+/// When the pushed keys do not strictly increase — a run out of order,
+/// or a key in two runs — in release builds too. That costs one compare
+/// per effect and turns a broken run into a panic instead of a silently
+/// reordered trace.
+pub(crate) fn merge_runs<'a>(runs: impl IntoIterator<Item = &'a [Effect]>, queue: &mut TimeWheel) {
+    let mut last = None;
+    let mut push = |e: &Effect| {
+        let key = Some(e.key());
+        assert!(
+            last < key,
+            "effect (trigger seq, emission idx) {:?} merged after {:?}: \
+             an effect run is out of canonical order",
+            e.key(),
+            last.unwrap_or_default()
+        );
+        last = key;
+        queue.push(e.time, e.payload);
+    };
+    let mut runs = runs.into_iter().filter(|run| !run.is_empty());
+    let Some(first) = runs.next() else {
+        return;
+    };
+    let Some(second) = runs.next() else {
+        first.iter().for_each(push);
+        return;
+    };
+    let mut heads: [&[Effect]; MAX_THREADS] = [&[]; MAX_THREADS];
+    heads[0] = first;
+    heads[1] = second;
+    let mut live = 2;
+    for run in runs {
+        heads[live] = run;
+        live += 1;
+    }
+    // `heads[..live]` are the unconsumed, non-empty rests; an exhausted
+    // run's slot takes the last one's (the order of heads is irrelevant,
+    // only the minimum is taken).
+    while live > 1 {
+        let mut min = 0;
+        for i in 1..live {
+            if heads[i][0].key() < heads[min][0].key() {
+                min = i;
+            }
+        }
+        let (head, rest) = heads[min].split_first().expect("live runs are non-empty");
+        push(head);
+        if rest.is_empty() {
+            live -= 1;
+            heads[min] = heads[live];
+        } else {
+            heads[min] = rest;
+        }
+    }
+    heads[0].iter().for_each(push);
 }
 
 /// The read-only world shared by every worker during one segment.
@@ -462,10 +540,120 @@ pub(crate) fn fork_join<F: FnOnce() + Send>(jobs: Vec<F>) {
 
 #[cfg(test)]
 mod tests {
-    use super::fork_join;
+    use super::{fork_join, merge_runs, Effect};
+    use crate::event::{EventPayload, Message, TimerKind};
+    use crate::wheel::TimeWheel;
+    use gcs_clocks::time::at;
+    use gcs_net::node;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Condvar, Mutex};
+
+    /// An effect whose payload names its key, so a pop shows which
+    /// effect took which wheel sequence number.
+    fn effect(seq: u64, k: u32, time: f64) -> Effect {
+        let payload = if k.is_multiple_of(2) {
+            EventPayload::Alarm {
+                node: node(seq as usize),
+                kind: TimerKind::Tick,
+                generation: u64::from(k),
+            }
+        } else {
+            EventPayload::Deliver {
+                from: node(seq as usize),
+                to: node(k as usize),
+                msg: Message {
+                    logical: seq as f64,
+                    max_estimate: f64::from(k),
+                },
+                epoch: 0,
+            }
+        };
+        Effect {
+            seq,
+            k,
+            time: at(time),
+            payload,
+        }
+    }
+
+    fn merged(runs: &[Vec<Effect>]) -> TimeWheel {
+        let mut wheel = TimeWheel::new(0.25);
+        merge_runs(runs.iter().map(Vec::as_slice), &mut wheel);
+        wheel
+    }
+
+    /// Differential test of the canonical merge against the sort it
+    /// replaced (concatenate the runs, then sort by `(seq, k)`): random
+    /// segments over 1–9 shards, owners dealt round-robin as the engine
+    /// deals them, some shards silent, 0–4 effects per trigger, and a
+    /// handful of effect times so that equal-time ties expose any
+    /// difference in push order.
+    #[test]
+    fn merge_pushes_what_concatenate_then_sort_pushed() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..400 {
+            let shards = rng.gen_range(1..=9usize);
+            let silent: Vec<bool> = (0..shards).map(|_| rng.gen_bool(0.2)).collect();
+            let mut runs = vec![Vec::new(); shards];
+            let mut seq = rng.gen_range(0..1_000u64);
+            for _ in 0..rng.gen_range(0..300) {
+                seq += rng.gen_range(1..4u64);
+                let shard = rng.gen_range(0..4 * shards) % shards;
+                if silent[shard] {
+                    continue;
+                }
+                for k in 0..rng.gen_range(0..=4u32) {
+                    let time = [1.0, 1.05, 1.1, 1.3, 2.0][rng.gen_range(0..5usize)];
+                    runs[shard].push(effect(seq, k, time));
+                }
+            }
+            let mut sorted = runs.concat();
+            sorted.sort_unstable_by_key(Effect::key);
+            let mut want = TimeWheel::new(0.25);
+            for e in &sorted {
+                want.push(e.time, e.payload);
+            }
+            let mut got = merged(&runs);
+            assert_eq!(got.len(), sorted.len(), "case {case}");
+            while let Some(a) = want.pop() {
+                let b = got.pop().expect("same length");
+                assert_eq!((a.time, a.seq), (b.time, b.seq), "case {case}");
+                assert_eq!(a.payload, b.payload, "case {case}");
+            }
+        }
+    }
+
+    /// The merge fails closed in release builds too: a run out of order
+    /// among several runs panics instead of reordering the trace.
+    #[test]
+    #[should_panic(expected = "an effect run is out of canonical order")]
+    fn merge_rejects_an_out_of_order_run() {
+        merged(&[
+            vec![effect(1, 0, 1.0), effect(4, 0, 1.0)],
+            vec![effect(3, 0, 1.0), effect(2, 0, 1.0)],
+            vec![],
+        ]);
+    }
+
+    /// Every other way a run can break the canonical order: a lone
+    /// unsorted run (the one-run path), emission indices out of order
+    /// within one trigger, and one key in two runs.
+    #[test]
+    fn merge_rejects_every_broken_run_shape() {
+        let cases = [
+            vec![vec![effect(5, 0, 1.0), effect(3, 0, 1.0)]],
+            vec![vec![effect(2, 1, 1.0), effect(2, 0, 1.0)], vec![]],
+            vec![vec![effect(2, 0, 1.0)], vec![effect(2, 0, 1.0)]],
+        ];
+        for runs in cases {
+            let err = catch_unwind(|| merged(&runs)).expect_err("broken run merged");
+            let msg = err.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("out of canonical order"), "{msg}");
+        }
+    }
 
     #[test]
     fn fork_join_runs_every_job_and_the_first_on_the_caller() {

@@ -85,13 +85,17 @@
 //! **scoped fork/join** (`dispatch::fork_join`): the shards are cut into
 //! one chunk per lane, the first chunk runs on the coordinating thread
 //! and each other chunk on a thread spawned for that segment alone.
-//! Handler-emitted actions are buffered and merged back
-//! into the wheel in the canonical `(triggering event seq, emission
-//! index)` order, and every random draw comes from the consuming node's
-//! private stream, so the trace is **bit-identical for every thread
-//! count and threshold** — pinned by
-//! `crates/bench/tests/determinism.rs` and `crates/sim/tests/pool.rs`,
-//! with eager-vs-streaming equivalence pinned by
+//! Handler-emitted actions are buffered per shard. A shard runs its
+//! slice in seq order, so its buffer already ascends in the canonical
+//! `(triggering event seq, emission index)` order, and the shards'
+//! buffers are merged — not re-sorted — back into the wheel in that
+//! order, with a release-build check that it strictly increases. Every
+//! random draw comes from the consuming node's private stream, so the
+//! trace is **bit-identical for every thread count and threshold** —
+//! pinned by `crates/bench/tests/determinism.rs` and
+//! `crates/sim/tests/pool.rs` (clocks and counters) and by
+//! `crates/sim/tests/engine_tests.rs` (the receive order inside an
+//! instant), with eager-vs-streaming equivalence pinned by
 //! `crates/bench/tests/streaming.rs`.
 
 use crate::automaton::Automaton;
@@ -117,7 +121,7 @@ pub const THREADS_ENV: &str = "GCS_SIM_THREADS";
 
 /// Hard cap on worker shards — far above any sensible host, it only guards
 /// against absurd shard counts.
-const MAX_THREADS: usize = 64;
+pub(crate) const MAX_THREADS: usize = 64;
 
 /// The worker count [`THREADS_ENV`] asks for: 1 when the variable is
 /// unset. The default of [`SimBuilder::threads`], and the one parser of
@@ -536,7 +540,6 @@ impl SimBuilder {
             observing: false,
             n,
             round_buf: Vec::new(),
-            effects_buf: Vec::new(),
             touched_buf: Vec::new(),
             par_min,
             topology_apply: std::time::Duration::ZERO,
@@ -587,9 +590,9 @@ pub struct PlaneBytes {
     pub wheel: usize,
     /// Compact staged topology/fault events awaiting admission.
     pub staging: usize,
-    /// Dispatch scratch reused across segments: the round / effect-merge
-    /// / touched / pull buffers and the per-shard event, effect, action
-    /// and touched buffers. Steady-state capacity, not per-segment churn
+    /// Dispatch scratch reused across segments: the round / touched /
+    /// pull buffers and the per-shard event, effect, action and touched
+    /// buffers. Steady-state capacity, not per-segment churn
     /// — these buffers are allocated once and recycled.
     pub dispatch_scratch: usize,
 }
@@ -690,7 +693,6 @@ pub struct Simulator<A: Automaton> {
     observing: bool,
     n: usize,
     round_buf: Vec<QueuedEvent>,
-    effects_buf: Vec<Effect>,
     touched_buf: Vec<NodeId>,
     /// Effective parallel threshold (events) for segments; see
     /// [`SimBuilder::par_threshold`].
@@ -844,7 +846,6 @@ impl<A: Automaton> Simulator<A> {
             staging: self.topo_staged.capacity() * size_of::<StagedTopology>()
                 + self.fault_staged.capacity() * size_of::<StagedFault>(),
             dispatch_scratch: self.round_buf.capacity() * size_of::<QueuedEvent>()
-                + self.effects_buf.capacity() * size_of::<Effect>()
                 + self.touched_buf.capacity() * size_of::<NodeId>()
                 + self.pull_buf.capacity() * size_of::<TopologyEvent>()
                 + self.fault_pull_buf.capacity() * size_of::<FaultEvent>(),
@@ -1343,22 +1344,20 @@ impl<A: Automaton> Simulator<A> {
         });
     }
 
-    /// Collects per-shard effects, sorts them into the canonical
-    /// `(trigger seq, emission idx)` order, enqueues them, and folds the
-    /// per-shard stats deltas into the global counters.
+    /// Merges the per-shard effect runs into the wheel in the canonical
+    /// `(trigger seq, emission idx)` order ([`dispatch::merge_runs`]:
+    /// each run is already in that order), then clears them and folds
+    /// the per-shard stats deltas into the global counters.
     fn merge_effects(&mut self) {
-        let mut buf = std::mem::take(&mut self.effects_buf);
-        buf.clear();
+        dispatch::merge_runs(
+            self.shards.shards.iter().map(|s| s.effects.as_slice()),
+            &mut self.queue,
+        );
         for shard in &mut self.shards.shards {
+            shard.effects.clear();
             self.stats.absorb(&shard.stats);
             shard.stats = SimStats::default();
-            buf.append(&mut shard.effects);
         }
-        buf.sort_unstable_by_key(|e| (e.seq, e.k));
-        for e in &buf {
-            self.queue.push(e.time, e.payload);
-        }
-        self.effects_buf = buf;
     }
 
     /// Applies one fault injection as a serial barrier. `seq` is the

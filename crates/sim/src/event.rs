@@ -450,6 +450,19 @@ impl EventQueue {
         self.heap.push(QueuedEvent { time, seq, payload });
     }
 
+    /// Claims `n` consecutive sequence numbers, returning the first (see
+    /// [`TimeWheel::reserve_seqs`](crate::wheel::TimeWheel::reserve_seqs)).
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Schedules `payload` at `time` under a reserved sequence number.
+    pub fn push_reserved(&mut self, time: Time, seq: u64, payload: EventPayload) {
+        self.heap.push(QueuedEvent { time, seq, payload });
+    }
+
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<QueuedEvent> {
         self.heap.pop()

@@ -29,7 +29,10 @@
 //! Draining is strictly bucket-by-bucket: the cursor only ever advances to
 //! the earliest non-empty bucket — found by a trailing-zeros scan over a
 //! [`SLOTS`]-bit occupancy bitmap rather than a linear ring probe — and
-//! within a bucket events are ordered through one contiguous sort.
+//! within a bucket events are ordered through one contiguous,
+//! run-adaptive sort. Pushes assign rising sequence numbers, so a
+//! bucket's records of one time mostly ascend in push order already;
+//! the sort exploits that order instead of re-sorting from scratch.
 //! Because an event at real time `t` always belongs to bucket
 //! `⌊t/width⌋` and later buckets hold strictly later times, the pop
 //! order is **exactly** the `(time, class, seq)` order of the global
@@ -122,10 +125,10 @@ impl PartialOrd for PackedEvent {
 /// A calendar event queue with heap-identical pop order.
 ///
 /// The cursor bucket is drained by **sorting once** and walking an index —
-/// one `O(b log b)` contiguous sort instead of `2b` heap sift operations —
-/// with a small side heap (`spill`) for the rare events scheduled *into*
-/// the cursor bucket while it drains (e.g. drop-notification discoveries
-/// pushed at the current instant).
+/// one contiguous, run-adaptive sort instead of `2b` heap sift
+/// operations — with a small side heap (`spill`) for the rare events
+/// scheduled *into* the cursor bucket while it drains (e.g.
+/// drop-notification discoveries pushed at the current instant).
 #[derive(Debug)]
 pub struct TimeWheel {
     /// Bucket width in seconds of real (simulated) time.
@@ -295,8 +298,11 @@ impl TimeWheel {
     }
 
     /// Moves the cursor to the earliest non-empty bucket, sorts it once,
-    /// and resets the consumption index. Requires the cursor bucket to be
-    /// fully consumed and at least one pending event somewhere.
+    /// and resets the consumption index. The sort is the standard
+    /// library's stable one for its run adaptivity, not for stability:
+    /// keys are unique (`seq`), so every correct sort pops the same
+    /// order. Requires the cursor bucket to be fully consumed and at
+    /// least one pending event somewhere.
     fn advance(&mut self) {
         debug_assert!(!self.cursor_has_events() && self.len > 0);
         let ring_next = self.next_ring_bucket();
@@ -323,7 +329,7 @@ impl TimeWheel {
             .current
             .iter()
             .all(|ev| (ev.time.seconds() / self.width) as u64 == next));
-        self.current.sort_unstable_by_key(PackedEvent::key);
+        self.current.sort_by_key(PackedEvent::key);
     }
 
     /// Makes the cursor bucket non-empty (advancing if needed); false when
@@ -805,6 +811,67 @@ mod tests {
             assert_eq!((a.time, a.seq), (b.time, b.seq));
             assert_eq!(a.payload, b.payload);
         }
+        assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn matches_heap_order_on_one_large_run_shaped_bucket() {
+        // One bucket shaped like a wide instant's fan-out: 12,000 records
+        // pushed event by event, each event emitting a few effects at a
+        // handful of equal times, so each time's records form one long
+        // ascending run, interleaved with the others. The first quarter
+        // is pushed while the bucket lies beyond the ring (overflow),
+        // the rest after the cursor moved up (ring); topology events
+        // whose seqs were reserved before all of them are admitted
+        // halfway; and same-bucket pushes mid-drain take the spill path.
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut heap = EventQueue::new();
+        let mut wheel = TimeWheel::new(0.25);
+        let reserved = heap.reserve_seqs(16);
+        assert_eq!(wheel.reserve_seqs(16), reserved);
+        let times = [200.0, 200.0625, 200.125, 200.1875];
+        heap.push(at(100.0), alarm(0));
+        wheel.push(at(100.0), alarm(0));
+        for step in 0..4_000usize {
+            if step == 1_000 {
+                // Moves the cursor to bucket 400: bucket 800 is in the
+                // ring from now on.
+                assert_eq!(heap.pop().map(|e| e.seq), wheel.pop().map(|e| e.seq));
+            }
+            if step == 2_000 {
+                for i in 0..16 {
+                    let time = at(times[i % times.len()]);
+                    heap.push_reserved(time, reserved + i as u64, topo(i));
+                    wheel.push_reserved(time, reserved + i as u64, topo(i));
+                }
+            }
+            for k in 0..3 {
+                let time = at(times[(step + k * rng.gen_range(1..3usize)) % times.len()]);
+                let p = match mixed_payload(step, &mut rng) {
+                    EventPayload::Topology { .. } | EventPayload::Fault { .. } => alarm(step),
+                    p => p,
+                };
+                heap.push(time, p);
+                wheel.push(time, p);
+            }
+        }
+        assert_eq!(wheel.len(), 12_016);
+        let mut popped = 0usize;
+        while let Some(a) = heap.pop() {
+            let b = wheel.pop().expect("same length");
+            assert_eq!((a.time, a.seq), (b.time, b.seq), "pop {popped}");
+            assert_eq!(a.payload, b.payload, "pop {popped}");
+            popped += 1;
+            if popped.is_multiple_of(1_000) && a.time < at(times[3]) {
+                // Into the bucket being drained: at the current instant
+                // and at a later time of the same bucket.
+                for time in [a.time, at(times[3])] {
+                    heap.push(time, alarm(popped));
+                    wheel.push(time, alarm(popped));
+                }
+            }
+        }
+        assert!(popped > 12_016, "the mid-drain pushes popped too");
         assert!(wheel.is_empty());
     }
 

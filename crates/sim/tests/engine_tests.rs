@@ -304,6 +304,38 @@ fn runs_are_deterministic_per_seed() {
     assert_ne!(log1, log3);
 }
 
+/// The receive order inside an instant — not only the clocks and
+/// counters the cross-thread pins compare — is the same at every thread
+/// count. On a complete graph with one fixed delay, every tick delivers
+/// `n − 1` messages to each node at one instant, from senders in every
+/// shard; a merge that pushed the effects shard by shard instead of in
+/// canonical order would reorder each node's log, while clocks and
+/// counters (max-flooding commutes) would stay equal.
+#[test]
+fn same_instant_receive_order_is_identical_across_thread_counts() {
+    let n = 12;
+    let run = |threads: usize| {
+        let schedule = TopologySchedule::static_graph(n, generators::complete(n));
+        let mut sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
+            .delay(DelayStrategy::Max)
+            .threads(threads)
+            .par_threshold(1)
+            .build_with(|i| Flood::new(i as f64, 0.5));
+        sim.run_until(at(5.0));
+        (0..n)
+            .map(|i| sim.node(node(i)).received.clone())
+            .collect::<Vec<_>>()
+    };
+    let serial = run(1);
+    assert!(
+        serial.iter().all(|log| log.len() > 4 * n),
+        "too few deliveries"
+    );
+    for threads in [2, 3, 8] {
+        assert_eq!(run(threads), serial, "receive logs at {threads} threads");
+    }
+}
+
 #[test]
 fn run_until_is_idempotent_at_boundaries() {
     let schedule = TopologySchedule::static_graph(3, generators::path(3));
