@@ -73,6 +73,13 @@ impl TopologySchedule {
     /// * the same edge is never added and removed at the same time,
     /// * adds apply to absent edges, removes to present edges,
     /// * all event times are `> 0` (time 0 state is `initial`).
+    ///
+    /// Validation is one stable sort by `(time, edge)` plus one linear
+    /// pass: the same-instant rule compares adjacent events only, so a
+    /// batch of `k` simultaneous events costs `O(k)`, not `O(k²)`.
+    ///
+    /// # Panics
+    /// When the schedule breaks a rule above.
     pub fn new(
         n: usize,
         initial: impl IntoIterator<Item = Edge>,
@@ -107,13 +114,16 @@ impl TopologySchedule {
                     "edge {:?} endpoint out of range for n={n}",
                     ev.edge
                 );
-                for other in &batch[k + 1..] {
-                    assert!(
-                        !(other.edge == ev.edge && other.kind != ev.kind),
-                        "edge {:?} both added and removed at {t:?}",
-                        ev.edge
-                    );
-                }
+                // The stable sort keeps one edge's events at one instant
+                // together, so a run holding both kinds has an adjacent
+                // pair of different kinds.
+                assert!(
+                    batch
+                        .get(k + 1)
+                        .is_none_or(|next| next.edge != ev.edge || next.kind == ev.kind),
+                    "edge {:?} both added and removed at {t:?}",
+                    ev.edge
+                );
             }
             for ev in batch {
                 match ev.kind {
@@ -308,6 +318,55 @@ mod tests {
             [e(0, 1)],
             vec![remove_at(5.0, e(0, 1)), add_at(5.0, e(0, 1))],
         );
+    }
+
+    /// Other edges sort between the add and the remove of one edge in the
+    /// input; the sort brings them together.
+    #[test]
+    #[should_panic(expected = "both added and removed")]
+    fn simultaneous_add_remove_rejected_across_other_edges() {
+        let _ = TopologySchedule::new(
+            5,
+            [e(0, 1), e(2, 3)],
+            vec![
+                remove_at(5.0, e(0, 1)),
+                add_at(5.0, e(1, 2)),
+                remove_at(5.0, e(2, 3)),
+                add_at(5.0, e(3, 4)),
+                add_at(5.0, e(0, 1)),
+            ],
+        );
+    }
+
+    /// The edge's run is `[add, add, remove]`: its first adjacent pair
+    /// agrees in kind, its second does not.
+    #[test]
+    #[should_panic(expected = "both added and removed")]
+    fn simultaneous_add_add_remove_rejected() {
+        let _ = TopologySchedule::new(
+            2,
+            [],
+            vec![
+                add_at(5.0, e(0, 1)),
+                add_at(5.0, e(0, 1)),
+                remove_at(5.0, e(0, 1)),
+            ],
+        );
+    }
+
+    /// 2^16 distinct edges added at one instant validate, and keep their
+    /// `(time, edge)` order.
+    #[test]
+    fn wide_same_instant_batch_validates() {
+        let n = 1 << 9;
+        let adds: Vec<TopologyEvent> = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| add_at(5.0, e(i, j))))
+            .take(1 << 16)
+            .collect();
+        assert_eq!(adds.len(), 1 << 16);
+        let s = TopologySchedule::new(n, [], adds.iter().rev().copied().collect());
+        assert_eq!(s.events(), adds.as_slice());
+        assert_eq!(s.edges_at(at(5.0)).len(), 1 << 16);
     }
 
     #[test]

@@ -123,6 +123,12 @@ pub const THREADS_ENV: &str = "GCS_SIM_THREADS";
 /// against absurd shard counts.
 pub(crate) const MAX_THREADS: usize = 64;
 
+/// Node ids per canonical merge of the build-time `on_start` pass. The
+/// per-shard effect buffers hold one chunk's start effects, so their
+/// capacity (counted in `dispatch_scratch`) stays bounded by the chunk
+/// rather than growing with `n`.
+const START_CHUNK: usize = 4096;
+
 /// The worker count [`THREADS_ENV`] asks for: 1 when the variable is
 /// unset. The default of [`SimBuilder::threads`], and the one parser of
 /// the variable for every binary that honours it.
@@ -431,10 +437,12 @@ impl SimBuilder {
     }
 
     /// Finalizes the simulator; `make_node(i)` constructs the automaton for
-    /// node `i`. `on_start` handlers run immediately, followed by the
-    /// discovery of the initial edge set at time 0. Scheduled topology is
-    /// **not** pre-loaded — it streams from the source as the simulation
-    /// advances.
+    /// node `i`. It is called once per id, in ascending order, and each
+    /// automaton moves straight into its shard (no staging copy of the
+    /// automaton plane). `on_start` handlers run immediately in one pass
+    /// over the ids, followed by the discovery of the initial edge set at
+    /// time 0. Scheduled topology is **not** pre-loaded — it streams from
+    /// the source as the simulation advances.
     ///
     /// # Panics
     /// When the discovery model violates the bound `D` (see
@@ -470,8 +478,7 @@ impl SimBuilder {
             )),
             DriftSpec::Source(source) => source,
         };
-        let nodes: Vec<A> = (0..n).map(make_node).collect();
-        let shards = Shards::build(shard_count, nodes);
+        let shards = Shards::build(shard_count, (0..n).map(make_node));
         // Canonical edge state: initial edges now, churned edges as their
         // first event is pulled.
         let mut edges = EdgeStore::new(n);
@@ -545,13 +552,7 @@ impl SimBuilder {
             topology_apply: std::time::Duration::ZERO,
         };
         sim.stats.par_min_events = par_min as u64;
-        // `on_start` before any event (matching "at the beginning of the
-        // execution"), one node at a time in id order so emitted events are
-        // enqueued exactly as the per-event engine enqueued them.
-        for i in 0..n {
-            sim.dispatch_start(NodeId::from_index(i));
-            sim.merge_effects();
-        }
+        sim.start_all();
         sim
     }
 }
@@ -1334,14 +1335,31 @@ impl<A: Automaton> Simulator<A> {
         (ctx, &mut self.shards)
     }
 
-    /// Startup dispatch of `on_start` for one node (serial, build time).
-    fn dispatch_start(&mut self, u: NodeId) {
-        let (ctx, shards) = self.split_dispatch();
-        let shard_idx = shards.shard_of(u);
-        let local = u.index() / shards.count();
-        dispatch::run_handler(&ctx, &mut shards.shards[shard_idx], u, local, 0, |a, c| {
-            a.on_start(c)
-        });
+    /// The build-time start pass: `on_start` for every node before any
+    /// event (matching "at the beginning of the execution"), in id order.
+    /// Each node's effects carry its id as the trigger seq, so the
+    /// canonical merge pushes them in `(id, emission idx)` order — the
+    /// order a merge after every node pushed them — while merging once
+    /// per [`START_CHUNK`] ids. A method of the simulator, not part of
+    /// [`SimBuilder::build_with`], so it is compiled once per automaton
+    /// type rather than once per `make_node` closure.
+    fn start_all(&mut self) {
+        let (n, shard_count) = (self.n, self.shards.count());
+        for chunk in (0..n).step_by(START_CHUNK) {
+            let (ctx, shards) = self.split_dispatch();
+            for i in chunk..n.min(chunk + START_CHUNK) {
+                let (s, local) = (i % shard_count, i / shard_count);
+                dispatch::run_handler(
+                    &ctx,
+                    &mut shards.shards[s],
+                    NodeId::from_index(i),
+                    local,
+                    i as u64,
+                    |a, c| a.on_start(c),
+                );
+            }
+            self.merge_effects();
+        }
     }
 
     /// Merges the per-shard effect runs into the wheel in the canonical

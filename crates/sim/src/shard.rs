@@ -755,14 +755,24 @@ pub(crate) struct Shards<A> {
 }
 
 impl<A> Shards<A> {
-    /// Distributes `n` freshly built nodes round-robin over `count`
-    /// shards. Node-local engine state is **not** allocated here — the
-    /// [`NodeTable`]s start empty and grow to the touched watermark.
-    pub fn build(count: usize, nodes: Vec<A>) -> Self {
+    /// Distributes the `n` nodes round-robin over `count` shards, taking
+    /// them from `nodes` in id order: each shard reserves its exact share
+    /// up front and every automaton moves straight into its shard, so the
+    /// automaton plane is resident once. Node-local engine state is
+    /// **not** allocated here — the [`NodeTable`]s start empty and grow to
+    /// the touched watermark.
+    pub fn build<I>(count: usize, nodes: I) -> Self
+    where
+        I: IntoIterator<Item = A>,
+        I::IntoIter: ExactSizeIterator,
+    {
         assert!(count >= 1);
+        let nodes = nodes.into_iter();
+        let n = nodes.len();
         let mut shards: Vec<Shard<A>> = (0..count)
-            .map(|_| Shard {
-                nodes: Vec::new(),
+            .map(|s| Shard {
+                // Ids `s, s + count, …` below `n`.
+                nodes: Vec::with_capacity((n + count - 1 - s) / count),
                 table: NodeTable::default(),
                 effects: Vec::new(),
                 stats: crate::stats::SimStats::default(),
@@ -772,7 +782,7 @@ impl<A> Shards<A> {
                 scratch_rng: StdRng::seed_from_u64(0),
             })
             .collect();
-        for (i, node) in nodes.into_iter().enumerate() {
+        for (i, node) in nodes.enumerate() {
             shards[i % count].nodes.push(node);
         }
         Shards { shards, count }

@@ -16,6 +16,7 @@ use gcs_sim::{
     LinkChangeKind, Message, ModelParams, RebootUnsupported, SimBuilder, TimerKind,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::{Arc, Mutex};
 
 /// A flooding automaton: spreads the maximum `value` seen; logs everything
 /// it observes so tests can assert on the environment's behaviour.
@@ -479,6 +480,92 @@ fn alarms_cancelled_before_firing_are_stale() {
     sim.run_until(at(50.0));
     assert_eq!(sim.stats().alarms_stale, 2); // one per node
     assert_eq!(sim.stats().alarms_fired, 2);
+}
+
+/// Shard counts the set-up tests build at: one shard, an even split, an
+/// uneven one, and more shards than `START_N / 2`.
+const SHARDINGS: [usize; 4] = [1, 2, 3, 8];
+
+/// Node count of the set-up tests: prime, so no sharding divides it.
+const START_N: usize = 13;
+
+/// `make_node` runs exactly once per id, in ascending order, and each
+/// automaton lands on its own id, whatever the shard count.
+#[test]
+fn build_makes_each_node_once_in_id_order() {
+    for threads in SHARDINGS {
+        let mut calls = Vec::new();
+        let schedule = TopologySchedule::static_graph(START_N, []);
+        let sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
+            .threads(threads)
+            .build_with(|i| {
+                calls.push(i);
+                Flood::new(i as f64, 0.5)
+            });
+        assert_eq!(
+            calls,
+            (0..START_N).collect::<Vec<_>>(),
+            "make_node calls at {threads} threads"
+        );
+        for i in 0..START_N {
+            assert_eq!(
+                sim.node(node(i)).value,
+                i as f64,
+                "node {i} at {threads} threads"
+            );
+        }
+    }
+}
+
+/// Arms two timers with equal delays at start and appends every alarm
+/// it receives to a log all nodes share, so the log is the pop order.
+struct TwoAlarms {
+    log: Arc<Mutex<Vec<(NodeId, TimerKind)>>>,
+}
+
+impl Automaton for TwoAlarms {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(1.0, TimerKind::Tick);
+        ctx.set_timer(1.0, TimerKind::Lost(ctx.node));
+    }
+    fn on_receive(&mut self, _: &mut Context<'_>, _: NodeId, _: Message) {}
+    fn on_discover(&mut self, _: &mut Context<'_>, _: LinkChange) {}
+    fn on_alarm(&mut self, ctx: &mut Context<'_>, kind: TimerKind) {
+        self.log.lock().unwrap().push((ctx.node, kind));
+    }
+    fn logical_clock(&self, hw: f64) -> f64 {
+        hw
+    }
+}
+
+/// Start-time alarms that fire at one instant pop in `(node id,
+/// emission idx)` order at every shard count: the start pass hands the
+/// wheel each node's start effects in that order, so the wheel's
+/// insertion-order tie-break follows it.
+#[test]
+fn start_alarms_pop_in_node_then_emission_order() {
+    let want: Vec<(NodeId, TimerKind)> = (0..START_N)
+        .flat_map(|i| {
+            [
+                (node(i), TimerKind::Tick),
+                (node(i), TimerKind::Lost(node(i))),
+            ]
+        })
+        .collect();
+    for threads in SHARDINGS {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let schedule = TopologySchedule::static_graph(START_N, []);
+        let mut sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
+            .threads(threads)
+            .build_with(|_| TwoAlarms { log: log.clone() });
+        while sim.step() {}
+        assert_eq!(sim.stats().alarms_fired, want.len() as u64);
+        assert_eq!(
+            *log.lock().unwrap(),
+            want,
+            "alarm order at {threads} threads"
+        );
+    }
 }
 
 /// A node whose whole configuration is heap state it packs cold, so a
