@@ -1,6 +1,6 @@
 //! The packed event plane: push / pop / instant-drain throughput on
 //! [`gcs_sim::TimeWheel`] under backlogs of 0, 4 096 and 262 144
-//! pending events.
+//! pending events, and the chunk pool's recycle path.
 //!
 //! Context for reading the numbers: before the compact event plane the
 //! wheel stored one 56-byte `QueuedEvent` per pending event, found the
@@ -14,6 +14,13 @@
 //! Compare `wheel_plane/*` means across the two designs on the same
 //! machine; within one checkout the axis shows how throughput degrades
 //! as the backlog grows.
+//!
+//! Bucket records live in 256-record chunks of one shared pool: a drain
+//! copies a bucket's chunks out and returns them, and the next fill
+//! takes them back. `refill/chunks_8` times that cycle on one wheel —
+//! fill the next bucket with eight chunks' worth of records, drain it,
+//! repeat — so it measures the pool's take/return path and the copy out
+//! of the chunks, with no allocation once the first fill grew the pool.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use gcs_clocks::time::at;
@@ -28,6 +35,8 @@ const INSTANT_WIDTH: usize = 1024;
 /// Backlog sizes: empty, a mid e12-style pull window, the e13
 /// churn-walk regime.
 const BACKLOGS: [usize; 3] = [0, 4096, 262_144];
+/// Records per refill: eight of the wheel's 256-record chunks.
+const REFILL: usize = 8 * 256;
 
 /// A deliver/alarm payload mix, alternating so both slab lanes are hot.
 fn payload(i: usize) -> EventPayload {
@@ -121,6 +130,23 @@ fn bench_wheel_plane(c: &mut Criterion) {
             )
         });
     }
+    group.throughput(Throughput::Elements(REFILL as u64));
+    group.bench_function("refill/chunks_8", |b| {
+        // One wheel for every sample: each call fills the next bucket
+        // (the ring wraps every 512 calls) and drains it again.
+        let mut wheel = TimeWheel::new(0.25);
+        let mut bucket = 0u64;
+        b.iter(|| {
+            bucket += 1;
+            let start = bucket as f64 * 0.25;
+            for i in 0..REFILL {
+                wheel.push(at(start + (i % 16) as f64 * 0.01), payload(i));
+            }
+            for _ in 0..REFILL {
+                black_box(wheel.pop());
+            }
+        })
+    });
     group.finish();
 }
 

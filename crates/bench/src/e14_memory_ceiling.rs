@@ -201,6 +201,8 @@ pub fn render(config: &Config, r: &RunRecord) -> Table {
         ("staging", tel.planes.staging),
     ];
     let metrics = [
+        ("setup s", format!("{:.3}", r.setup_s)),
+        ("wall s", format!("{:.2}", r.wall_s)),
         ("events", r.events().to_string()),
         ("events/sec", format!("{:.0}", r.events_per_sec())),
         ("evictions", tel.evictions.to_string()),
@@ -225,8 +227,9 @@ pub fn render(config: &Config, r: &RunRecord) -> Table {
 /// after it: every pulled topology event applied; departed waves in the
 /// cold tier; no slot claimed above the backbone and visitor band; a
 /// balanced cold census; at most 32 B per cold node (one shrunk 24-byte
-/// peer entry, no automaton bytes); the wheel plane under half the v8
-/// recording at the headline width (256 MiB at smoke widths); the
+/// peer entry, no automaton bytes); the wheel plane under one fifth of
+/// the v11 recording of per-slot bucket buffers (531,017,728 B) at the
+/// headline width (256 MiB at smoke widths); the
 /// topology plane under one 24-byte container header per node (an
 /// `n`-length per-node array crosses it); peak RSS under 8 GiB at the
 /// headline width (2 GiB at smoke widths). The RSS reading is
@@ -271,7 +274,7 @@ pub fn check(config: &Config, r: &RunRecord, peak_rss_bytes: Option<u64>) {
         o.planes.automaton_cold,
         o.cold_nodes
     );
-    let wheel_limit: usize = if headline { 584_456_192 } else { 256 << 20 };
+    let wheel_limit: usize = if headline { 106_203_545 } else { 256 << 20 };
     assert!(
         o.planes.wheel < wheel_limit,
         "E14 wheel-plane gate: wheel plane {} bytes exceeds the {wheel_limit} byte budget \
@@ -482,6 +485,39 @@ mod tests {
              budget at n = 4096",
             || check(&config, &r, Some(2 << 30)),
         );
+    }
+
+    #[test]
+    fn headline_wheel_gate_holds_one_fifth_of_the_v11_recording() {
+        // The headline width's wheel budget on doctored records, without
+        // a run at n = 2^23: every other gate passes, and the wheel plane
+        // alone decides. The v11 recording (per-slot bucket buffers)
+        // fails, as does a reading at the budget; one byte under passes.
+        let config = Config::scaled_to(1 << 23);
+        assert_eq!(config.n, 1 << 23);
+        let run = |wheel: usize| {
+            let mut t = gcs_sim::Telemetry::default();
+            t.stats.topology_pulled = 524_288;
+            t.stats.topology_events = 524_288;
+            t.evictions = 262_144;
+            t.cold_nodes = 262_144;
+            t.node_state_watermark = config.backbone + config.visitor_band();
+            t.planes.automaton_cold = 24 * 262_144;
+            t.planes.topology = 43 << 20;
+            t.planes.wheel = wheel;
+            RunRecord::of(t)
+        };
+        check(&config, &run(106_203_544), Some(2 << 30));
+        for wheel in [531_017_728, 106_203_545] {
+            let r = run(wheel);
+            crate::assert_gate_fails(
+                &format!(
+                    "E14 wheel-plane gate: wheel plane {wheel} bytes exceeds the 106203545 \
+                     byte budget at n = 8388608"
+                ),
+                || check(&config, &r, Some(2 << 30)),
+            );
+        }
     }
 
     #[test]

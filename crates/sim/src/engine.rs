@@ -566,8 +566,9 @@ impl SimBuilder {
 ///   hot nodes' timer and peer entries,
 /// * `automaton_cold` — evicted quiescent nodes: their automata's packed
 ///   bytes plus their shrunk timer and peer entries,
-/// * `wheel` — the pending-event calendar queue (packed records plus the
-///   payload arena),
+/// * `wheel` — the pending-event calendar queue (the chunk pool holding
+///   its packed records, the cursor bucket's sort buffer, the spill heap
+///   and the payload arena),
 /// * `staging` — pulled-but-not-yet-due topology/fault events held in
 ///   compact staged form by the horizon-gated admission path.
 ///
@@ -587,7 +588,10 @@ pub struct PlaneBytes {
     /// The cold tier: evicted automata's packed bytes plus the evicted
     /// nodes' shrunk timer and peer entries.
     pub automaton_cold: usize,
-    /// Pending-event calendar queue (packed records + payload arena).
+    /// Pending-event calendar queue: the chunk pool that holds every
+    /// ring and overflow bucket's packed records (sized by the most
+    /// chunks in use at once), the cursor bucket's sort buffer (sized by
+    /// the largest bucket), the spill heap and the payload arena.
     pub wheel: usize,
     /// Compact staged topology/fault events awaiting admission.
     pub staging: usize,

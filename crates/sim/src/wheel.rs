@@ -22,9 +22,22 @@
 //! [`QueuedEvent`]. Two consequences: bucket sorts move 24-byte records
 //! (keyed on 17 bytes) instead of 56-byte payload enums, and the
 //! payload columns are sized by the *global* per-lane pending peak
-//! instead of paying the payload width once per bucket high-water mark,
-//! which is what made the wheel the largest memory plane at scale.
-//! Slots recycle on pop, so steady state allocates nothing.
+//! instead of paying the payload width once per bucket high-water mark.
+//!
+//! ## Chunked buckets
+//!
+//! The records themselves follow the same rule. A ring or overflow
+//! bucket is a linked list of fixed-size chunks of 256 records,
+//! drawn from one pool shared by every bucket; draining a bucket copies
+//! its chunks into the single `current` buffer and hands them back to
+//! the pool's free list, so the slot keeps nothing. The record storage
+//! is therefore sized by what is pending at once (plus the largest
+//! bucket, which `current` keeps room for), not by the sum over slots of
+//! the largest burst each slot ever saw. Every chunk is either on the
+//! free list or in exactly one bucket, whose chunks are all full but the
+//! last. The pool grows a page of chunks at a time and reuses freed
+//! chunks last in, first out, so steady state allocates nothing and a
+//! push never allocates per chunk.
 //!
 //! Draining is strictly bucket-by-bucket: the cursor only ever advances to
 //! the earliest non-empty bucket — found by a trailing-zeros scan over a
@@ -34,10 +47,10 @@
 //! bucket's records of one time mostly ascend in push order already;
 //! the sort exploits that order instead of re-sorting from scratch.
 //! Because an event at real time `t` always belongs to bucket
-//! `⌊t/width⌋` and later buckets hold strictly later times, the pop
+//! `⌊t/width⌋ + 1` and later buckets hold strictly later times, the pop
 //! order is **exactly** the `(time, class, seq)` order of the global
 //! heap — the wheel is a drop-in, trace-identical replacement that turns
-//! most pushes into a `Vec::push` into a small contiguous bucket.
+//! most pushes into one record write into the bucket's open chunk.
 //!
 //! Sequence numbers are normally assigned at push time, but callers that
 //! *stage* events outside the wheel (the engine's horizon-gated topology
@@ -50,6 +63,10 @@
 //!
 //! Invariants that make this work (checked in debug builds):
 //!
+//! * bucket indices start at 1 (`⌊t/width⌋ + 1`) and the cursor of a
+//!   fresh wheel sits on the empty bucket 0 before them, so pushes at
+//!   time 0 (two discoveries per initial edge) fill a ring bucket that
+//!   is sorted once, not the spill heap,
 //! * pushes never go backwards in *time*: `time` is at or after the last
 //!   popped event. The bucket index may still be `≤ cursor` — the cursor
 //!   skips empty buckets, and a lazily pulled topology event can land in
@@ -77,6 +94,16 @@ pub const SLOTS: usize = 512;
 /// Words in the ring occupancy bitmap.
 const WORDS: usize = SLOTS / 64;
 
+/// Records per pool chunk (6 KiB of 24-byte records): large enough that
+/// a bucket drain copies whole runs, small enough that the partly
+/// filled last chunk of each open bucket wastes little.
+const CHUNK: usize = 256;
+
+/// Chunks per pool page. The pool allocates a page at a time, so a
+/// burst takes one allocation per 16 chunks and growth never moves a
+/// stored record.
+const PAGE_CHUNKS: usize = 16;
+
 /// The fixed-size queue record of one pending event: the total-order key
 /// `(time, class, seq)` (class derived from the lane tag) plus the
 /// payload's arena address. 24 bytes against the 56 of a full
@@ -94,6 +121,14 @@ struct PackedEvent {
 }
 
 impl PackedEvent {
+    /// Filler for pool pages not yet written.
+    const BLANK: PackedEvent = PackedEvent {
+        time: Time::ZERO,
+        seq: 0,
+        handle: 0,
+        lane: 0,
+    };
+
     /// The total-order key all queues pop in — identical to
     /// [`QueuedEvent::key`] of the reconstructed event.
     #[inline]
@@ -122,37 +157,150 @@ impl PartialOrd for PackedEvent {
     }
 }
 
+/// Fixed-size record chunks shared by every bucket of one wheel.
+#[derive(Debug, Default)]
+struct ChunkPool {
+    /// Chunk storage, [`PAGE_CHUNKS`] chunks per page: chunk `c` is
+    /// page `c / PAGE_CHUNKS`, records `(c % PAGE_CHUNKS) · CHUNK ..`.
+    pages: Vec<Box<[PackedEvent]>>,
+    /// Per chunk, the next chunk of the same bucket.
+    next: Vec<u32>,
+    /// Chunks in no bucket; the last one freed is handed out first, so
+    /// a refill writes into the chunks a drain just read.
+    free: Vec<u32>,
+}
+
+impl ChunkPool {
+    /// A chunk in no bucket, growing the pool by a page when none is free.
+    fn take(&mut self) -> u32 {
+        if let Some(c) = self.free.pop() {
+            return c;
+        }
+        let first = self.next.len();
+        let end = u32::try_from(first + PAGE_CHUNKS).expect("wheel chunk ids fit in u32");
+        self.pages
+            .push(vec![PackedEvent::BLANK; PAGE_CHUNKS * CHUNK].into_boxed_slice());
+        self.next.resize(first + PAGE_CHUNKS, 0);
+        // The rest of the page, lowest id on top of the stack.
+        self.free.extend((first as u32 + 1..end).rev());
+        first as u32
+    }
+
+    /// The page holding chunk `c` and the chunk's first record in it.
+    #[inline]
+    fn locate(c: u32) -> (usize, usize) {
+        let c = c as usize;
+        (c / PAGE_CHUNKS, c % PAGE_CHUNKS * CHUNK)
+    }
+
+    /// The records of chunk `c`.
+    #[inline]
+    fn chunk(&self, c: u32) -> &[PackedEvent] {
+        let (page, at) = Self::locate(c);
+        &self.pages[page][at..at + CHUNK]
+    }
+
+    /// Record `i` of chunk `c`.
+    #[inline]
+    fn record_mut(&mut self, c: u32, i: usize) -> &mut PackedEvent {
+        let (page, at) = Self::locate(c);
+        &mut self.pages[page][at + i]
+    }
+
+    /// Heap bytes: every page, the chunk links and the free list.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.pages.capacity() * size_of::<Box<[PackedEvent]>>()
+            + self.pages.len() * PAGE_CHUNKS * CHUNK * size_of::<PackedEvent>()
+            + (self.next.capacity() + self.free.capacity()) * size_of::<u32>()
+    }
+}
+
+/// One bucket's records: a linked list of pool chunks, all full but the
+/// last. An empty bucket holds no chunk, so a drained ring slot or a
+/// removed overflow entry keeps no record storage.
+#[derive(Clone, Copy, Debug, Default)]
+struct Bucket {
+    /// First chunk (meaningless while `len == 0`).
+    head: u32,
+    /// Last chunk, the one pushes append to (meaningless while empty).
+    tail: u32,
+    /// Records held.
+    len: usize,
+}
+
+impl Bucket {
+    /// Appends `ev`, taking a chunk from `pool` when the last one is full.
+    #[inline]
+    fn push(&mut self, pool: &mut ChunkPool, ev: PackedEvent) {
+        let at = self.len % CHUNK;
+        if at == 0 {
+            let c = pool.take();
+            if self.len == 0 {
+                self.head = c;
+            } else {
+                pool.next[self.tail as usize] = c;
+            }
+            self.tail = c;
+        }
+        *pool.record_mut(self.tail, at) = ev;
+        self.len += 1;
+    }
+
+    /// Appends every record to `out` in push order and returns the
+    /// chunks to `pool`, head first, so the tail — the last one written
+    /// — is the next handed out.
+    fn drain_into(self, pool: &mut ChunkPool, out: &mut Vec<PackedEvent>) {
+        out.reserve(self.len);
+        let (mut c, mut left) = (self.head, self.len);
+        while left > 0 {
+            let k = left.min(CHUNK);
+            out.extend_from_slice(&pool.chunk(c)[..k]);
+            pool.free.push(c);
+            left -= k;
+            c = pool.next[c as usize];
+        }
+    }
+}
+
 /// A calendar event queue with heap-identical pop order.
 ///
-/// The cursor bucket is drained by **sorting once** and walking an index —
-/// one contiguous, run-adaptive sort instead of `2b` heap sift
-/// operations — with a small side heap (`spill`) for the rare events
-/// scheduled *into* the cursor bucket while it drains (e.g.
-/// drop-notification discoveries pushed at the current instant).
+/// Future buckets hold their records in chunks of one shared pool, so the
+/// record storage tracks the pending set rather than every slot's
+/// largest burst. The cursor bucket is copied out of its chunks and
+/// drained by **sorting once** and walking an index — one contiguous,
+/// run-adaptive sort instead of `2b` heap sift operations — with a
+/// small side heap (`spill`) for the rare events scheduled *into* the
+/// cursor bucket while it drains (e.g. drop-notification discoveries
+/// pushed at the current instant).
 #[derive(Debug)]
 pub struct TimeWheel {
     /// Bucket width in seconds of real (simulated) time.
     width: f64,
     /// Ring of future buckets; slot `b % SLOTS` holds bucket `b` while
     /// `cursor < b < cursor + SLOTS`.
-    ring: Box<[Vec<PackedEvent>]>,
+    ring: Box<[Bucket]>,
     /// One bit per ring slot, set iff the slot is non-empty; `advance`
     /// finds the next bucket with a trailing-zeros scan instead of
-    /// probing up to `SLOTS` `Vec` headers.
+    /// probing up to `SLOTS` bucket headers.
     occupied: [u64; WORDS],
     /// Events in ring slots (excludes `current`, `spill` and `overflow`).
     ring_len: usize,
-    /// Absolute index of the bucket currently being drained.
+    /// Absolute index of the bucket currently being drained (0, before
+    /// every bucket, until the first advance).
     cursor: u64,
     /// Events of bucket `cursor`, sorted ascending by key; `cur_idx`
-    /// points at the next one to pop.
+    /// points at the next one to pop. Its capacity is the largest
+    /// bucket drained so far.
     current: Vec<PackedEvent>,
     /// Consumption index into `current`.
     cur_idx: usize,
     /// Events pushed into bucket `cursor` after it was sorted.
     spill: BinaryHeap<PackedEvent>,
     /// Buckets at or beyond `cursor + SLOTS` at push time.
-    overflow: BTreeMap<u64, Vec<PackedEvent>>,
+    overflow: BTreeMap<u64, Bucket>,
+    /// Record chunks of every ring and overflow bucket.
+    pool: ChunkPool,
     /// Payload storage for every pending record.
     arena: PayloadArena,
     /// Total pending events.
@@ -173,7 +321,7 @@ impl TimeWheel {
         );
         TimeWheel {
             width,
-            ring: (0..SLOTS).map(|_| Vec::new()).collect(),
+            ring: vec![Bucket::default(); SLOTS].into_boxed_slice(),
             occupied: [0; WORDS],
             ring_len: 0,
             cursor: 0,
@@ -181,6 +329,7 @@ impl TimeWheel {
             cur_idx: 0,
             spill: BinaryHeap::new(),
             overflow: BTreeMap::new(),
+            pool: ChunkPool::default(),
             arena: PayloadArena::default(),
             len: 0,
             next_seq: 0,
@@ -188,10 +337,12 @@ impl TimeWheel {
         }
     }
 
-    /// The absolute bucket index of a time point.
+    /// The absolute bucket index of a time point, counted from 1: bucket
+    /// 0 is the fresh cursor's, so nothing pushed before the first pop
+    /// spills.
     #[inline]
     fn bucket_of(&self, time: Time) -> u64 {
-        (time.seconds() / self.width) as u64
+        ((time.seconds() / self.width) as u64).saturating_add(1)
     }
 
     /// Schedules `payload` at `time`. Equal `(time, class)` pops in push
@@ -248,13 +399,16 @@ impl TimeWheel {
             self.spill.push(ev);
         } else if bucket < self.cursor + SLOTS as u64 {
             let slot = (bucket % SLOTS as u64) as usize;
-            if self.ring[slot].is_empty() {
+            if self.ring[slot].len == 0 {
                 self.occupied[slot / 64] |= 1u64 << (slot % 64);
             }
-            self.ring[slot].push(ev);
+            self.ring[slot].push(&mut self.pool, ev);
             self.ring_len += 1;
         } else {
-            self.overflow.entry(bucket).or_default().push(ev);
+            self.overflow
+                .entry(bucket)
+                .or_default()
+                .push(&mut self.pool, ev);
         }
     }
 
@@ -297,12 +451,13 @@ impl TimeWheel {
         unreachable!("ring_len > 0 but no occupancy bit set")
     }
 
-    /// Moves the cursor to the earliest non-empty bucket, sorts it once,
-    /// and resets the consumption index. The sort is the standard
-    /// library's stable one for its run adaptivity, not for stability:
-    /// keys are unique (`seq`), so every correct sort pops the same
-    /// order. Requires the cursor bucket to be fully consumed and at
-    /// least one pending event somewhere.
+    /// Moves the cursor to the earliest non-empty bucket, copies its
+    /// records into `current`, sorts them once, and resets the
+    /// consumption index. The sort is the standard library's stable one
+    /// for its run adaptivity, not for stability: keys are unique
+    /// (`seq`), so every correct sort pops the same order. Requires the
+    /// cursor bucket to be fully consumed and at least one pending event
+    /// somewhere.
     fn advance(&mut self) {
         debug_assert!(!self.cursor_has_events() && self.len > 0);
         let ring_next = self.next_ring_bucket();
@@ -315,20 +470,21 @@ impl TimeWheel {
         };
         self.cursor = next;
         let slot = (next % SLOTS as u64) as usize;
-        self.ring_len -= self.ring[slot].len();
+        // The slot is left empty: its chunks go back to the pool, and
+        // only `current` keeps room for the largest bucket.
+        let bucket = std::mem::take(&mut self.ring[slot]);
+        self.ring_len -= bucket.len;
         self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-        // Swap buffers so the drained slot inherits the consumed
-        // allocation — steady state allocates nothing.
         self.current.clear();
         self.cur_idx = 0;
-        std::mem::swap(&mut self.current, &mut self.ring[slot]);
+        bucket.drain_into(&mut self.pool, &mut self.current);
         if let Some(extra) = self.overflow.remove(&next) {
-            self.current.extend(extra);
+            extra.drain_into(&mut self.pool, &mut self.current);
         }
         debug_assert!(self
             .current
             .iter()
-            .all(|ev| (ev.time.seconds() / self.width) as u64 == next));
+            .all(|ev| self.bucket_of(ev.time) == next));
         self.current.sort_by_key(PackedEvent::key);
     }
 
@@ -433,22 +589,22 @@ impl TimeWheel {
         Some(t)
     }
 
-    /// Heap bytes held by the packed records (ring buckets, cursor bucket,
-    /// spill heap, overflow map) plus the payload arena columns (the wheel
-    /// plane's memory meter; B-tree node overhead is approximated by the
-    /// entry payloads).
+    /// Heap bytes held by the packed records — the chunk pool (pages,
+    /// links and free list), the ring's bucket headers, the cursor
+    /// bucket, the spill heap and the overflow map — plus the payload
+    /// arena columns (the wheel plane's memory meter; B-tree node
+    /// overhead is approximated by the entry payloads). The pool grows
+    /// to the most chunks in use at once, so this is of the order of the
+    /// pending records plus the largest bucket, not of every slot's
+    /// largest burst.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let ev = size_of::<PackedEvent>();
-        self.ring.len() * size_of::<Vec<PackedEvent>>()
-            + self.ring.iter().map(|b| b.capacity() * ev).sum::<usize>()
+        self.ring.len() * size_of::<Bucket>()
+            + self.pool.heap_bytes()
             + self.current.capacity() * ev
             + self.spill.capacity() * ev
-            + self
-                .overflow
-                .values()
-                .map(|v| size_of::<u64>() + size_of::<Vec<PackedEvent>>() + v.capacity() * ev)
-                .sum::<usize>()
+            + self.overflow.len() * (size_of::<u64>() + size_of::<Bucket>())
             + self.arena.heap_bytes()
     }
 
@@ -982,5 +1138,164 @@ mod tests {
             .collect();
         assert_eq!(got, expect);
         assert!(w.is_empty());
+    }
+
+    /// Pushes `payload` at `time` into both queues.
+    fn push_both(heap: &mut EventQueue, wheel: &mut TimeWheel, time: f64, payload: EventPayload) {
+        heap.push(at(time), payload);
+        wheel.push(at(time), payload);
+    }
+
+    /// Pops one event from both queues, checking they agree; returns its
+    /// time, or `None` once both are empty.
+    fn pop_both(heap: &mut EventQueue, wheel: &mut TimeWheel, ctx: &str) -> Option<f64> {
+        let Some(a) = heap.pop() else {
+            assert!(wheel.pop().is_none(), "{ctx}: the wheel outlived the heap");
+            return None;
+        };
+        let b = wheel.pop().expect("the wheel holds what the heap holds");
+        assert_eq!((a.time, a.seq), (b.time, b.seq), "{ctx}");
+        assert_eq!(a.payload, b.payload, "{ctx}");
+        Some(a.time.seconds())
+    }
+
+    #[test]
+    fn matches_heap_order_across_chunks_ring_wraps_and_overflow_promotion() {
+        // Every path of the chunk pool, pop by pop against EventQueue:
+        // bursts of half a chunk to four chunks into one ring bucket, the
+        // cursor marching several times around the ring (so chunks a
+        // drain returned fill buckets in later laps), multi-chunk bursts
+        // beyond the ring horizon that wait in the overflow map until the
+        // cursor promotes them (later joined by ring pushes into the same
+        // bucket index), and pushes into the bucket being drained.
+        let mut rng = StdRng::seed_from_u64(59);
+        let mut heap = EventQueue::new();
+        let mut wheel = TimeWheel::new(0.25);
+        let (mut t, mut pushed, mut popped) = (0.0f64, 0usize, 0usize);
+        let mut far_buckets: Vec<f64> = Vec::new();
+        for round in 0..60usize {
+            let start = ((t / 0.25).floor() + rng.gen_range(1..200) as f64) * 0.25;
+            for _ in 0..rng.gen_range(CHUNK / 2..4 * CHUNK) {
+                let p = mixed_payload(pushed, &mut rng);
+                push_both(&mut heap, &mut wheel, start + rng.gen_range(0.0..0.2), p);
+                pushed += 1;
+            }
+            if round.is_multiple_of(4) {
+                let far = ((t + rng.gen_range(130.0..200.0f64)) / 0.25).floor() * 0.25;
+                for _ in 0..rng.gen_range(CHUNK..3 * CHUNK) {
+                    let p = mixed_payload(pushed, &mut rng);
+                    push_both(&mut heap, &mut wheel, far + rng.gen_range(0.0..0.2), p);
+                    pushed += 1;
+                }
+                far_buckets.push(far);
+                assert!(
+                    !wheel.overflow.is_empty(),
+                    "round {round}: a far burst overflows"
+                );
+            }
+            // Far buckets now inside the horizon gain ring records too.
+            for &far in far_buckets
+                .iter()
+                .filter(|&&f| f > t + 1.0 && f < t + 120.0)
+            {
+                push_both(&mut heap, &mut wheel, far + 0.1, alarm(pushed));
+                pushed += 1;
+            }
+            for _ in 0..rng.gen_range(CHUNK..4 * CHUNK) {
+                let Some(now) = pop_both(&mut heap, &mut wheel, &format!("pop {popped}")) else {
+                    break;
+                };
+                t = now;
+                popped += 1;
+                if popped.is_multiple_of(97) {
+                    // Into the bucket being drained: now, and a little later.
+                    for dt in [0.0, 0.01] {
+                        push_both(&mut heap, &mut wheel, t + dt, alarm(pushed));
+                        pushed += 1;
+                    }
+                }
+            }
+            assert_eq!(heap.len(), wheel.len(), "round {round}");
+        }
+        while pop_both(&mut heap, &mut wheel, "final drain").is_some() {}
+        assert!(wheel.is_empty());
+        assert!(
+            t > 3.0 * SLOTS as f64 * 0.25,
+            "the cursor lapped the ring 3 times"
+        );
+        let chunks = wheel.pool.next.len();
+        assert!(
+            2 * chunks < pushed / CHUNK,
+            "{chunks} pool chunks for {pushed} records: drained chunks must be reused"
+        );
+        assert_eq!(
+            wheel.pool.free.len(),
+            chunks,
+            "every chunk is back in the pool"
+        );
+    }
+
+    #[test]
+    fn heap_bytes_track_pending_records_not_the_sum_of_bursts() {
+        // The shape of a sparse run whose horizon spans fewer buckets than
+        // the ring: a burst of a few chunks into each of 300 successive
+        // buckets, each drained before the next fills, so the ring never
+        // wraps and no slot is used twice. A wheel whose drained slots
+        // keep their largest buffer grows with the sum of all bursts
+        // (about 300 x 1,024 records); this one must stay within the
+        // pending records plus the largest bucket plus fixed overhead.
+        const BURST: usize = 3 * CHUNK + 17;
+        let record = std::mem::size_of::<PackedEvent>();
+        let mut w = TimeWheel::new(0.25);
+        for b in 0..300 {
+            let start = b as f64 * 0.25;
+            for i in 0..BURST {
+                w.push(at(start + 0.2 * i as f64 / BURST as f64), alarm(i));
+            }
+            assert_eq!(w.peek_time(), Some(at(start)));
+            let fixed = PAGE_CHUNKS * CHUNK * record // one partly used pool page
+                + SLOTS * std::mem::size_of::<Bucket>() // ring bucket headers
+                + 1024; // the pool's page table, chunk links and free list
+            let bound = BURST * record // pending records
+                + BURST * record // the largest bucket, copied out to be sorted
+                + fixed
+                + w.arena.heap_bytes();
+            assert!(
+                w.heap_bytes() <= bound,
+                "bucket {b}: {} heap bytes exceed the {bound} byte bound",
+                w.heap_bytes()
+            );
+            assert_eq!(std::iter::from_fn(|| w.pop()).count(), BURST);
+        }
+        assert_eq!(
+            w.pool.pages.len(),
+            1,
+            "one page of chunks serves every burst"
+        );
+    }
+
+    #[test]
+    fn time_zero_pushes_into_a_fresh_wheel_take_the_ring() {
+        // The engine's build pushes every initial edge's discoveries at
+        // time 0, before anything pops. They fill one ring bucket (sorted
+        // once) and leave the spill heap empty, then pop in heap order.
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut heap = EventQueue::new();
+        let mut w = TimeWheel::new(0.25);
+        for step in 0..3 * CHUNK {
+            let time = if step.is_multiple_of(5) { 0.1 } else { 0.0 };
+            push_both(&mut heap, &mut w, time, mixed_payload(step, &mut rng));
+        }
+        assert!(w.spill.is_empty(), "time-0 pushes took the spill heap");
+        assert_eq!(w.ring_len, 3 * CHUNK);
+        let mut round = Vec::new();
+        assert_eq!(w.pop_instant(&mut round), Some(Time::ZERO));
+        assert_eq!(round.len(), 3 * CHUNK - (3 * CHUNK).div_ceil(5));
+        for b in &round {
+            let a = heap.pop().expect("the heap holds the round");
+            assert_eq!((a.time, a.seq, a.payload), (b.time, b.seq, b.payload));
+        }
+        assert!(w.spill.is_empty());
+        while pop_both(&mut heap, &mut w, "after the round").is_some() {}
     }
 }
