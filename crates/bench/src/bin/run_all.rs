@@ -6,11 +6,13 @@
 //! `cargo run --release -p gcs-bench --bin run_all -- --engine-only`
 //!
 //! Any other argument exits 2 with the usage. All scenarios come from
-//! [`gcs_bench::scenario::all_scenarios`] and print as under `exp <id>`.
-//! The claim experiments (E1–E10) fan out in parallel over scoped
-//! threads; E11–E14 are themselves wall-clock/memory benchmarks and E15
-//! is a CPU-heavy search, so they run **alone** after the parallel
-//! batch. Each experiment checks its own fail-closed gates, so a
+//! [`gcs_bench::scenario::all_scenarios`] and print as under `exp <id>`,
+//! in registry order. E14 runs first, alone: its peak-RSS gate reads the
+//! process-wide high-water mark, which must be E14's own. The claim
+//! experiments (E1–E10) then fan out in parallel over scoped threads;
+//! E11–E13 are themselves wall-clock/memory benchmarks and E15 is a
+//! CPU-heavy search, so they run **alone** after the parallel batch.
+//! Each experiment checks its own fail-closed gates, so a
 //! violated gate panics before the JSON is written. `--engine-only`
 //! skips the scenario tables and E11 (E12–E15 still run, gates included:
 //! their outcomes feed the JSON). The final phase times the
@@ -173,6 +175,19 @@ fn main() {
         .map(|p| p.get())
         .unwrap_or(1);
 
+    // E12 at n = 2^17, E13 at n = 2^20, E14 at n = 2^23 and E15's
+    // adversary search are expensive: run each outcome set once, in both
+    // modes, and reuse it for both the gated report and the JSON
+    // trajectory below. E14 runs and builds its gated report before
+    // anything else, so the process peak RSS its report reads is its
+    // own; the report prints in registry order with the solo batch.
+    let e12_config = e12::Config::default();
+    let e13_config = e13::Config::default();
+    let e14_config = e14::Config::default();
+    let e15_config = e15::Config::default();
+    let e14_record = e14::run(&e14_config);
+    let mut e14_report = Some(e14::report(&e14_config, &e14_record));
+
     // The typed execution plan: the claim batch fans out in parallel;
     // scale scenarios (themselves wall-clock/memory benchmarks) and the
     // fault family (CPU-heavy adversary search) run alone afterwards, in
@@ -180,7 +195,8 @@ fn main() {
     let (claim_batch, solo) = driver_plan();
     if !engine_only {
         println!(
-            "running {} claim experiments in parallel over scoped threads, then {} alone...\n",
+            "ran E14 first; running {} claim experiments in parallel over scoped threads, \
+             then {} alone...\n",
             claim_batch.len(),
             solo.iter().map(|s| s.id()).collect::<Vec<_>>().join(", ")
         );
@@ -189,23 +205,14 @@ fn main() {
             print_report(s.as_ref(), rep);
         }
     }
-    // E12 at n = 2^17, E13 at n = 2^20, E14 at n = 2^23 and E15's
-    // adversary search are expensive: run each outcome set once, in both
-    // modes, and reuse it for both the gated report and the JSON
-    // trajectory below.
-    let e12_config = e12::Config::default();
-    let e13_config = e13::Config::default();
-    let e14_config = e14::Config::default();
-    let e15_config = e15::Config::default();
     let mut e12_outcomes = None;
     let mut e13_outcomes = None;
-    let mut e14_record = None;
     let mut e15_outcomes = None;
     for s in &solo {
         let rep = match s.id() {
             "E12" => e12::report(&e12_config, e12_outcomes.insert(e12::run(&e12_config))),
             "E13" => e13::report(&e13_config, e13_outcomes.insert(e13::run(&e13_config))),
-            "E14" => e14::report(&e14_config, e14_record.insert(e14::run(&e14_config))),
+            "E14" => e14_report.take().expect("the solo batch holds E14 once"),
             "E15" => e15::report(&e15_config, e15_outcomes.insert(e15::run(&e15_config))),
             _ if engine_only => continue,
             _ => s.run_scenario(),
@@ -216,7 +223,6 @@ fn main() {
     }
     let e12_outcomes = e12_outcomes.expect("the solo batch holds E12");
     let e13_outcomes = e13_outcomes.expect("the solo batch holds E13");
-    let e14_record = e14_record.expect("the solo batch holds E14");
     let e15_outcomes = e15_outcomes.expect("the solo batch holds E15");
 
     println!("=== engine trajectory (baseline: batched serial; host_cpus = {host_cpus}) ===");

@@ -229,11 +229,12 @@ pub fn render(config: &Config, r: &RunRecord) -> Table {
 /// balanced cold census; at most 32 B per cold node (one shrunk 24-byte
 /// peer entry, no automaton bytes); the wheel plane under one fifth of
 /// the v11 recording of per-slot bucket buffers (531,017,728 B) at the
-/// headline width (256 MiB at smoke widths); the
-/// topology plane under one 24-byte container header per node (an
-/// `n`-length per-node array crosses it); peak RSS under 8 GiB at the
-/// headline width (2 GiB at smoke widths). The RSS reading is
-/// process-wide: inside `run_all` it includes E12 and E13.
+/// headline width (256 MiB at smoke widths); the automaton-hot plane
+/// under 64 B per node (the 96-byte node of the v11 recording crosses
+/// it); the topology plane under one 24-byte container header per node
+/// (an `n`-length per-node array crosses it); peak RSS under 8 GiB at
+/// the headline width (2 GiB at smoke widths). The RSS reading is
+/// process-wide, so `run_all` runs E14 first.
 ///
 /// # Panics
 /// On the first gate that fails, naming it and its values.
@@ -280,6 +281,13 @@ pub fn check(config: &Config, r: &RunRecord, peak_rss_bytes: Option<u64>) {
         "E14 wheel-plane gate: wheel plane {} bytes exceeds the {wheel_limit} byte budget \
          at n = {n}",
         o.planes.wheel
+    );
+    assert!(
+        o.planes.automaton_hot < 64 * n,
+        "E14 automaton-plane gate: automaton-hot plane {} bytes reaches 64 B x n = {} \
+         at n = {n}",
+        o.planes.automaton_hot,
+        64 * n
     );
     assert!(
         o.planes.topology < 24 * n,
@@ -438,7 +446,7 @@ mod tests {
         };
         let config = small();
         check(&config, &run(|_| {}), Some(1 << 30));
-        let cases: [(&str, Doctor); 7] = [
+        let cases: [(&str, Doctor); 8] = [
             (
                 "E14 pulled-equals-applied gate: pulled 193 topology events but applied 192",
                 |t| t.stats.topology_pulled = 193,
@@ -468,6 +476,11 @@ mod tests {
                 "E14 wheel-plane gate: wheel plane 268435456 bytes exceeds the 268435456 \
                  byte budget at n = 4096",
                 |t| t.planes.wheel = 256 << 20,
+            ),
+            (
+                "E14 automaton-plane gate: automaton-hot plane 262144 bytes reaches \
+                 64 B x n = 262144 at n = 4096",
+                |t| t.planes.automaton_hot = 64 * 4096,
             ),
             (
                 "E14 topology-plane gate: topology plane 98304 bytes reaches \
@@ -514,6 +527,38 @@ mod tests {
                 &format!(
                     "E14 wheel-plane gate: wheel plane {wheel} bytes exceeds the 106203545 \
                      byte budget at n = 8388608"
+                ),
+                || check(&config, &r, Some(2 << 30)),
+            );
+        }
+    }
+
+    #[test]
+    fn headline_automaton_gate_holds_64_bytes_per_node() {
+        // The headline width's automaton-plane budget on doctored
+        // records: the v11 recording (96-byte nodes) fails, as does a
+        // reading at 64 B x n; one byte under passes.
+        let config = Config::scaled_to(1 << 23);
+        let run = |automaton_hot: usize| {
+            let mut t = gcs_sim::Telemetry::default();
+            t.stats.topology_pulled = 524_288;
+            t.stats.topology_events = 524_288;
+            t.evictions = 262_144;
+            t.cold_nodes = 262_144;
+            t.node_state_watermark = config.backbone + config.visitor_band();
+            t.planes.automaton_cold = 24 * 262_144;
+            t.planes.topology = 43 << 20;
+            t.planes.wheel = 1 << 20;
+            t.planes.automaton_hot = automaton_hot;
+            RunRecord::of(t)
+        };
+        check(&config, &run(536_870_911), Some(2 << 30));
+        for automaton_hot in [872_415_232, 536_870_912] {
+            let r = run(automaton_hot);
+            crate::assert_gate_fails(
+                &format!(
+                    "E14 automaton-plane gate: automaton-hot plane {automaton_hot} bytes \
+                     reaches 64 B x n = 536870912 at n = 8388608"
                 ),
                 || check(&config, &r, Some(2 << 30)),
             );

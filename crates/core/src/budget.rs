@@ -19,8 +19,8 @@
 /// * `tau` — the staleness bound `τ`.
 ///
 /// This sits on the per-event hot path (`AdjustClock` evaluates it once
-/// per neighbor, over the flat entries of
-/// [`crate::neighbors::FlatMap`]), hence the `#[inline]`.
+/// per neighbor, over the flat entries of [`crate::GradientNode`]'s
+/// neighbor table), hence the `#[inline]`.
 #[inline]
 pub fn aging_budget(dt: f64, b0: f64, g: f64, rho: f64, tau: f64) -> f64 {
     debug_assert!(dt >= -1e-9, "edge age must be non-negative, got {dt}");

@@ -17,15 +17,16 @@
 //!    ([`ClockVar`]), so "between events, the variables are increased at
 //!    the rate of u's hardware clock" holds exactly.
 //!
-//! Per-neighbor state (`Γ_u`, `Υ_u`, weights) lives in the flat sorted
-//! containers of [`crate::neighbors`] rather than tree maps: the per-event
-//! path (`AdjustClock` scan, estimate refresh, tick broadcast) walks
-//! contiguous arrays, memory stays `O(degree)` per node even at the
-//! `n = 65 536` scale of E11, and iteration order is ascending node id —
-//! identical to the old `BTreeMap` order, so execution traces are
-//! unchanged.
+//! Per-neighbor state lives in one flat table of `Υ_u` sorted by node id
+//! rather than in tree maps: each entry carries a `Γ_u` flag and the pair
+//! `(C^v_u, L^v_u)`, so `Γ ⊆ Υ` holds by construction and a receive finds
+//! its sender with one binary search. The per-event path (`AdjustClock`
+//! scan, estimate refresh, tick broadcast) walks one contiguous array,
+//! memory stays `O(degree)` per node even at the `n = 2^23` scale of E14,
+//! and iteration order is ascending node id — identical to the old
+//! `BTreeMap` order, so execution traces are unchanged.
 
-use crate::neighbors::{FlatMap, IdSet};
+use crate::neighbors::FlatMap;
 use crate::params::AlgoParams;
 use crate::predicate;
 use gcs_clocks::ClockVar;
@@ -44,21 +45,31 @@ pub struct NeighborState {
 }
 
 /// Immutable configuration shared by every [`GradientNode`] of a run: the
-/// algorithm parameters and the idle-parking policy. One `Arc` replaces
-/// the inline 72-byte `AlgoParams` copy in each of the `n = 2^23`
-/// automata.
+/// algorithm parameters, the idle-parking policy and the edge weights.
+/// One `Arc` replaces the inline 72-byte `AlgoParams` copy in each of the
+/// `n = 2^23` automata.
 #[derive(Debug)]
 pub struct GradientShared {
     params: AlgoParams,
     park_idle: bool,
+    /// Per-neighbor edge weights for the §7 weighted-graph extension: the
+    /// budget toward `v` floors at `B0·w` instead of `B0`. Sparse: only
+    /// configured edges have an entry, every other edge has weight 1 (the
+    /// plain algorithm), and the empty map of an unweighted run allocates
+    /// nothing. In the companion-paper reading, the weight is the edge's
+    /// relative delay uncertainty — e.g. a reference-broadcast link gets
+    /// `w ≪ 1` and therefore a much tighter stable skew guarantee.
+    weights: FlatMap<f64>,
 }
 
 impl GradientShared {
-    /// Builds the shared plane for `params`, idle parking off.
+    /// Builds the shared plane for `params`, idle parking off, every edge
+    /// of weight 1.
     pub fn new(params: AlgoParams) -> Self {
         GradientShared {
             params,
             park_idle: false,
+            weights: FlatMap::new(),
         }
     }
 
@@ -80,6 +91,80 @@ impl GradientShared {
     }
 }
 
+/// One `v ∈ Υ_u`: its `Γ_u` flag and, while the flag is set, its state.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    v: NodeId,
+    /// `v ∈ Γ_u`. A `Lost` alarm clears it; `state` is stale while clear
+    /// and overwritten when `v` rejoins.
+    in_gamma: bool,
+    state: NeighborState,
+}
+
+/// A node's neighbor table: `Υ_u` as one entry array sorted by node id, or
+/// `Parked` — idle parking holds the tick timer disarmed, which it does
+/// only while `Υ_u = ∅`. `Parked` fits in the `Vec`'s niche, so the table
+/// is one `Vec` header wide.
+#[derive(Debug)]
+enum Table {
+    Live(Vec<Entry>),
+    Parked,
+}
+
+impl Clone for Table {
+    fn clone(&self) -> Self {
+        match self {
+            Table::Live(entries) => Table::Live(entries.clone()),
+            Table::Parked => Table::Parked,
+        }
+    }
+
+    /// Reuses `self`'s entry array when both sides are live.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Table::Live(mine), Table::Live(theirs)) => mine.clone_from(theirs),
+            (mine, source) => *mine = source.clone(),
+        }
+    }
+}
+
+impl Table {
+    /// `Υ_u` in ascending node-id order.
+    #[inline]
+    fn entries(&self) -> &[Entry] {
+        match self {
+            Table::Live(entries) => entries,
+            Table::Parked => &[],
+        }
+    }
+
+    /// `Γ_u` in ascending node-id order.
+    #[inline]
+    fn gamma(&self) -> impl Iterator<Item = &Entry> {
+        self.entries().iter().filter(|e| e.in_gamma)
+    }
+
+    /// The index of `v` in `Υ_u`, or where it would be inserted.
+    #[inline]
+    fn slot(&self, v: NodeId) -> Result<usize, usize> {
+        self.entries().binary_search_by_key(&v, |e| e.v)
+    }
+
+    /// Removes `v` from `Υ_u`, and with it from `Γ_u`.
+    fn remove(&mut self, v: NodeId) {
+        if let (Ok(i), Table::Live(entries)) = (self.slot(v), &mut *self) {
+            entries.remove(i);
+        }
+    }
+
+    /// Removes `v` from `Γ_u` only.
+    fn lose(&mut self, v: NodeId) {
+        if let (Ok(i), Table::Live(entries)) = (self.slot(v), &mut *self) {
+            entries[i].in_gamma = false;
+        }
+    }
+}
+
 /// One node running Algorithm 2.
 #[derive(Debug)]
 pub struct GradientNode {
@@ -88,24 +173,13 @@ pub struct GradientNode {
     l: ClockVar,
     /// `Lmax_u`.
     lmax: ClockVar,
-    /// `Γ_u` with per-neighbor state.
-    gamma: FlatMap<NeighborState>,
-    /// `Υ_u`.
-    upsilon: IdSet,
-    /// Count of discrete jumps of `L_u` (diagnostics).
-    jumps: u64,
-    /// Per-neighbor edge weights for the §7 weighted-graph extension: the
-    /// budget toward `v` floors at `B0·w` instead of `B0`. `None` (the
-    /// overwhelmingly common case) means every edge has weight 1 — the
-    /// plain algorithm — at zero per-node cost; configured nodes carry a
-    /// sparse sorted map of only the non-unit edges. In the
-    /// companion-paper reading, the weight is the edge's relative delay
-    /// uncertainty — e.g. a reference-broadcast link gets `w ≪ 1` and
-    /// therefore a much tighter stable skew guarantee.
-    weights: Option<Box<FlatMap<f64>>>,
-    /// True while idle parking holds the tick timer disarmed.
-    parked: bool,
+    /// `Υ_u` with `Γ_u` flagged inside it, or the parked state.
+    table: Table,
 }
+
+// The node is the per-node term of the automaton plane: 8 B of shared
+// pointer, two 8 B clock offsets and one 24 B table header.
+const _: () = assert!(std::mem::size_of::<GradientNode>() <= 48);
 
 impl Clone for GradientNode {
     fn clone(&self) -> Self {
@@ -113,16 +187,12 @@ impl Clone for GradientNode {
             shared: Arc::clone(&self.shared),
             l: self.l,
             lmax: self.lmax,
-            gamma: self.gamma.clone(),
-            upsilon: self.upsilon.clone(),
-            jumps: self.jumps,
-            weights: self.weights.clone(),
-            parked: self.parked,
+            table: self.table.clone(),
         }
     }
 
-    /// Copies `source` into `self`'s neighbor arrays, allocating only
-    /// where one is too small (the model checker copies nodes at every
+    /// Copies `source` into `self`'s neighbor table, allocating only
+    /// where it is too small (the model checker copies nodes at every
     /// explored state). The exhaustive destructuring makes a new field
     /// fail to compile until it is copied here.
     fn clone_from(&mut self, source: &Self) {
@@ -130,20 +200,12 @@ impl Clone for GradientNode {
             shared,
             l,
             lmax,
-            gamma,
-            upsilon,
-            jumps,
-            weights,
-            parked,
+            table,
         } = source;
         self.shared.clone_from(shared);
         self.l = *l;
         self.lmax = *lmax;
-        self.gamma.clone_from(gamma);
-        self.upsilon.clone_from(upsilon);
-        self.jumps = *jumps;
-        self.weights.clone_from(weights);
-        self.parked = *parked;
+        self.table.clone_from(table);
     }
 }
 
@@ -163,17 +225,14 @@ impl GradientNode {
             shared,
             l: ClockVar::zeroed(),
             lmax: ClockVar::zeroed(),
-            gamma: FlatMap::new(),
-            upsilon: IdSet::new(),
-            jumps: 0,
-            weights: None,
-            parked: false,
+            table: Table::Live(Vec::new()),
         }
     }
 
     /// A node with per-neighbor edge weights (the weighted-graph extension
     /// sketched in the paper's conclusion; weights must be in `(0, 1]` so
-    /// the standard analysis still upper-bounds every budget).
+    /// the standard analysis still upper-bounds every budget), over a
+    /// private shared plane that holds them.
     pub fn with_weights(params: AlgoParams, weights: BTreeMap<NodeId, f64>) -> Self {
         let mut sparse = FlatMap::new();
         for (&v, &w) in &weights {
@@ -183,18 +242,15 @@ impl GradientNode {
             );
             sparse.insert(v, w);
         }
-        GradientNode {
-            weights: (!sparse.is_empty()).then(|| Box::new(sparse)),
-            ..Self::new(params)
-        }
+        Self::with_shared(Arc::new(GradientShared {
+            weights: sparse,
+            ..GradientShared::new(params)
+        }))
     }
 
     /// The weight of the edge toward `v` (1.0 unless configured).
     pub fn weight_of(&self, v: NodeId) -> f64 {
-        self.weights
-            .as_ref()
-            .and_then(|w| w.get(v).copied())
-            .unwrap_or(1.0)
+        self.shared.weights.get(v).copied().unwrap_or(1.0)
     }
 
     /// The effective budget toward `v` at subjective edge age `dt`:
@@ -218,29 +274,29 @@ impl GradientNode {
 
     /// Current `Γ_u`.
     pub fn gamma(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.gamma.keys()
+        self.table.gamma().map(|e| e.v)
     }
 
     /// Current `Υ_u`.
     pub fn upsilon(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.upsilon.iter()
+        self.table.entries().iter().map(|e| e.v)
     }
 
     /// Per-neighbor state, if `v ∈ Γ_u`.
     pub fn neighbor_state(&self, v: NodeId) -> Option<&NeighborState> {
-        self.gamma.get(v)
+        let e = &self.table.entries()[self.table.slot(v).ok()?];
+        e.in_gamma.then_some(&e.state)
     }
 
     /// `B^v_u` — the current budget toward `v`, if `v ∈ Γ_u`.
     pub fn budget_for(&self, v: NodeId, hw: f64) -> Option<f64> {
-        self.gamma
-            .get(v)
+        self.neighbor_state(v)
             .map(|st| self.budget_at(v, hw - st.joined_hw))
     }
 
     /// `L^v_u` — the current estimate of `v`'s clock, if `v ∈ Γ_u`.
     pub fn estimate_of(&self, v: NodeId, hw: f64) -> Option<f64> {
-        self.gamma.get(v).map(|st| st.estimate.value(hw))
+        self.neighbor_state(v).map(|st| st.estimate.value(hw))
     }
 
     /// The neighbor caps `(L^v_u, B^v_u)` for every `v ∈ Γ_u` at hardware
@@ -249,9 +305,12 @@ impl GradientNode {
     /// the Definition 6.1 predicate from this same iterator, so automaton
     /// and checker share one encoding.
     pub fn neighbor_caps(&self, hw: f64) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.gamma
-            .iter()
-            .map(move |(v, st)| (st.estimate.value(hw), self.budget_at(v, hw - st.joined_hw)))
+        self.table.gamma().map(move |e| {
+            (
+                e.state.estimate.value(hw),
+                self.budget_at(e.v, hw - e.state.joined_hw),
+            )
+        })
     }
 
     /// Definition 6.1: `u` is *blocked* if `Lmax_u > L_u` and some
@@ -270,15 +329,10 @@ impl GradientNode {
         if self.lmax.value(hw) <= l {
             return None;
         }
-        self.gamma.iter().find_map(|(v, st)| {
-            let b = self.budget_at(v, hw - st.joined_hw);
-            predicate::neighbor_blocks(l, st.estimate.value(hw), b).then_some(v)
+        self.table.gamma().find_map(|e| {
+            let b = self.budget_at(e.v, hw - e.state.joined_hw);
+            predicate::neighbor_blocks(l, e.state.estimate.value(hw), b).then_some(e.v)
         })
-    }
-
-    /// Number of discrete clock jumps so far.
-    pub fn jump_count(&self) -> u64 {
-        self.jumps
     }
 
     /// Procedure `AdjustClock`:
@@ -287,7 +341,6 @@ impl GradientNode {
         let target = predicate::advance_target(self.lmax.value(hw), self.neighbor_caps(hw));
         if predicate::should_jump(target, self.l.value(hw)) {
             self.l.set(target, hw);
-            self.jumps += 1;
         }
     }
 
@@ -298,58 +351,62 @@ impl GradientNode {
         }
     }
 
-    /// Re-arms the tick timer if idle parking had it disarmed. Called on
-    /// first contact (receive, discover-add); a parked node has
-    /// `Υ_u = ∅` and `L_u = Lmax_u`, so no tick was observable while
-    /// parked.
-    fn wake(&mut self, ctx: &mut Context<'_>) {
-        if self.parked {
-            self.parked = false;
+    /// Re-arms the tick timer if idle parking had it disarmed, and returns
+    /// the live `Υ_u` table. Called on first contact (receive,
+    /// discover-add); a parked node has `Υ_u = ∅` and `L_u = Lmax_u`, so
+    /// no tick was observable while parked.
+    fn wake(&mut self, ctx: &mut Context<'_>) -> &mut Vec<Entry> {
+        if let Table::Parked = self.table {
+            self.table = Table::Live(Vec::new());
             ctx.set_timer(self.shared.params.delta_h, TimerKind::Tick);
+        }
+        match &mut self.table {
+            Table::Live(entries) => entries,
+            Table::Parked => unreachable!("a woken node's table is live"),
         }
     }
 }
 
 impl Automaton for GradientNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if self.shared.park_idle && self.upsilon.is_empty() {
-            self.parked = true;
+        if self.shared.park_idle && self.table.entries().is_empty() {
+            self.table = Table::Parked;
         } else {
             ctx.set_timer(self.shared.params.delta_h, TimerKind::Tick);
         }
     }
 
     // Crash/restart with state loss: parameters and edge weights are
-    // configuration, every clock and neighbor variable resets to the
-    // time-0 state of [`GradientNode::new`].
+    // configuration (the shared plane), every clock and neighbor variable
+    // resets to the time-0 state of [`GradientNode::new`].
     fn try_reboot(&self) -> Result<Self, gcs_sim::RebootUnsupported> {
-        Ok(GradientNode {
-            weights: self.weights.clone(),
-            ..Self::with_shared(self.shared.clone())
-        })
+        Ok(Self::with_shared(self.shared.clone()))
     }
 
     // Lines 15–24 of Algorithm 2.
     fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Message) {
         let hw = ctx.hw;
-        self.wake(ctx);
+        let table = self.wake(ctx);
         ctx.cancel_timer(TimerKind::Lost(from));
-        self.upsilon.insert(from); // see module note 2
-        match self.gamma.get_mut(from) {
-            None => {
-                // v joins Γ_u: C^v_u ← H_u, L^v_u ← L_v.
-                self.gamma.insert(
-                    from,
-                    NeighborState {
+        match table.binary_search_by_key(&from, |e| e.v) {
+            // Refresh the estimate (module note 1); FIFO delivery makes
+            // this the freshest information about v.
+            Ok(i) if table[i].in_gamma => table[i].state.estimate.overwrite(msg.logical, hw),
+            // v joins Γ_u: C^v_u ← H_u, L^v_u ← L_v — and Υ_u too if it
+            // is not there yet (module note 2).
+            slot => {
+                let joined = Entry {
+                    v: from,
+                    in_gamma: true,
+                    state: NeighborState {
                         joined_hw: hw,
                         estimate: ClockVar::with_value(msg.logical, hw),
                     },
-                );
-            }
-            Some(st) => {
-                // Refresh the estimate (module note 1); FIFO delivery makes
-                // this the freshest information about v.
-                st.estimate.overwrite(msg.logical, hw);
+                };
+                match slot {
+                    Ok(i) => table[i] = joined,
+                    Err(at) => table.insert(at, joined),
+                }
             }
         }
         // Line 21: Lmax_u ← max{Lmax_u, Lmax_v}.
@@ -363,14 +420,22 @@ impl Automaton for GradientNode {
         let other = change.edge.other(ctx.node);
         match change.kind {
             LinkChangeKind::Added => {
-                self.wake(ctx);
-                ctx.send(other, self.message(ctx.hw));
-                self.upsilon.insert(other);
+                let msg = self.message(ctx.hw);
+                let table = self.wake(ctx);
+                ctx.send(other, msg);
+                if let Err(at) = table.binary_search_by_key(&other, |e| e.v) {
+                    let discovered = Entry {
+                        v: other,
+                        in_gamma: false,
+                        state: NeighborState {
+                            joined_hw: 0.0,
+                            estimate: ClockVar::zeroed(),
+                        },
+                    };
+                    table.insert(at, discovered);
+                }
             }
-            LinkChangeKind::Removed => {
-                self.gamma.remove(other);
-                self.upsilon.remove(other);
-            }
+            LinkChangeKind::Removed => self.table.remove(other),
         }
         self.adjust_clock(ctx.hw);
     }
@@ -379,21 +444,21 @@ impl Automaton for GradientNode {
     fn on_alarm(&mut self, ctx: &mut Context<'_>, kind: TimerKind) {
         match kind {
             TimerKind::Lost(v) => {
-                self.gamma.remove(v);
+                self.table.lose(v);
                 self.adjust_clock(ctx.hw);
             }
             TimerKind::Tick => {
                 let msg = self.message(ctx.hw);
-                for v in self.upsilon.iter() {
-                    ctx.send(v, msg);
+                for e in self.table.entries() {
+                    ctx.send(e.v, msg);
                 }
                 self.adjust_clock(ctx.hw);
-                if self.shared.park_idle && self.upsilon.is_empty() {
+                if self.shared.park_idle && self.table.entries().is_empty() {
                     // Idle parking: an isolated node has Γ_u = ∅ (the
                     // Γ ⊆ Υ invariant) and L_u = Lmax_u, so further
                     // ticks would neither send nor adjust — stop
                     // re-arming until first contact wakes us.
-                    self.parked = true;
+                    self.table = Table::Parked;
                 } else {
                     ctx.set_timer(self.shared.params.delta_h, TimerKind::Tick);
                 }
@@ -409,33 +474,32 @@ impl Automaton for GradientNode {
         self.lmax.value(hw)
     }
 
-    // The compact-plane cold tier. Only a quiescent node (`Γ_u = Υ_u =
-    // ∅`) may pack, so there is no per-neighbor state to encode: packing
-    // releases the empty containers' capacity and writes nothing, and
-    // rehydration (the trait's default `unpack_cold`) restores nothing.
-    // Weighted nodes are rare and stay hot.
+    // The compact-plane cold tier. Only a quiescent node (`Υ_u = ∅`, so
+    // `Γ_u = ∅`) may pack, so there is no per-neighbor state to encode:
+    // packing releases the empty table's capacity (a parked node stays
+    // parked) and writes nothing, and rehydration (the trait's default
+    // `unpack_cold`) restores nothing. Edge weights live in the shared
+    // plane, so weighted nodes pack like any other.
 
     fn quiescent(&self) -> bool {
-        self.gamma.is_empty() && self.upsilon.is_empty()
+        self.table.entries().is_empty()
     }
 
     fn pack_cold(&mut self, _out: &mut Vec<u8>) -> bool {
-        if !self.quiescent() || self.weights.is_some() {
+        if !self.quiescent() {
             return false;
         }
-        self.gamma = FlatMap::new();
-        self.upsilon = IdSet::new();
+        if let Table::Live(entries) = &mut self.table {
+            *entries = Vec::new();
+        }
         true
     }
 
     fn heap_bytes(&self) -> usize {
-        self.gamma.heap_bytes()
-            + self.upsilon.heap_bytes()
-            + self
-                .weights
-                .as_ref()
-                .map(|w| std::mem::size_of::<FlatMap<f64>>() + w.heap_bytes())
-                .unwrap_or(0)
+        match &self.table {
+            Table::Live(entries) => entries.capacity() * std::mem::size_of::<Entry>(),
+            Table::Parked => 0,
+        }
     }
 }
 
@@ -752,6 +816,21 @@ mod tests {
             actions.is_empty(),
             "tick with empty Υ must neither send nor re-arm: {actions:?}"
         );
+        // A late Lost alarm and a repeated removal reach the parked node
+        // without waking it.
+        n.on_alarm(
+            &mut ctx_at(3.6, &mut actions, &mut rng),
+            TimerKind::Lost(node(1)),
+        );
+        n.on_discover(
+            &mut ctx_at(3.7, &mut actions, &mut rng),
+            LinkChange {
+                kind: LinkChangeKind::Removed,
+                edge: Edge::between(0, 1),
+            },
+        );
+        assert!(actions.is_empty(), "parked node woke: {actions:?}");
+        assert_eq!(n.heap_bytes(), 0, "a parked node holds no table");
         // A receive also wakes.
         n.on_receive(
             &mut ctx_at(4.0, &mut actions, &mut rng),
@@ -806,13 +885,20 @@ mod tests {
     }
 
     #[test]
-    fn weighted_nodes_refuse_to_pack() {
+    fn quiescent_weighted_nodes_pack_and_keep_their_weights() {
         let mut n = GradientNode::with_weights(params(), [(node(1), 0.25)].into_iter().collect());
         assert!(n.quiescent());
         let mut blob = Vec::new();
-        assert!(!n.pack_cold(&mut blob));
-        assert!(blob.is_empty());
-        assert_eq!(n.weight_of(node(1)), 0.25, "refusal keeps the weights");
+        assert!(
+            n.pack_cold(&mut blob),
+            "a quiescent weighted node must pack"
+        );
+        assert!(blob.is_empty(), "nothing to encode: {blob:?}");
+        let rebooted = n.try_reboot().expect("Algorithm 2 reboots");
+        for m in [&n, &rebooted] {
+            assert_eq!(m.weight_of(node(1)), 0.25);
+            assert_eq!(m.weight_of(node(2)), 1.0);
+        }
     }
 
     #[test]
@@ -841,6 +927,5 @@ mod tests {
             },
         );
         assert!(n.logical_clock(4.0) >= l1 + 3.0);
-        assert!(n.jump_count() >= 1);
     }
 }

@@ -42,8 +42,11 @@
 //!   algorithm of Locher–Wattenhofer applied blindly to a dynamic graph).
 //! * [`invariants`] — runtime checkers for Section 3.3's validity
 //!   conditions and the skew bounds of Theorems 6.9 and 6.12.
-//! * [`neighbors`] — flat sorted containers for the per-neighbor hot
-//!   state ([`FlatMap`], [`IdSet`]), `O(degree)` memory per node.
+//! * [`neighbors`] — flat sorted containers keyed by node id:
+//!   [`FlatMap`] for the sparse edge weights of [`GradientShared`],
+//!   [`IdSet`] for the baseline's `Υ_u`. [`GradientNode`] keeps `Υ_u`,
+//!   with `Γ_u` flagged inside it, in one table of the same layout:
+//!   `O(degree)` memory per node.
 //! * [`predicate`] — the Definition 6.1 blocked predicate and the
 //!   `AdjustClock` advance rule as pure functions over plain values,
 //!   shared bit-for-bit between [`GradientNode`] and the `gcs-mc`

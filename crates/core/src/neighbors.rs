@@ -1,11 +1,13 @@
 //! Flat per-neighbor state containers, indexed by [`NodeId`].
 //!
-//! Algorithm 2 touches its per-neighbor state (`Γ_u`, `Υ_u`, `L^v_u`,
-//! `C^v_u`, edge weights) on **every** receive, tick and discovery — it is
-//! the algorithm's hot data. The original implementation kept it in
-//! `BTreeMap`/`BTreeSet`, which costs a pointer chase per node visited;
-//! these containers store the same state as one compact entry array kept
-//! **sorted by [`NodeId`]**:
+//! Per-neighbor state is touched on **every** receive, tick and
+//! discovery — it is the protocols' hot data. The original
+//! implementation kept it in `BTreeMap`/`BTreeSet`, which costs a pointer
+//! chase per node visited; these containers store it as one compact
+//! entry array kept **sorted by [`NodeId`]** ([`FlatMap`] holds the edge
+//! weights of [`crate::GradientShared`], [`IdSet`] the baseline's `Υ_u`,
+//! and [`crate::GradientNode`] keeps its `Υ_u` table, with `Γ_u` flagged
+//! inside it, in the same layout):
 //!
 //! * membership and lookup are a binary search over the compact array —
 //!   `O(log degree)`, and degree is tiny for the bounded-degree topologies

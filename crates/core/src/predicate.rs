@@ -13,10 +13,10 @@
 //! A *cap* below is the pair `(L^v_u, B^v_u)` for one neighbor
 //! `v ∈ Γ_u`: the estimate of `v`'s logical clock and the current budget
 //! toward `v`. Cap iterators must yield neighbors in **ascending node-id
-//! order** — the order `FlatMap` iterates — because `f64::min` folds are
-//! order-sensitive in the presence of ties broken by NaN-free but unequal
-//! rounding; both callers iterate the same order so this is a contract,
-//! not a tolerance.
+//! order** — the order `GradientNode`'s neighbor table iterates —
+//! because `f64::min` folds are order-sensitive in the presence of ties
+//! broken by NaN-free but unequal rounding; both callers iterate the
+//! same order so this is a contract, not a tolerance.
 
 /// The effective budget toward a neighbor: the aging curve value floored
 /// at the (possibly weight-scaled) `B0` floor —

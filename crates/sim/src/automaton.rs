@@ -276,7 +276,7 @@ pub trait Automaton: Send {
     /// leaving inline state (clocks, counters) untouched so queries like
     /// [`logical_clock`](Self::logical_clock) still answer exactly while
     /// cold. Returns `false` — writing nothing and draining nothing — to
-    /// refuse (the default, and e.g. for weighted nodes). A later
+    /// refuse (the default). A later
     /// [`unpack_cold`](Self::unpack_cold) of the written bytes must
     /// restore the state bit-for-bit.
     fn pack_cold(&mut self, _out: &mut Vec<u8>) -> bool {

@@ -621,7 +621,7 @@ impl NodeTable {
     /// see *locally* — which is what keeps the sweep thread-invariant:
     ///
     /// * the automaton reports [`Automaton::quiescent`] and agrees to
-    ///   pack (weighted nodes refuse),
+    ///   pack,
     /// * no timer is armed, so every alarm still in the wheel is stale
     ///   and no alarm ever wakes a cold node,
     /// * no RNG stream has materialized (stream position is not
