@@ -1,73 +1,21 @@
 //! Minimal CSV export (no third-party dependency needed for plain numeric
-//! tables), including a bounded-memory streaming writer.
+//! tables).
 
 use std::fs::File;
 use std::io::{BufWriter, Result, Write};
 use std::path::Path;
 
-/// Writes a header plus numeric rows to `path`.
+/// Writes a header plus numeric rows (each as wide as the header) to
+/// `path`.
 pub fn write_csv(path: impl AsRef<Path>, header: &[&str], rows: &[Vec<f64>]) -> Result<()> {
-    let mut w = CsvWriter::create(path, header)?;
-    for row in rows {
-        w.row(row)?;
-    }
-    w.flush()
-}
-
-/// An incremental CSV writer: rows go straight to a buffered file, so a
-/// long-running recording never holds its series in memory.
-#[derive(Debug)]
-pub struct CsvWriter {
-    w: BufWriter<File>,
-    width: usize,
-    rows_written: u64,
-}
-
-impl CsvWriter {
-    /// Creates `path` and writes the header line.
-    pub fn create(path: impl AsRef<Path>, header: &[&str]) -> Result<Self> {
-        let file = File::create(path)?;
-        let mut w = BufWriter::new(file);
-        writeln!(w, "{}", header.join(","))?;
-        Ok(CsvWriter {
-            w,
-            width: header.len(),
-            rows_written: 0,
-        })
-    }
-
-    /// Appends one numeric row (must match the header width).
-    pub fn row(&mut self, row: &[f64]) -> Result<()> {
-        assert_eq!(row.len(), self.width, "CSV row width mismatch");
-        let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-        writeln!(self.w, "{}", cells.join(","))?;
-        self.rows_written += 1;
-        Ok(())
-    }
-
-    /// Rows written so far (excluding the header).
-    pub fn rows_written(&self) -> u64 {
-        self.rows_written
-    }
-
-    /// Flushes the underlying buffer.
-    pub fn flush(&mut self) -> Result<()> {
-        self.w.flush()
-    }
-}
-
-/// Renders rows to a CSV string (used by tests and for stdout dumps).
-pub fn to_csv_string(header: &[&str], rows: &[Vec<f64>]) -> String {
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
+    let mut w = BufWriter::new(File::create(path)?);
+    writeln!(w, "{}", header.join(","))?;
     for row in rows {
         assert_eq!(row.len(), header.len(), "CSV row width mismatch");
         let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
+        writeln!(w, "{}", cells.join(","))?;
     }
-    out
+    w.flush()
 }
 
 #[cfg(test)]
@@ -75,48 +23,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn string_roundtrip() {
-        let s = to_csv_string(&["a", "b"], &[vec![1.0, 2.5], vec![3.0, 4.0]]);
-        assert_eq!(s, "a,b\n1,2.5\n3,4\n");
-    }
-
-    #[test]
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join("gcs_csv_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.csv");
-        write_csv(&path, &["x"], &[vec![1.0]]).unwrap();
+        write_csv(&path, &["a", "b"], &[vec![1.0, 2.5], vec![3.0, 4.0]]).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "x\n1\n");
-    }
-
-    #[test]
-    fn streaming_writer_appends_rows() {
-        let dir = std::env::temp_dir().join("gcs_csv_stream_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.csv");
-        let mut w = CsvWriter::create(&path, &["a", "b"]).unwrap();
-        for i in 0..3 {
-            w.row(&[i as f64, (i * 2) as f64]).unwrap();
-        }
-        assert_eq!(w.rows_written(), 3);
-        w.flush().unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "a,b\n0,0\n1,2\n2,4\n");
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn streaming_writer_rejects_bad_width() {
-        let dir = std::env::temp_dir().join("gcs_csv_stream_bad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut w = CsvWriter::create(dir.join("bad.csv"), &["a", "b"]).unwrap();
-        let _ = w.row(&[1.0]);
+        assert_eq!(content, "a,b\n1,2.5\n3,4\n");
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn mismatched_row_rejected() {
-        let _ = to_csv_string(&["a", "b"], &[vec![1.0]]);
+        let dir = std::env::temp_dir().join("gcs_csv_bad");
+        std::fs::create_dir_all(&dir).unwrap();
+        let _ = write_csv(dir.join("bad.csv"), &["a", "b"], &[vec![1.0]]);
     }
 }

@@ -19,8 +19,8 @@
 //!   least-squares fits used to check the paper's asymptotic shapes.
 //! * [`table`] — aligned text tables for experiment output.
 //! * [`csv`] — CSV export of recorded series.
-//! * [`sweep`] — embarrassingly parallel parameter sweeps and the
-//!   scenario-level [`sweep::fan_out`] runner, both on `std::thread::scope`
+//! * [`sweep`] — [`parallel_map`], the one parallel runner on
+//!   `std::thread::scope`, for parameter sweeps and whole scenarios alike
 //!   (one independent simulation per task; no shared mutable state —
 //!   parallelism lives at the outermost independent loop).
 //!
@@ -57,5 +57,5 @@ pub use metrics::{global_skew, max_local_skew};
 pub use probe::SkewStream;
 pub use recorder::{Recorder, Sample};
 pub use stats::Summary;
-pub use sweep::{fan_out, parallel_map};
+pub use sweep::parallel_map;
 pub use table::Table;

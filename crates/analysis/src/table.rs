@@ -84,17 +84,6 @@ impl Table {
     }
 }
 
-/// Formats a float with 3 significant-looking decimals (common case in the
-/// experiment tables).
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Formats a float with 1 decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,11 +109,5 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(&["1".into()]);
-    }
-
-    #[test]
-    fn float_formatters() {
-        assert_eq!(f3(1.23456), "1.235");
-        assert_eq!(f1(1.26), "1.3");
     }
 }

@@ -3,20 +3,18 @@
 //! perf trajectory as machine-readable `BENCH_engine.json`.
 //!
 //! `cargo run --release -p gcs-bench --bin run_all`
-//! `cargo run --release -p gcs-bench --bin run_all -- --engine-only`
 //!
-//! Any other argument exits 2 with the usage. All scenarios come from
-//! [`gcs_bench::scenario::all_scenarios`] and print as under `exp <id>`,
-//! in registry order. E14 runs first, alone: its peak-RSS gate reads the
-//! process-wide high-water mark, which must be E14's own. The claim
+//! It takes no argument: any argument exits 2 with the usage. All
+//! scenarios come from [`gcs_bench::scenario::all_scenarios`] and print
+//! as under `exp <id>`, in registry order. E14 runs first, alone: its
+//! peak-RSS gate reads the process-wide high-water mark, which must be
+//! E14's own. The claim
 //! experiments (E1–E10) then fan out in parallel over scoped threads;
 //! E11–E13 are themselves wall-clock/memory benchmarks and E15 is a
 //! CPU-heavy search, so they run **alone** after the parallel batch.
-//! Each experiment checks its own fail-closed gates, so a
-//! violated gate panics before the JSON is written. `--engine-only`
-//! skips the scenario tables and E11 (E12–E15 still run, gates included:
-//! their outcomes feed the JSON). The final phase times the
-//! engine on the E1 workload (`n = 1024`) and on the E11 workload
+//! Each experiment checks its own fail-closed gates, so a violated gate
+//! panics before the JSON is written. The final phase times the engine
+//! on the E1 workload (`n = 1024`) and on the E11 workload
 //! (`n = 65 536`, churn on) at each worker count in {1, 2, 8} that the
 //! host has CPUs for. The **batched serial engine (`threads = 1`) is the
 //! baseline** every speedup is measured against.
@@ -48,13 +46,12 @@ use std::process::exit;
 /// The committed trajectory, relative to the repository root.
 const BENCH_FILE: &str = "BENCH_engine.json";
 
-/// Whether `args` ask for `--engine-only`, or the usage error: the
-/// driver takes no argument or exactly that one.
-fn parse_args(args: &[String]) -> Result<bool, String> {
-    match args {
-        [] => Ok(false),
-        [flag] if flag == "--engine-only" => Ok(true),
-        _ => Err(format!("usage: run_all [--engine-only] (got {args:?})")),
+/// The usage error unless `args` is empty: `run_all` takes no argument.
+fn parse_args(args: &[String]) -> Result<(), String> {
+    if args.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("usage: run_all (takes no argument, got {args:?})"))
     }
 }
 
@@ -166,7 +163,7 @@ fn suite_json(s: &SuiteReport) -> Json {
 fn main() {
     let t0 = std::time::Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let engine_only = parse_args(&args).unwrap_or_else(|usage| {
+    parse_args(&args).unwrap_or_else(|usage| {
         eprintln!("{usage}");
         exit(2)
     });
@@ -193,17 +190,15 @@ fn main() {
     // fault family (CPU-heavy adversary search) run alone afterwards, in
     // registry order.
     let (claim_batch, solo) = driver_plan();
-    if !engine_only {
-        println!(
-            "ran E14 first; running {} claim experiments in parallel over scoped threads, \
-             then {} alone...\n",
-            claim_batch.len(),
-            solo.iter().map(|s| s.id()).collect::<Vec<_>>().join(", ")
-        );
-        let reports = run_parallel(&claim_batch);
-        for (s, rep) in claim_batch.iter().zip(&reports) {
-            print_report(s.as_ref(), rep);
-        }
+    println!(
+        "ran E14 first; running {} claim experiments in parallel over scoped threads, \
+         then {} alone...\n",
+        claim_batch.len(),
+        solo.iter().map(|s| s.id()).collect::<Vec<_>>().join(", ")
+    );
+    let reports = run_parallel(&claim_batch);
+    for (s, rep) in claim_batch.iter().zip(&reports) {
+        print_report(s.as_ref(), rep);
     }
     let mut e12_outcomes = None;
     let mut e13_outcomes = None;
@@ -214,12 +209,9 @@ fn main() {
             "E13" => e13::report(&e13_config, e13_outcomes.insert(e13::run(&e13_config))),
             "E14" => e14_report.take().expect("the solo batch holds E14 once"),
             "E15" => e15::report(&e15_config, e15_outcomes.insert(e15::run(&e15_config))),
-            _ if engine_only => continue,
             _ => s.run_scenario(),
         };
-        if !engine_only {
-            print_report(s.as_ref(), &rep);
-        }
+        print_report(s.as_ref(), &rep);
     }
     let e12_outcomes = e12_outcomes.expect("the solo batch holds E12");
     let e13_outcomes = e13_outcomes.expect("the solo batch holds E13");
@@ -363,20 +355,11 @@ mod tests {
     }
 
     #[test]
-    fn takes_no_argument_or_exactly_engine_only() {
-        assert_eq!(parse_args(&args(&[])), Ok(false));
-        assert_eq!(parse_args(&args(&["--engine-only"])), Ok(true));
-        for bad in [
-            &["--engine_only"][..],
-            &["--engine-only", "--engine-only"],
-            &["E1"],
-            &[""],
-        ] {
+    fn takes_no_argument() {
+        assert_eq!(parse_args(&args(&[])), Ok(()));
+        for bad in [&["--engine-only"][..], &["E1", "E2"], &["E1"], &[""]] {
             let usage = parse_args(&args(bad)).expect_err("must be rejected");
-            assert!(
-                usage.starts_with("usage: run_all [--engine-only]"),
-                "{usage}"
-            );
+            assert!(usage.starts_with("usage: run_all"), "{usage}");
         }
     }
 }

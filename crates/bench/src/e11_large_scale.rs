@@ -207,7 +207,6 @@ impl crate::scenario::Scenario for Experiment {
             "streamed peaks: global {:.2}, local {:.2} (certified error <= {:.3})",
             out.peak_global, out.peak_local, out.skew_error_bound
         ));
-        rep.record_memory();
         rep.note(format!(
             "peak topology backlog: {} (streamed, not pre-loaded)",
             out.points[0].telemetry.stats.peak_topology_backlog,

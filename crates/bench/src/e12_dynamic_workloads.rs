@@ -17,8 +17,9 @@
 //! snapshots — and reports the three quantities the streaming pipeline
 //! exists to control: **setup time** (seconds before the first event
 //! runs), **peak topology backlog** (pulled-but-unapplied events, the
-//! pipeline's only event buffer), and **peak RSS** (measured, via
-//! `gcs_analysis::mem`). With the old eager pipeline, setup and memory
+//! pipeline's only event buffer), and **live RSS** after each run
+//! (measured, via `gcs_analysis::mem`, in the CSV). With the old eager
+//! pipeline, setup and memory
 //! both grew with the total churn-event count; here the backlog is
 //! bounded by the events of one pull window — it still scales with the
 //! churn *rate*, but not with the horizon or the total event count.
@@ -263,9 +264,7 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
             o.record.telemetry.stats.topology_events,
         ));
     }
-    // Memory goes into the dedicated field (and `print`) and the CSV,
-    // never into the trace-compared notes.
-    rep.record_memory();
+    // Live RSS goes into the CSV, never into the trace-compared notes.
     rep.csv(
         "e12_dynamic_workloads.csv",
         &[

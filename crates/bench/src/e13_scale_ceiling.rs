@@ -214,9 +214,7 @@ pub fn report(config: &Config, outcomes: &[FamilyOutcome]) -> ScenarioReport {
             o.record.telemetry.rng_streams,
         ));
     }
-    // Memory goes into the dedicated field (and `print`) and the CSV,
-    // never into the trace-compared notes.
-    rep.record_memory();
+    // Live RSS goes into the CSV, never into the trace-compared notes.
     rep.csv(
         "e13_scale_ceiling.csv",
         &[

@@ -181,8 +181,9 @@ pub fn run(config: &Config) -> RunRecord {
     )
 }
 
-/// Renders the memory-ceiling table.
-pub fn render(config: &Config, r: &RunRecord) -> Table {
+/// Renders the memory-ceiling table, with the process peak RSS that
+/// [`check`] gated.
+pub fn render(config: &Config, r: &RunRecord, peak_rss_bytes: Option<u64>) -> Table {
     let mib = |b: usize| format!("{:.1}", b as f64 / (1024.0 * 1024.0));
     let mut t = Table::new(
         format!(
@@ -208,6 +209,10 @@ pub fn render(config: &Config, r: &RunRecord) -> Table {
         ("evictions", tel.evictions.to_string()),
         ("rehydrations", tel.rehydrations.to_string()),
         ("cold nodes", tel.cold_nodes.to_string()),
+        (
+            "process peak RSS MiB",
+            gcs_analysis::mem::fmt_mib(peak_rss_bytes),
+        ),
     ];
     for i in 0..planes.len().max(metrics.len()) {
         let (m, mv) = metrics
@@ -312,7 +317,7 @@ pub fn report(config: &Config, r: &RunRecord) -> ScenarioReport {
     check(config, r, peak_rss_bytes);
     let tel = &r.telemetry;
     let mut rep = ScenarioReport::new();
-    rep.table(render(config, r));
+    rep.table(render(config, r, peak_rss_bytes));
     rep.note(format!(
         "workload: backbone {}, {} waves x {} visitors, horizon {}s",
         config.backbone, config.waves, config.wave_visitors, config.horizon,
@@ -328,7 +333,6 @@ pub fn report(config: &Config, r: &RunRecord) -> ScenarioReport {
          ({} evictions, {} rehydrations over the run)",
         tel.cold_nodes, tel.planes.automaton_cold, tel.evictions, tel.rehydrations,
     ));
-    rep.peak_rss_bytes = peak_rss_bytes;
     rep.record_planes(tel.planes);
     rep.csv(
         "e14_memory_ceiling.csv",

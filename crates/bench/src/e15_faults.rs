@@ -34,7 +34,7 @@ use gcs_clocks::time::at;
 use gcs_clocks::DriftModel;
 use gcs_core::{AlgoParams, GradientNode, InvariantMonitor};
 use gcs_net::{
-    generators, greedy_worst_case, AdversarialChurnSource, BridgeAttack, Edge, ScheduleSource,
+    adversarial_churn, generators, greedy_worst_case, BridgeAttack, Edge, ScheduleSource,
     TopologySchedule,
 };
 use gcs_sim::{DelayStrategy, FaultEvent, FaultPlan, ModelParams, SimBuilder, Simulator};
@@ -198,7 +198,7 @@ pub fn run_fault(config: &Config) -> FaultOutcome {
 /// ([`DriftModel::FastUpTo`]).
 pub fn attack_peak_local(config: &Config, attack: BridgeAttack) -> f64 {
     let params = config.params();
-    let source = AdversarialChurnSource::new(config.n, vec![attack]);
+    let source = ScheduleSource::new(adversarial_churn(config.n, &[attack]));
     let mut sim = SimBuilder::topology(config.model, source)
         .drift_model(DriftModel::FastUpTo(config.n / 2), config.horizon)
         .delay(DelayStrategy::Max)

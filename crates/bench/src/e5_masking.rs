@@ -6,7 +6,9 @@
 //! We sweep the flexible distance on a masked path, run the real algorithm
 //! under the β adversary, measure the skew, and numerically verify the
 //! legality of every delay the adversary would assign (the four-case
-//! analysis of the lemma's Part II).
+//! analysis of the lemma's Part II) on the same `gcs_sim::delay` formulas
+//! the engine runs. [`check`] gates both: a violation at any distance
+//! panics.
 
 use gcs_analysis::{parallel_map, Table};
 use gcs_clocks::time::at;
@@ -119,6 +121,31 @@ pub fn run(config: &Config) -> Vec<Point> {
     })
 }
 
+/// E5's fail-closed gates (Lemma 4.2) at every swept distance `d`: the
+/// Part II checker finds no illegal delay, and the β execution has built
+/// a measured skew of at least `T·d/4`.
+///
+/// # Panics
+/// On the first gate that fails, naming the distance, the gate and its
+/// values.
+pub fn check(points: &[Point]) {
+    for p in points {
+        assert!(
+            p.legality_violations == 0,
+            "E5 legality gate at d = {}: {} illegal delays, must be 0",
+            p.d,
+            p.legality_violations
+        );
+        assert!(
+            p.measured >= p.bound,
+            "E5 skew gate at d = {}: measured skew {} below the T·d/4 bound {}",
+            p.d,
+            p.measured,
+            p.bound
+        );
+    }
+}
+
 /// Renders the sweep table.
 pub fn render(points: &[Point]) -> Table {
     let mut t = Table::new(
@@ -167,6 +194,7 @@ impl crate::scenario::Scenario for Experiment {
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
         let points = run(&self.config);
+        check(&points);
         let mut rep = crate::scenario::ScenarioReport::new();
         rep.table(render(&points));
         rep
@@ -184,17 +212,37 @@ mod tests {
             ..Config::default()
         };
         let points = run(&config);
-        for p in &points {
-            assert_eq!(p.legality_violations, 0, "d={}: illegal delays", p.d);
-            assert!(
-                p.measured >= p.bound,
-                "d={}: measured {} below bound {}",
-                p.d,
-                p.measured,
-                p.bound
-            );
-        }
+        check(&points);
         // Shape: skew grows with flexible distance.
         assert!(points[2].measured > points[0].measured);
+    }
+
+    #[test]
+    fn each_gate_rejects_its_doctored_point() {
+        // Two points that pass both gates; the second is doctored.
+        let point = |d: usize| Point {
+            d,
+            ready_time: 101.0 * d as f64,
+            measured: d as f64,
+            bound: 0.25 * d as f64,
+            legality_violations: 0,
+        };
+        check(&[point(2), point(4)]);
+        let illegal = Point {
+            legality_violations: 3,
+            ..point(4)
+        };
+        crate::assert_gate_fails(
+            "E5 legality gate at d = 4: 3 illegal delays, must be 0",
+            || check(&[point(2), illegal]),
+        );
+        let short = Point {
+            measured: 0.5,
+            ..point(4)
+        };
+        crate::assert_gate_fails(
+            "E5 skew gate at d = 4: measured skew 0.5 below the T·d/4 bound 1",
+            || check(&[point(2), short]),
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! (E1–E15) so neither driver — `exp <id>` for one experiment, `run_all`
 //! for all of them — can silently drop one, [`print_report`] renders a
 //! report the same way for both, and [`run_parallel`] fans scenarios out
-//! over scoped threads via [`gcs_analysis::sweep::fan_out`].
+//! over scoped threads via [`gcs_analysis::parallel_map`].
 //!
 //! The *cluster merge* below is the shared workload behind E2, E3 and E7
 //! (and the paper's motivating story): two halves of the network evolve
@@ -38,14 +38,12 @@ pub struct CsvSeries {
 }
 
 /// Everything a scenario produces: human-readable tables and notes plus
-/// machine-readable CSV series, and (optionally) the process peak RSS
-/// observed after the run.
+/// machine-readable CSV series, and (optionally) a per-plane heap census.
 ///
 /// `PartialEq` is deliberate and *manual*: the determinism regression
 /// tests assert that whole reports — rendered tables, notes, and every
-/// CSV cell — are identical across engine thread counts. The memory
-/// reading is a host fact, not a trace fact (it varies run to run), so
-/// it is excluded from equality.
+/// CSV cell — are identical across engine thread counts. The census is
+/// a host fact, not a trace fact, so it is excluded from equality.
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioReport {
     /// Rendered paper-vs-measured tables.
@@ -54,22 +52,17 @@ pub struct ScenarioReport {
     pub notes: Vec<String>,
     /// CSV series for the trajectory directory.
     pub series: Vec<CsvSeries>,
-    /// Process peak RSS in bytes after the scenario ran, if measured
-    /// (see [`ScenarioReport::record_memory`]). Process-wide: only
-    /// meaningful for scenarios that run alone, like E11/E12.
-    pub peak_rss_bytes: Option<u64>,
     /// Per-plane heap census read while the scenario's simulation was
     /// still live (see [`ScenarioReport::record_planes`]). Excluded from
-    /// equality like `peak_rss_bytes`: totals are trace facts but the
-    /// census counts *capacities*, whose growth rounding varies with the
-    /// shard (= worker) count.
+    /// equality: totals are trace facts but the census counts
+    /// *capacities*, whose growth rounding varies with the shard
+    /// (= worker) count.
     pub plane_bytes: Option<gcs_analysis::mem::PlaneBytes>,
 }
 
 impl PartialEq for ScenarioReport {
     fn eq(&self, other: &Self) -> bool {
-        // `peak_rss_bytes` and `plane_bytes` deliberately excluded — see
-        // the type docs.
+        // `plane_bytes` deliberately excluded — see the type docs.
         self.tables == other.tables && self.notes == other.notes && self.series == other.series
     }
 }
@@ -78,15 +71,6 @@ impl ScenarioReport {
     /// An empty report.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Stamps the process peak RSS (high-water mark) into the report so
-    /// memory claims are measured, not asserted. Call at the end of a
-    /// scenario that runs alone; `None` on platforms without
-    /// `/proc/self/status`.
-    pub fn record_memory(&mut self) -> &mut Self {
-        self.peak_rss_bytes = gcs_analysis::peak_rss_bytes();
-        self
     }
 
     /// Stamps a per-plane heap census into the report. Read the census
@@ -124,8 +108,8 @@ impl ScenarioReport {
         self
     }
 
-    /// Prints tables, notes, then the memory reading (if recorded) to
-    /// stdout. The memory line lives here — not in `notes` — so host
+    /// Prints tables, notes, then the plane census (if recorded) to
+    /// stdout. The census line lives here — not in `notes` — so host
     /// facts never leak into the trace-compared report content.
     pub fn print(&self) {
         for t in &self.tables {
@@ -134,13 +118,6 @@ impl ScenarioReport {
         }
         for n in &self.notes {
             println!("{n}");
-        }
-        if let Some(bytes) = self.peak_rss_bytes {
-            println!(
-                "process peak RSS: {} MiB (process-lifetime high-water mark — \
-                 faithful only in a fresh process, e.g. under `exp`)",
-                gcs_analysis::mem::fmt_mib(Some(bytes))
-            );
         }
         if let Some(planes) = &self.plane_bytes {
             println!(
@@ -262,11 +239,7 @@ pub fn driver_plan() -> (ScenarioBatch, ScenarioBatch) {
 
 /// Runs scenarios in parallel over scoped threads, preserving order.
 pub fn run_parallel(scenarios: &[Box<dyn Scenario>]) -> Vec<ScenarioReport> {
-    let jobs: Vec<Box<dyn FnOnce() -> ScenarioReport + Send + '_>> = scenarios
-        .iter()
-        .map(|s| Box::new(move || s.run_scenario()) as Box<dyn FnOnce() -> ScenarioReport + Send>)
-        .collect();
-    gcs_analysis::sweep::fan_out(jobs)
+    gcs_analysis::parallel_map(scenarios, |s| s.run_scenario())
 }
 
 /// Where the drivers write CSV series, relative to the repository root.
@@ -449,10 +422,12 @@ mod tests {
         let mut a = ScenarioReport::new();
         a.note("same trace");
         let mut b = a.clone();
-        a.peak_rss_bytes = Some(1);
-        b.peak_rss_bytes = Some(2);
         a.record_planes(gcs_analysis::mem::PlaneBytes {
             automaton_hot: 7,
+            ..Default::default()
+        });
+        b.record_planes(gcs_analysis::mem::PlaneBytes {
+            automaton_hot: 9,
             ..Default::default()
         });
         assert_eq!(a, b, "host memory facts must not break determinism pins");

@@ -167,42 +167,6 @@ fn scenario_reports_identical_across_thread_counts() {
 }
 
 #[test]
-fn per_event_step_matches_parallel_run_until() {
-    // `Simulator::step` (strictly serial, one event at a time) and the
-    // parallel `run_until` must agree too: same dispatch core, same
-    // canonical effect order.
-    let w = Workload {
-        n: 72,
-        horizon: 30.0,
-        churn: true,
-        seed: 77,
-        threads: 1,
-    };
-    let mut batched = w.with_threads(8).build();
-    let mut stepped = w.build();
-    batched.run_until(at(w.horizon));
-    while let Some(t) = {
-        let more = stepped.step();
-        more.then(|| stepped.now())
-    } {
-        if t > at(w.horizon) {
-            break;
-        }
-    }
-    // Align the query instant, then compare.
-    let final_t = at(w.horizon.max(stepped.now().seconds()));
-    batched.run_until(final_t);
-    stepped.run_until(final_t);
-    for (x, y) in batched
-        .logical_snapshot()
-        .iter()
-        .zip(stepped.logical_snapshot())
-    {
-        assert!(x.to_bits() == y.to_bits());
-    }
-}
-
-#[test]
 fn random_delay_traces_bit_identical_across_thread_counts() {
     // Per-node streams are what keep *randomized* delay adversaries
     // thread-count invariant; pin that separately from the Max-delay runs.

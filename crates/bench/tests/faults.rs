@@ -13,7 +13,7 @@ use gcs_clocks::time::at;
 use gcs_clocks::DriftModel;
 use gcs_core::{AlgoParams, GradientNode, InvariantMonitor};
 use gcs_net::{
-    generators, AdversarialChurnSource, BridgeAttack, Edge, ScheduleSource, TopologySchedule,
+    adversarial_churn, generators, BridgeAttack, Edge, ScheduleSource, TopologySchedule,
 };
 use gcs_sim::{DelayStrategy, FaultEvent, FaultPlan, ModelParams, SimBuilder, Simulator};
 
@@ -104,7 +104,7 @@ fn adversary_source_traces_bit_identical_across_thread_counts() {
     let mut sims: Vec<Simulator<GradientNode>> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            SimBuilder::topology(m, AdversarialChurnSource::new(n, vec![attack]))
+            SimBuilder::topology(m, ScheduleSource::new(adversarial_churn(n, &[attack])))
                 .drift_model(DriftModel::FastUpTo(n / 2), horizon)
                 .delay(DelayStrategy::Uniform { lo: 0.0, hi: 1.0 })
                 .seed(7)

@@ -161,13 +161,6 @@ pub fn layered_beta(layer: usize, rho: f64, big_t: f64) -> RateSchedule {
     RateSchedule::from_pairs(&[(0.0, 1.0 + rho), (switch, 1.0)])
 }
 
-/// A two-phase adversary: rate `r1` until `switch`, then `r2`. Used to build
-/// targeted skew ramps in tests and experiments.
-pub fn two_phase(r1: f64, r2: f64, switch: f64) -> RateSchedule {
-    assert!(switch > 0.0, "phase switch time must be > 0");
-    RateSchedule::from_pairs(&[(0.0, r1), (switch, r2)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,12 +282,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn two_phase_switches_rate() {
-        let s = two_phase(1.01, 0.99, 10.0);
-        assert_eq!(s.rate_at(at(5.0)), 1.01);
-        assert_eq!(s.rate_at(at(15.0)), 0.99);
     }
 }

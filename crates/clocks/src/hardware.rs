@@ -6,7 +6,7 @@
 //! checks this bound at construction.
 
 use crate::rate::RateSchedule;
-use crate::time::{Duration, Time};
+use crate::time::Time;
 use crate::validate_rho;
 
 /// A node's continuous hardware clock with bounded drift.
@@ -61,12 +61,6 @@ impl HardwareClock {
         self.schedule.rate_at(t)
     }
 
-    /// The real time at which this clock reads `h`.
-    #[inline]
-    pub fn time_when_reads(&self, h: f64) -> Time {
-        self.schedule.time_at_value(h)
-    }
-
     /// The real time at which this clock will have advanced by the
     /// *subjective* duration `delta` past its reading at `t`.
     ///
@@ -83,18 +77,6 @@ impl HardwareClock {
     pub fn advance_over(&self, t1: Time, t2: Time) -> f64 {
         self.schedule.advance_over(t1, t2)
     }
-
-    /// An upper bound on the real time needed for this clock to advance by
-    /// subjective duration `delta`: `delta / (1−ρ)`.
-    pub fn max_real_time_for(&self, delta: f64) -> Duration {
-        Duration::new(delta / (1.0 - self.rho))
-    }
-
-    /// A lower bound on the real time needed for this clock to advance by
-    /// subjective duration `delta`: `delta / (1+ρ)`.
-    pub fn min_real_time_for(&self, delta: f64) -> Duration {
-        Duration::new(delta / (1.0 + self.rho))
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +88,6 @@ mod tests {
     fn perfect_clock_tracks_real_time() {
         let c = HardwareClock::perfect(0.01);
         assert_eq!(c.read(at(42.0)), 42.0);
-        assert_eq!(c.time_when_reads(42.0), at(42.0));
     }
 
     #[test]
@@ -119,15 +100,10 @@ mod tests {
     fn fire_time_respects_drift_envelope() {
         let c = HardwareClock::constant(0.99, 0.01);
         let fire = c.fire_time(at(10.0), 5.0);
-        let elapsed = fire - at(10.0);
-        assert!(elapsed >= c.min_real_time_for(5.0));
-        assert!(elapsed <= c.max_real_time_for(5.0));
-    }
-
-    #[test]
-    fn drift_envelope_bounds_are_ordered() {
-        let c = HardwareClock::perfect(0.05);
-        assert!(c.min_real_time_for(3.0) < c.max_real_time_for(3.0));
+        // A subjective 5 takes between 5/(1+ρ) and 5/(1−ρ) real time.
+        let elapsed = (fire - at(10.0)).seconds();
+        assert!(elapsed >= 5.0 / 1.01);
+        assert!(elapsed <= 5.0 / 0.99);
     }
 
     #[test]

@@ -84,18 +84,6 @@ impl Duration {
         self.0
     }
 
-    /// True for durations `> 0`.
-    #[inline]
-    pub fn is_positive(self) -> bool {
-        self.0 > 0.0
-    }
-
-    /// True for durations `>= 0`.
-    #[inline]
-    pub fn is_non_negative(self) -> bool {
-        self.0 >= 0.0
-    }
-
     /// Absolute value.
     #[inline]
     pub fn abs(self) -> Duration {
@@ -354,9 +342,6 @@ mod tests {
 
     #[test]
     fn negation_and_predicates() {
-        assert!(secs(1.0).is_positive());
-        assert!(!secs(0.0).is_positive());
-        assert!(secs(0.0).is_non_negative());
         assert_eq!(-secs(2.0), secs(-2.0));
         assert!(at(0.0).is_valid_sim_time());
         assert!(!at(-1.0).is_valid_sim_time());

@@ -7,10 +7,10 @@
 //! between them is resolved by an instantaneous jump of the behind node,
 //! which then propagates as a jump wave over its old edges.
 
-use crate::neighbors::IdSet;
 use gcs_clocks::ClockVar;
 use gcs_net::NodeId;
 use gcs_sim::{Automaton, Context, LinkChange, LinkChangeKind, Message, TimerKind};
+use std::collections::BTreeSet;
 
 /// One node of the max-chasing baseline.
 #[derive(Clone, Debug)]
@@ -18,7 +18,7 @@ pub struct MaxSyncNode {
     delta_h: f64,
     l: ClockVar,
     lmax: ClockVar,
-    upsilon: IdSet,
+    upsilon: BTreeSet<NodeId>,
     jumps: u64,
 }
 
@@ -30,14 +30,14 @@ impl MaxSyncNode {
             delta_h,
             l: ClockVar::zeroed(),
             lmax: ClockVar::zeroed(),
-            upsilon: IdSet::new(),
+            upsilon: BTreeSet::new(),
             jumps: 0,
         }
     }
 
     /// Believed neighbors.
     pub fn upsilon(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.upsilon.iter()
+        self.upsilon.iter().copied()
     }
 
     /// Number of discrete jumps of `L` so far.
@@ -86,7 +86,7 @@ impl Automaton for MaxSyncNode {
                 self.upsilon.insert(other);
             }
             LinkChangeKind::Removed => {
-                self.upsilon.remove(other);
+                self.upsilon.remove(&other);
             }
         }
     }
@@ -94,7 +94,7 @@ impl Automaton for MaxSyncNode {
     fn on_alarm(&mut self, ctx: &mut Context<'_>, kind: TimerKind) {
         if kind == TimerKind::Tick {
             let msg = self.message(ctx.hw);
-            for v in self.upsilon.iter() {
+            for &v in &self.upsilon {
                 ctx.send(v, msg);
             }
             ctx.set_timer(self.delta_h, TimerKind::Tick);
@@ -122,12 +122,13 @@ impl Automaton for MaxSyncNode {
         if !self.quiescent() {
             return false;
         }
-        self.upsilon = IdSet::new();
+        self.upsilon = BTreeSet::new();
         true
     }
 
+    // Υ's keys; the B-tree's node overhead is not counted.
     fn heap_bytes(&self) -> usize {
-        self.upsilon.heap_bytes()
+        self.upsilon.len() * std::mem::size_of::<NodeId>()
     }
 }
 

@@ -26,7 +26,6 @@
 //! and iteration order is ascending node id — identical to the old
 //! `BTreeMap` order, so execution traces are unchanged.
 
-use crate::neighbors::FlatMap;
 use crate::params::AlgoParams;
 use crate::predicate;
 use gcs_clocks::ClockVar;
@@ -59,7 +58,7 @@ pub struct GradientShared {
     /// nothing. In the companion-paper reading, the weight is the edge's
     /// relative delay uncertainty — e.g. a reference-broadcast link gets
     /// `w ≪ 1` and therefore a much tighter stable skew guarantee.
-    weights: FlatMap<f64>,
+    weights: BTreeMap<NodeId, f64>,
 }
 
 impl GradientShared {
@@ -69,7 +68,7 @@ impl GradientShared {
         GradientShared {
             params,
             park_idle: false,
-            weights: FlatMap::new(),
+            weights: BTreeMap::new(),
         }
     }
 
@@ -234,23 +233,27 @@ impl GradientNode {
     /// the standard analysis still upper-bounds every budget), over a
     /// private shared plane that holds them.
     pub fn with_weights(params: AlgoParams, weights: BTreeMap<NodeId, f64>) -> Self {
-        let mut sparse = FlatMap::new();
         for (&v, &w) in &weights {
             assert!(
                 w > 0.0 && w <= 1.0,
                 "edge weight toward {v:?} must be in (0, 1], got {w}"
             );
-            sparse.insert(v, w);
         }
         Self::with_shared(Arc::new(GradientShared {
-            weights: sparse,
+            weights,
             ..GradientShared::new(params)
         }))
     }
 
     /// The weight of the edge toward `v` (1.0 unless configured).
     pub fn weight_of(&self, v: NodeId) -> f64 {
-        self.shared.weights.get(v).copied().unwrap_or(1.0)
+        // Every budget lookup lands here: keep an unweighted run's empty
+        // map to one inlined branch.
+        let weights = &self.shared.weights;
+        if weights.is_empty() {
+            return 1.0;
+        }
+        weights.get(&v).copied().unwrap_or(1.0)
     }
 
     /// The effective budget toward `v` at subjective edge age `dt`:

@@ -34,7 +34,9 @@
 //! * [`budget`] — the budget function `B` in isolation (the closed form
 //!   behind [`AlgoParams::budget`]).
 //! * [`gradient`] — [`GradientNode`], Algorithm 2 as a
-//!   [`gcs_sim::Automaton`].
+//!   [`gcs_sim::Automaton`]. It keeps `Υ_u`, with `Γ_u` flagged inside
+//!   it, in one table sorted by node id (`O(degree)` memory per node);
+//!   the edge weights of a run live in its [`GradientShared`].
 //! * [`baseline`] — [`baseline::MaxSyncNode`] (chase the max estimate
 //!   immediately; the Srikanth–Toueg-style comparator) and the
 //!   constant-budget variant obtained via
@@ -42,11 +44,6 @@
 //!   algorithm of Locher–Wattenhofer applied blindly to a dynamic graph).
 //! * [`invariants`] — runtime checkers for Section 3.3's validity
 //!   conditions and the skew bounds of Theorems 6.9 and 6.12.
-//! * [`neighbors`] — flat sorted containers keyed by node id:
-//!   [`FlatMap`] for the sparse edge weights of [`GradientShared`],
-//!   [`IdSet`] for the baseline's `Υ_u`. [`GradientNode`] keeps `Υ_u`,
-//!   with `Γ_u` flagged inside it, in one table of the same layout:
-//!   `O(degree)` memory per node.
 //! * [`predicate`] — the Definition 6.1 blocked predicate and the
 //!   `AdjustClock` advance rule as pure functions over plain values,
 //!   shared bit-for-bit between [`GradientNode`] and the `gcs-mc`
@@ -74,11 +71,9 @@ pub mod baseline;
 pub mod budget;
 pub mod gradient;
 pub mod invariants;
-pub mod neighbors;
 pub mod params;
 pub mod predicate;
 
 pub use gradient::{GradientNode, GradientShared, NeighborState};
 pub use invariants::InvariantMonitor;
-pub use neighbors::{FlatMap, IdSet};
 pub use params::{AlgoParams, BudgetPolicy};

@@ -7,11 +7,12 @@
 //! * [`mask`] — delay masks `M = (E_C, P)` and the *flexible distance*
 //!   `dist_M(u, v)` (minimum number of unconstrained edges on any path,
 //!   Definition 4.3), computed by 0–1 BFS.
-//! * [`masking`] — the Masking Lemma (Lemma 4.2) made executable: the
-//!   closed-form clock functions of executions α and β, the
-//!   indistinguishability time-mapping, and a legality checker that
-//!   verifies the Part II case analysis (β-delays in `[0, T]`, constrained
-//!   edges in `[P/(1+ρ), P]`) for arbitrary send/receive pairs.
+//! * [`masking`] — the Masking Lemma (Lemma 4.2) made executable: a
+//!   legality checker that verifies the Part II case analysis (β-delays
+//!   in `[0, T]`, constrained edges in `[P/(1+ρ), P]`) for arbitrary
+//!   send times, on the α and β delay formulas of `gcs_sim::delay` that
+//!   the engine's adversaries run, plus the lemma's skew bound and
+//!   ready time.
 //! * [`subsequence`] — Lemma 4.3: extraction of a subsequence whose
 //!   consecutive gaps all lie in `[c−d, c]`, used to place the new edges
 //!   `E_new` carrying prescribed skew.

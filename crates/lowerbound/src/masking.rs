@@ -11,60 +11,17 @@
 //! clock correspondence: `tα_s = H^β_x(tβ_s)`, `tα_r = tα_s + delay_α`,
 //! `tβ_r = (H^β_y)⁻¹(tα_r)`.
 //!
-//! This module provides the mapping and [`verify_beta_legality`], which
-//! checks the lemma's Part II case analysis numerically: every adjusted
-//! delay lies in `[0, T]`, and constrained edges stay within
+//! The mapping itself is [`gcs_sim::delay::alpha_delay`] and
+//! [`gcs_sim::delay::beta_delay`], the formulas the engine's
+//! `DelayStrategy::{Layered, BetaLayered}` adversaries run. This module
+//! provides [`verify_beta_legality`], which checks the lemma's Part II
+//! case analysis numerically on those same formulas: every adjusted delay
+//! lies in `[0, T]`, and constrained edges stay within
 //! `[P(e)/(1+ρ), P(e)]`.
 
 use crate::mask::DelayMask;
 use gcs_net::{Edge, NodeId};
-use gcs_sim::delay::{beta_hw, beta_hw_inverse};
-
-/// The α-delay of a message from `from` across `edge`, per the lemma's
-/// construction.
-pub fn alpha_delay(
-    edge: Edge,
-    from: NodeId,
-    layers: &[usize],
-    mask: &DelayMask,
-    big_t: f64,
-    intra: f64,
-) -> f64 {
-    if let Some(p) = mask.delay_of(edge) {
-        return p;
-    }
-    let to = edge.other(from);
-    match layers[from.index()].cmp(&layers[to.index()]) {
-        std::cmp::Ordering::Less => big_t,
-        std::cmp::Ordering::Greater => 0.0,
-        std::cmp::Ordering::Equal => intra,
-    }
-}
-
-/// The β-delay of a message β-sent at `tb_send`, derived from the
-/// indistinguishability mapping.
-// The argument list mirrors the lemma's own parameterization
-// (e, x, tβ_s; M = (E_C, P); ρ, T) — grouping them would obscure the
-// correspondence with the paper.
-#[allow(clippy::too_many_arguments)]
-pub fn beta_delay(
-    edge: Edge,
-    from: NodeId,
-    tb_send: f64,
-    layers: &[usize],
-    mask: &DelayMask,
-    rho: f64,
-    big_t: f64,
-    intra: f64,
-) -> f64 {
-    let to = edge.other(from);
-    let (jx, jy) = (layers[from.index()], layers[to.index()]);
-    let da = alpha_delay(edge, from, layers, mask, big_t, intra);
-    let ta_s = beta_hw(tb_send, jx, rho, big_t);
-    let ta_r = ta_s + da;
-    let tb_r = beta_hw_inverse(ta_r, jy, rho, big_t);
-    tb_r - tb_send
-}
+use gcs_sim::delay::{alpha_delay, beta_delay};
 
 /// One legality violation found by [`verify_beta_legality`].
 #[derive(Clone, Debug, PartialEq)]
@@ -96,13 +53,16 @@ pub fn verify_beta_legality(
     let eps = 1e-9;
     let mut violations = Vec::new();
     for &e in edges {
+        let prescribed = mask.delay_of(e);
+        let range = match prescribed {
+            Some(p) => (p / (1.0 + rho), p),
+            None => (0.0, big_t),
+        };
         for from in [e.lo(), e.hi()] {
-            let range = match mask.delay_of(e) {
-                Some(p) => (p / (1.0 + rho), p),
-                None => (0.0, big_t),
-            };
+            let (jx, jy) = (layers[from.index()], layers[e.other(from).index()]);
+            let alpha = alpha_delay(prescribed, jx, jy, big_t, intra);
             for &t in send_times {
-                let d = beta_delay(e, from, t, layers, mask, rho, big_t, intra);
+                let d = beta_delay(alpha, t, jx, jy, rho, big_t);
                 if d < range.0 - eps || d > range.1 + eps {
                     violations.push(LegalityViolation {
                         edge: e,
@@ -136,6 +96,7 @@ mod tests {
     use super::*;
     use crate::mask::flexible_layers;
     use gcs_net::{generators, node};
+    use gcs_sim::delay::{beta_hw, beta_hw_inverse};
 
     fn e(i: usize, j: usize) -> Edge {
         Edge::between(i, j)
@@ -146,15 +107,14 @@ mod tests {
 
     #[test]
     fn post_ramp_uphill_is_zero_downhill_is_t() {
-        let layers = vec![0, 1];
-        let mask = DelayMask::new();
-        // Ramp for layer 1 ends at t = T/ρ = 100.
-        let d_up = beta_delay(e(0, 1), node(0), 500.0, &layers, &mask, RHO, T, 0.0);
+        // Layers 0 and 1 on an unconstrained edge; the ramp for layer 1
+        // ends at t = T/ρ = 100.
+        let d_up = beta_delay(alpha_delay(None, 0, 1, T, 0.0), 500.0, 0, 1, RHO, T);
         assert!(
             d_up.abs() < 1e-9,
             "uphill post-ramp should be 0, got {d_up}"
         );
-        let d_down = beta_delay(e(0, 1), node(1), 500.0, &layers, &mask, RHO, T, 0.0);
+        let d_down = beta_delay(alpha_delay(None, 1, 0, T, 0.0), 500.0, 1, 0, RHO, T);
         assert!(
             (d_down - T).abs() < 1e-9,
             "downhill post-ramp should be T, got {d_down}"
@@ -163,22 +123,21 @@ mod tests {
 
     #[test]
     fn pre_ramp_uphill_scales() {
-        let layers = vec![0, 1];
-        let mask = DelayMask::new();
         // At t=0 both clocks aligned; uphill delay = T/(1+ρ).
-        let d = beta_delay(e(0, 1), node(0), 0.0, &layers, &mask, RHO, T, 0.0);
+        let d = beta_delay(alpha_delay(None, 0, 1, T, 0.0), 0.0, 0, 1, RHO, T);
         assert!((d - T / (1.0 + RHO)).abs() < 1e-9);
         // Downhill at t=0: α-delay 0 maps to min(ρt, …) = 0.
-        let d2 = beta_delay(e(0, 1), node(1), 0.0, &layers, &mask, RHO, T, 0.0);
+        let d2 = beta_delay(alpha_delay(None, 1, 0, T, 0.0), 0.0, 1, 0, RHO, T);
         assert!(d2.abs() < 1e-9);
     }
 
     #[test]
     fn constrained_edge_delay_in_prescribed_band() {
-        let layers = vec![0, 0];
+        // Both endpoints in layer 0, edge prescribed at 0.8.
         let mask = DelayMask::uniform([e(0, 1)], 0.8);
         for t in [0.0, 10.0, 50.0, 79.9, 80.0, 200.0] {
-            let d = beta_delay(e(0, 1), node(0), t, &layers, &mask, RHO, T, 0.0);
+            let alpha = alpha_delay(mask.delay_of(e(0, 1)), 0, 0, T, 0.0);
+            let d = beta_delay(alpha, t, 0, 0, RHO, T);
             assert!(
                 (0.8 / 1.01 - 1e-9..=0.8 + 1e-9).contains(&d),
                 "t={t}: constrained delay {d} outside band"

@@ -8,18 +8,19 @@
 //! hop, and the algorithm needs time (the paper shows: unavoidably
 //! Ω(log n / log log n) · D of it in the worst case) to dissipate it.
 //!
-//! [`AdversarialChurnSource`] is the empirical companion to that
-//! argument. The base topology is the path `0 — 1 — … — n−1` with its
-//! middle edge cut: two *islands* whose clocks the protocol cannot
-//! compare, so bounded drift separates them at the full rate `2ρ` — the
-//! adversary's reservoir of skew. On top the adversary plays a finite
-//! list of [`BridgeAttack`]s — chord insertions at chosen instants, each
+//! [`adversarial_churn`] is the empirical companion to that argument.
+//! The base topology is the path `0 — 1 — … — n−1` with its middle edge
+//! cut: two *islands* whose clocks the protocol cannot compare, so
+//! bounded drift separates them at the full rate `2ρ` — the adversary's
+//! reservoir of skew. On top the adversary plays a finite list of
+//! [`BridgeAttack`]s — chord insertions at chosen instants, each
 //! optionally removed again after a chosen lifetime so a later attack
 //! can reuse the chord. The instant a chord lands across the cut, the
 //! accumulated inter-island skew becomes one-hop *local* skew. The
-//! source streams these through the standard lazy [`TopologySource`]
-//! pull contract, so it composes with the engine exactly like every
-//! well-behaved workload and stays bit-identical at every thread count.
+//! attacks expand into a validated [`TopologySchedule`], which a
+//! [`ScheduleSource`](crate::ScheduleSource) streams to the engine
+//! exactly like every well-behaved workload, bit-identical at every
+//! thread count.
 //!
 //! [`greedy_worst_case`] searches attack *placement and timing* for the
 //! worst peak local skew: it scores a caller-supplied candidate set (the
@@ -31,9 +32,7 @@
 
 use crate::generators;
 use crate::ids::Edge;
-use crate::schedule::{add_at, remove_at, TopologyEvent};
-use crate::source::TopologySource;
-use gcs_clocks::Time;
+use crate::schedule::{add_at, remove_at, TopologyEventKind, TopologySchedule};
 
 /// One chord attack: insert `edge` at `time`; if `lifetime` is finite,
 /// remove it again at `time + lifetime`.
@@ -68,116 +67,65 @@ impl BridgeAttack {
     }
 }
 
-/// Two path islands (`0 — … — ⌈n/2⌉−1` and `⌈n/2⌉ — … — n−1`) plus a
-/// time-ordered list of [`BridgeAttack`] chords, served through the lazy
-/// pull contract. See the module docs for why this is the canonical
-/// worst-case family.
-#[derive(Clone, Debug)]
-pub struct AdversarialChurnSource {
-    n: usize,
-    /// The expanded add/remove log, `(time, edge)`-sorted.
-    events: Vec<TopologyEvent>,
-    cursor: usize,
-}
-
-impl AdversarialChurnSource {
-    /// The two-island path on `n` nodes attacked by `attacks` (the
-    /// island cut sits between nodes `n/2 − 1` and `n/2`). Validates each
-    /// attack:
-    /// times `> 0` and finite, lifetimes `> 0` (possibly infinite),
-    /// chords must span non-adjacent path positions, and the same chord
-    /// must not be re-inserted while still up.
-    pub fn new(n: usize, attacks: Vec<BridgeAttack>) -> Self {
-        assert!(n >= 3, "need at least 3 nodes for a chord");
-        let mut events = Vec::with_capacity(attacks.len() * 2);
-        for a in &attacks {
+/// Two path islands (`0 — … — n/2−1` and `n/2 — … — n−1`) attacked by
+/// `attacks`, as a validated schedule. See the module docs for why this
+/// is the canonical worst-case family. Validates each attack: times
+/// `> 0` and finite, lifetimes `> 0` (possibly infinite), chords must
+/// span non-adjacent path positions, and the same chord must not be
+/// re-inserted while still up.
+pub fn adversarial_churn(n: usize, attacks: &[BridgeAttack]) -> TopologySchedule {
+    assert!(n >= 3, "need at least 3 nodes for a chord");
+    let mut events = Vec::with_capacity(attacks.len() * 2);
+    for a in attacks {
+        assert!(
+            a.time > 0.0 && a.time.is_finite(),
+            "attack time must be positive and finite, got {}",
+            a.time
+        );
+        assert!(a.lifetime > 0.0, "attack lifetime must be > 0");
+        let (i, j) = (a.edge.lo().index(), a.edge.hi().index());
+        assert!(j < n, "chord endpoint {j} out of range for n = {n}");
+        assert!(
+            j - i >= 2,
+            "chord {:?} is a path edge or self-loop; attacks must span distance >= 2",
+            a.edge
+        );
+        events.push(add_at(a.time, a.edge));
+        if a.lifetime.is_finite() {
+            events.push(remove_at(a.time + a.lifetime, a.edge));
+        }
+    }
+    events.sort_by(|x, y| x.time.cmp(&y.time).then(x.edge.cmp(&y.edge)));
+    // Reject overlapping lives of one chord: the expanded log must
+    // alternate add/remove per edge, which is exactly what the schedule
+    // validator enforces — fail here with a clearer message.
+    for pair in events.windows(2) {
+        if pair[0].edge == pair[1].edge {
             assert!(
-                a.time > 0.0 && a.time.is_finite(),
-                "attack time must be positive and finite, got {}",
-                a.time
+                pair[0].kind != pair[1].kind,
+                "chord {:?} re-{}ed while already in that state (overlapping attacks?)",
+                pair[0].edge,
+                match pair[1].kind {
+                    TopologyEventKind::Add => "insert",
+                    TopologyEventKind::Remove => "remov",
+                }
             );
-            assert!(a.lifetime > 0.0, "attack lifetime must be > 0");
-            let (i, j) = (a.edge.lo().index(), a.edge.hi().index());
-            assert!(j < n, "chord endpoint {j} out of range for n = {n}");
-            assert!(
-                j - i >= 2,
-                "chord {:?} is a path edge or self-loop; attacks must span distance >= 2",
-                a.edge
-            );
-            events.push(add_at(a.time, a.edge));
-            if a.lifetime.is_finite() {
-                events.push(remove_at(a.time + a.lifetime, a.edge));
-            }
-        }
-        events.sort_by(|x, y| {
-            (x.time, x.edge)
-                .partial_cmp(&(y.time, y.edge))
-                .expect("finite attack times")
-        });
-        // Reject overlapping lives of one chord: the expanded log must
-        // alternate add/remove per edge, which is exactly what the eager
-        // validator enforces — fail here with a clearer message.
-        for pair in events.windows(2) {
-            if pair[0].edge == pair[1].edge {
-                assert!(
-                    pair[0].kind != pair[1].kind,
-                    "chord {:?} re-{}ed while already in that state (overlapping attacks?)",
-                    pair[0].edge,
-                    match pair[1].kind {
-                        crate::schedule::TopologyEventKind::Add => "insert",
-                        crate::schedule::TopologyEventKind::Remove => "remov",
-                    }
-                );
-            }
-        }
-        AdversarialChurnSource {
-            n,
-            events,
-            cursor: 0,
         }
     }
-
-    /// The expanded, sorted add/remove log (diagnostics and tests).
-    pub fn events(&self) -> &[TopologyEvent] {
-        &self.events
-    }
-}
-
-impl TopologySource for AdversarialChurnSource {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn initial_edges(&mut self) -> Vec<Edge> {
-        // The path minus its middle edge: two islands drifting apart.
-        let cut = self.n / 2 - 1;
-        generators::path(self.n)
-            .into_iter()
-            .filter(|e| e.lo().index() != cut)
-            .collect()
-    }
-
-    fn peek_time(&mut self) -> Option<Time> {
-        self.events.get(self.cursor).map(|ev| ev.time)
-    }
-
-    fn pull_until(&mut self, until: Time, buf: &mut Vec<TopologyEvent>) {
-        while let Some(ev) = self.events.get(self.cursor) {
-            if ev.time > until {
-                break;
-            }
-            buf.push(*ev);
-            self.cursor += 1;
-        }
-    }
+    // The path minus its middle edge: two islands drifting apart.
+    let cut = n / 2 - 1;
+    let islands = generators::path(n)
+        .into_iter()
+        .filter(|e| e.lo().index() != cut);
+    TopologySchedule::new(n, islands, events)
 }
 
 /// Greedy search for the worst-case [`BridgeAttack`] on the two-island
 /// path.
 ///
 /// Scores every candidate with `evaluate` (typically: run the protocol
-/// under `AdversarialChurnSource::new(n, vec![candidate])` and return the
-/// peak local skew), keeps the argmax, then hill-climbs its insertion
+/// under `ScheduleSource::new(adversarial_churn(n, &[candidate]))` and
+/// return the peak local skew), keeps the argmax, then hill-climbs its insertion
 /// time: `refine_steps` rounds of trying `time ± step` with `step`
 /// halving whenever neither direction improves. Ties keep the incumbent
 /// (earlier candidate / unmoved time), so the search is deterministic.
@@ -228,53 +176,35 @@ pub fn greedy_worst_case(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::collect_schedule;
     use gcs_clocks::time::at;
 
     #[test]
     fn expands_attacks_into_a_valid_schedule() {
-        let src = AdversarialChurnSource::new(
+        let sched = adversarial_churn(
             8,
-            vec![
+            &[
                 BridgeAttack::transient(5.0, Edge::between(0, 7), 3.0),
                 BridgeAttack::permanent(2.0, Edge::between(2, 5)),
             ],
         );
-        let sched = collect_schedule(src.clone());
         assert_eq!(sched.n(), 8);
         assert_eq!(sched.initial_edges().count(), 6, "two path islands");
         assert_eq!(sched.events().len(), 3, "two adds + one remove");
-        assert_eq!(src.events()[0].time, at(2.0), "sorted by time");
-    }
-
-    #[test]
-    fn pull_contract_is_honored() {
-        let mut src = AdversarialChurnSource::new(
-            6,
-            vec![BridgeAttack::transient(4.0, Edge::between(0, 5), 2.0)],
-        );
-        assert_eq!(src.initial_edges().len(), 4);
-        assert_eq!(src.peek_time(), Some(at(4.0)));
-        let mut buf = Vec::new();
-        src.pull_until(at(3.9), &mut buf);
-        assert!(buf.is_empty());
-        src.pull_until(at(6.0), &mut buf);
-        assert_eq!(buf.len(), 2);
-        assert_eq!(src.peek_time(), None);
+        assert_eq!(sched.events()[0].time, at(2.0), "sorted by time");
     }
 
     #[test]
     #[should_panic(expected = "distance >= 2")]
     fn rejects_path_edge_chords() {
-        AdversarialChurnSource::new(6, vec![BridgeAttack::permanent(1.0, Edge::between(2, 3))]);
+        adversarial_churn(6, &[BridgeAttack::permanent(1.0, Edge::between(2, 3))]);
     }
 
     #[test]
     #[should_panic(expected = "overlapping")]
     fn rejects_overlapping_lives_of_one_chord() {
-        AdversarialChurnSource::new(
+        adversarial_churn(
             6,
-            vec![
+            &[
                 BridgeAttack::transient(1.0, Edge::between(0, 5), 10.0),
                 BridgeAttack::transient(5.0, Edge::between(0, 5), 1.0),
             ],

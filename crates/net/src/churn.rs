@@ -126,33 +126,12 @@ pub fn random_churn<R: Rng>(
 ) -> TopologySchedule {
     assert!(up_range.0 > 0.0 && up_range.0 <= up_range.1);
     assert!(down_range.0 > 0.0 && down_range.0 <= down_range.1);
-    let backbone_set: BTreeSet<Edge> = backbone.iter().copied().collect();
-    let chords = chords.min(n * (n - 1) / 2 - backbone_set.len());
-    // Pick distinct chord edges not in the backbone.
-    let mut chord_edges = BTreeSet::new();
-    let mut guard = 0;
-    while chord_edges.len() < chords {
-        guard += 1;
-        assert!(
-            guard < 100 * chords + 1000,
-            "could not find {chords} distinct chords for n={n}"
-        );
-        let i = rng.gen_range(0..n);
-        let j = rng.gen_range(0..n);
-        if i == j {
-            continue;
-        }
-        let e = Edge::between(i, j);
-        if !backbone_set.contains(&e) {
-            chord_edges.insert(e);
-        }
-    }
-    let mut initial = backbone;
+    let (mut initial, chord_edges) = place_chords(n, &backbone, chords, rng);
     let mut events = Vec::new();
     for e in chord_edges {
         let mut up = rng.gen_bool(0.5);
         if up {
-            initial.push(e);
+            initial.insert(e);
         }
         let mut t = rng.gen_range(0.01..up_range.1);
         while t <= horizon {
@@ -172,6 +151,39 @@ pub fn random_churn<R: Rng>(
         }
     }
     TopologySchedule::new(n, initial, events)
+}
+
+/// Chord placement shared by [`random_churn`] and [`ChurnSource`]: draws
+/// distinct edges outside `backbone` from `rng` by rejection sampling,
+/// `chords` of them, capped at what exists. Returns the backbone as a set
+/// and the chords in ascending edge order.
+fn place_chords<R: Rng>(
+    n: usize,
+    backbone: &[Edge],
+    chords: usize,
+    rng: &mut R,
+) -> (BTreeSet<Edge>, BTreeSet<Edge>) {
+    let backbone_set: BTreeSet<Edge> = backbone.iter().copied().collect();
+    let chords = chords.min(n * (n - 1) / 2 - backbone_set.len());
+    let mut chord_edges = BTreeSet::new();
+    let mut guard = 0;
+    while chord_edges.len() < chords {
+        guard += 1;
+        assert!(
+            guard < 100 * chords + 1000,
+            "could not find {chords} distinct chords for n={n}"
+        );
+        let i = rng.gen_range(0..n);
+        let j = rng.gen_range(0..n);
+        if i == j {
+            continue;
+        }
+        let e = Edge::between(i, j);
+        if !backbone_set.contains(&e) {
+            chord_edges.insert(e);
+        }
+    }
+    (backbone_set, chord_edges)
 }
 
 /// Decorrelated per-edge stream seed for the lazy churn generator: each
@@ -205,8 +217,8 @@ struct Chord {
 /// passes [`TopologySchedule::new`] validation (each chord alternates
 /// add/remove at strictly increasing times).
 ///
-/// Chord *placement* matches [`random_churn`]'s rejection sampling
-/// exactly (same seed → same chord set); the toggle *times* come from
+/// Chord *placement* is [`random_churn`]'s rejection sampling, one shared
+/// helper (same seed → same chord set); the toggle *times* come from
 /// per-edge streams instead of one shared draw sequence, so the two
 /// generators describe the same family but not bit-identical logs.
 #[derive(Debug)]
@@ -234,31 +246,10 @@ impl ChurnSource {
     ) -> Self {
         assert!(up_range.0 > 0.0 && up_range.0 <= up_range.1);
         assert!(down_range.0 > 0.0 && down_range.0 <= down_range.1);
-        let backbone_set: BTreeSet<Edge> = backbone.iter().copied().collect();
-        let chords = chords.min(n * (n - 1) / 2 - backbone_set.len());
-        // Chord placement: same rejection sampling as the eager builder.
-        let mut placement = StdRng::seed_from_u64(seed);
-        let mut chord_edges = BTreeSet::new();
-        let mut guard = 0;
-        while chord_edges.len() < chords {
-            guard += 1;
-            assert!(
-                guard < 100 * chords + 1000,
-                "could not find {chords} distinct chords for n={n}"
-            );
-            let i = placement.gen_range(0..n);
-            let j = placement.gen_range(0..n);
-            if i == j {
-                continue;
-            }
-            let e = Edge::between(i, j);
-            if !backbone_set.contains(&e) {
-                chord_edges.insert(e);
-            }
-        }
-        let mut initial: BTreeSet<Edge> = backbone_set;
-        let mut states = Vec::with_capacity(chords);
-        let mut queue = BinaryHeap::with_capacity(chords);
+        let (mut initial, chord_edges) =
+            place_chords(n, &backbone, chords, &mut StdRng::seed_from_u64(seed));
+        let mut states = Vec::with_capacity(chord_edges.len());
+        let mut queue = BinaryHeap::with_capacity(chord_edges.len());
         for e in chord_edges {
             let mut rng = StdRng::seed_from_u64(edge_stream_seed(seed, e));
             let up = rng.gen_bool(0.5);

@@ -7,7 +7,7 @@
 //! event time or an event time minus `T`; checking those critical window
 //! starts (plus 0) is exhaustive.
 
-use crate::ids::{Edge, NodeId};
+use crate::ids::Edge;
 use crate::schedule::TopologySchedule;
 use gcs_clocks::{Duration, Time};
 
@@ -102,7 +102,7 @@ pub fn check_interval_connectivity(
     interval: Duration,
     horizon: Time,
 ) -> Option<ConnectivityViolation> {
-    assert!(interval.is_non_negative());
+    assert!(interval.seconds() >= 0.0);
     let n = schedule.n();
     // Critical window starts: 0, every event time, and every event time − T
     // (the set of edges alive throughout [t, t+T] changes only there).
@@ -147,18 +147,10 @@ pub fn is_interval_connected(
     check_interval_connectivity(schedule, interval, horizon).is_none()
 }
 
-/// Nodes reachable from `src` in the static graph — used by tests that
-/// check cut/propagation arguments.
-pub fn reachable_set(n: usize, edges: impl IntoIterator<Item = Edge>, src: NodeId) -> Vec<bool> {
-    let dist = crate::distance::bfs_distance(n, edges, src);
-    dist.into_iter().map(|d| d.is_some()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::ids::node;
     use crate::schedule::{add_at, remove_at};
     use gcs_clocks::time::{at, secs};
 
@@ -241,11 +233,5 @@ mod tests {
         let s = TopologySchedule::new(2, [e(0, 1)], vec![remove_at(90.0, e(0, 1))]);
         assert!(is_interval_connected(&s, secs(5.0), at(80.0)));
         assert!(!is_interval_connected(&s, secs(5.0), at(95.0)));
-    }
-
-    #[test]
-    fn reachable_set_matches_bfs() {
-        let r = reachable_set(4, [e(0, 1), e(2, 3)], node(0));
-        assert_eq!(r, vec![true, true, false, false]);
     }
 }

@@ -30,9 +30,10 @@
 //!   schedules,
 //! * [`workloads`] — lazy dynamic-workload families: random-waypoint
 //!   mobility, periodic partition-and-heal, flash-crowd join/leave waves,
-//! * [`adversary`] — worst-case chord attacks on a path
-//!   ([`AdversarialChurnSource`]) and a deterministic greedy search over
-//!   attack placement/timing, the empirical companion to Theorem 4.1,
+//! * [`adversary`] — worst-case chord attacks on a path, expanded into a
+//!   validated schedule ([`adversarial_churn`]), and a deterministic
+//!   greedy search over attack placement/timing, the empirical companion
+//!   to Theorem 4.1,
 //! * [`connectivity`] — instantaneous and T-interval connectivity checks,
 //! * [`distance`] — BFS distances, eccentricity, diameter.
 //!
@@ -68,7 +69,7 @@ pub mod schedule;
 pub mod source;
 pub mod workloads;
 
-pub use adversary::{greedy_worst_case, AdversarialChurnSource, BridgeAttack};
+pub use adversary::{adversarial_churn, greedy_worst_case, BridgeAttack};
 pub use ids::{node, Edge, NodeId};
 pub use schedule::{TopologyEvent, TopologyEventKind, TopologySchedule};
 pub use source::{collect_schedule, ScheduleSource, TopologySource};

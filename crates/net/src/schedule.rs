@@ -215,11 +215,6 @@ impl TopologySchedule {
         events.extend(extra);
         Self::new(self.n, self.initial.iter().copied(), events)
     }
-
-    /// Last event time, or time 0 for static schedules.
-    pub fn last_event_time(&self) -> Time {
-        self.events.last().map(|e| e.time).unwrap_or(Time::ZERO)
-    }
 }
 
 /// Convenience constructor for an add event.
@@ -306,8 +301,8 @@ mod tests {
         let s = TopologySchedule::static_graph(3, [e(0, 1)]);
         let s2 = s.with_extra_events(vec![add_at(3.0, e(1, 2))]);
         assert_eq!(s2.edges_at(at(4.0)).len(), 2);
-        assert_eq!(s2.last_event_time(), at(3.0));
-        assert_eq!(s.last_event_time(), Time::ZERO);
+        assert_eq!(s2.events().len(), 1);
+        assert!(s.events().is_empty());
     }
 
     #[test]

@@ -171,6 +171,34 @@ pub fn beta_hw_inverse(h: f64, layer: usize, rho: f64, big_t: f64) -> f64 {
     }
 }
 
+/// The Masking Lemma's execution-α delay of a message from layer `jx` to
+/// layer `jy`: the prescribed `P(e)` on a constrained edge, otherwise `T`
+/// uphill, `0` downhill and `intra` within a layer.
+#[inline]
+pub fn alpha_delay(prescribed: Option<f64>, jx: usize, jy: usize, big_t: f64, intra: f64) -> f64 {
+    match prescribed {
+        Some(p) => p,
+        None => match jx.cmp(&jy) {
+            std::cmp::Ordering::Less => big_t,
+            std::cmp::Ordering::Greater => 0.0,
+            std::cmp::Ordering::Equal => intra,
+        },
+    }
+}
+
+/// The Masking Lemma's execution-β delay, unclamped, of a message β-sent
+/// at `tb_send` from layer `jx` to layer `jy` whose α delay is `alpha`:
+/// map through the clock correspondence, `tα_s = H^β_x(tβ_s)`,
+/// `tα_r = tα_s + alpha`, `tβ_r = (H^β_y)⁻¹(tα_r)`, and return
+/// `tβ_r − tβ_s`.
+#[inline]
+pub fn beta_delay(alpha: f64, tb_send: f64, jx: usize, jy: usize, rho: f64, big_t: f64) -> f64 {
+    let ta_s = beta_hw(tb_send, jx, rho, big_t);
+    let ta_r = ta_s + alpha;
+    let tb_r = beta_hw_inverse(ta_r, jy, rho, big_t);
+    tb_r - tb_send
+}
+
 impl DelayStrategy {
     /// True when [`delay`](Self::delay) may draw from the RNG. The engine
     /// only materializes a node's lazy private stream for drawing
@@ -273,18 +301,8 @@ impl DelayStrategy {
                 constrained,
                 intra,
             } => {
-                if let Some(&d) = constrained.get(&edge) {
-                    d
-                } else {
-                    let to = edge.other(from);
-                    let lf = layer[from.index()];
-                    let lt = layer[to.index()];
-                    match lf.cmp(&lt) {
-                        std::cmp::Ordering::Less => big_t,
-                        std::cmp::Ordering::Greater => 0.0,
-                        std::cmp::Ordering::Equal => *intra,
-                    }
-                }
+                let (jx, jy) = (layer[from.index()], layer[edge.other(from).index()]);
+                alpha_delay(constrained.get(&edge).copied(), jx, jy, big_t, *intra)
             }
             DelayStrategy::Masked { pattern, default } => match pattern.get(&edge) {
                 Some(&d) => d,
@@ -297,24 +315,9 @@ impl DelayStrategy {
                 rho,
                 intra,
             } => {
-                let to = edge.other(from);
-                let (jx, jy) = (layer[from.index()], layer[to.index()]);
-                // α-delay of this message (execution α's assignment).
-                let alpha_delay = if let Some(&p) = constrained.get(&edge) {
-                    p
-                } else {
-                    match jx.cmp(&jy) {
-                        std::cmp::Ordering::Less => big_t,  // uphill
-                        std::cmp::Ordering::Greater => 0.0, // downhill
-                        std::cmp::Ordering::Equal => *intra,
-                    }
-                };
-                // Map through the indistinguishability correspondence.
-                let tb_s = now.seconds();
-                let ta_s = beta_hw(tb_s, jx, *rho, big_t);
-                let ta_r = ta_s + alpha_delay;
-                let tb_r = beta_hw_inverse(ta_r, jy, *rho, big_t);
-                (tb_r - tb_s).max(0.0)
+                let (jx, jy) = (layer[from.index()], layer[edge.other(from).index()]);
+                let alpha = alpha_delay(constrained.get(&edge).copied(), jx, jy, big_t, *intra);
+                beta_delay(alpha, now.seconds(), jx, jy, *rho, big_t).max(0.0)
             }
         };
         debug_assert!(

@@ -6,10 +6,9 @@
 //! * from the threads of a [`fork_join`] during wide segments (each job
 //!   takes a chunk of shards and processes each shard's slice of the
 //!   segment in event-seq order),
-//! * inline on the serial fast path (small segments, `threads = 1`),
-//! * and for single steps ([`Simulator::step`](crate::Simulator::step)).
+//! * and inline on the serial fast path (small segments, `threads = 1`).
 //!
-//! ## Why all three modes produce bit-identical traces
+//! ## Why both modes produce bit-identical traces
 //!
 //! Within a segment (a run of same-instant events between topology
 //! barriers), a handler can only observe

@@ -1209,40 +1209,6 @@ impl<A: Automaton> Simulator<A> {
         self.now = until;
     }
 
-    /// Processes the single earliest event. Returns false if none pending.
-    ///
-    /// Stepping and [`run_until`](Self::run_until) produce bit-identical
-    /// traces: both go through the same dispatch core and the same
-    /// canonical effect ordering.
-    pub fn step(&mut self) -> bool {
-        self.pump_topology();
-        self.pump_faults();
-        self.admit_due();
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(ev.time >= self.now, "event queue went backwards");
-        self.now = ev.time;
-        self.stats.events_processed += 1;
-        match ev.payload {
-            EventPayload::Topology { .. } => {
-                // A single-event batch: same mutations, same counters per
-                // event; only the batch granularity differs from a
-                // `run_until` drain of the same trace.
-                self.apply_topology_batch(std::slice::from_ref(&ev));
-            }
-            EventPayload::Fault { kind } => self.apply_fault(kind, ev.seq),
-            _ => {
-                let owner = ev.payload.owner();
-                let (ctx, shards) = self.split_dispatch();
-                let shard_idx = shards.shard_of(owner);
-                dispatch::run_event(&ctx, &mut shards.shards[shard_idx], owner, &ev);
-                self.merge_effects();
-            }
-        }
-        true
-    }
-
     /// One instant: apply its topology prefix as one batch, then split
     /// the rest into segments at fault barriers, dispatch each segment
     /// sharded by owner, and merge effects canonically after each. Class

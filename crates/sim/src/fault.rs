@@ -43,16 +43,13 @@
 //! earliest unemitted event, and `pull_until(t)` emits everything due at
 //! or before `t`. The engine pumps faults exactly like topology — before
 //! each instant, never mid-round — so pull timing is a function of the
-//! instant sequence and therefore of the trace alone. Randomized sources
-//! (e.g. [`CrashRestartSource`]) draw from **per-fault keyed streams**
-//! (a pure function of `(seed, node)`), never from a node's protocol
-//! stream, so fault timing is independent of protocol randomness and of
-//! when the pull happens.
+//! instant sequence and therefore of the trace alone. A randomized source
+//! must draw from its own keyed streams, never from a node's protocol
+//! stream, so fault timing stays independent of protocol randomness and
+//! of when the pull happens.
 
 use gcs_clocks::Time;
 use gcs_net::{Edge, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One typed fault injection.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -279,120 +276,6 @@ impl FaultSource for FaultPlan {
     }
 }
 
-/// Decorrelated per-node fault-stream seed, domain-separated from node
-/// protocol streams, discovery streams and the drift-generation stream.
-fn fault_stream_seed(seed: u64, node: NodeId) -> u64 {
-    seed ^ 0x4CF5_AD43_2745_937F ^ (node.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Per-target state of [`CrashRestartSource`].
-#[derive(Debug)]
-struct CrashCycle {
-    node: NodeId,
-    rng: StdRng,
-    /// Next event, `None` once past the horizon.
-    next: Option<(Time, bool)>, // (time, is_crash)
-}
-
-/// A lazy crash/restart cycle generator: each target node alternates
-/// uptime and downtime intervals drawn from its **own keyed stream**
-/// (a pure function of `(seed, node)`), so adding or removing a target
-/// never perturbs another node's fault timing. Events stop at the
-/// horizon; a node whose restart would fall beyond it stays down.
-#[derive(Debug)]
-pub struct CrashRestartSource {
-    cycles: Vec<CrashCycle>,
-    mean_up: f64,
-    mean_down: f64,
-    horizon: Time,
-}
-
-impl CrashRestartSource {
-    /// Crash/restart cycles for `targets`: first crash around
-    /// `mean_up/2`, then downtimes averaging `mean_down` and uptimes
-    /// averaging `mean_up` (each uniform in `[0.5, 1.5]×` its mean),
-    /// until `horizon`.
-    pub fn new(
-        targets: Vec<NodeId>,
-        mean_up: f64,
-        mean_down: f64,
-        horizon: f64,
-        seed: u64,
-    ) -> Self {
-        assert!(mean_up > 0.0 && mean_down > 0.0 && horizon > 0.0);
-        let horizon = Time::new(horizon);
-        let cycles = targets
-            .into_iter()
-            .map(|node| {
-                let mut rng = StdRng::seed_from_u64(fault_stream_seed(seed, node));
-                let first = Time::new(mean_up * (0.25 + 0.5 * rng.gen_range(0.0..1.0)));
-                let next = (first <= horizon).then_some((first, true));
-                // Intervals beyond the first are drawn as events are
-                // consumed, keeping state O(targets).
-                CrashCycle { node, rng, next }
-            })
-            .collect();
-        CrashRestartSource {
-            cycles,
-            mean_up,
-            mean_down,
-            horizon,
-        }
-    }
-
-    /// Index of the cycle with the earliest pending event (ties broken by
-    /// node id — the construction order), or `None` when exhausted.
-    fn earliest(&self) -> Option<usize> {
-        self.cycles
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.next.map(|(t, _)| (t, i)))
-            .min_by(|a, b| a.partial_cmp(b).expect("finite times"))
-            .map(|(_, i)| i)
-    }
-}
-
-impl CrashCycle {
-    /// Consumes the pending event and draws the next interval.
-    fn advance(&mut self, horizon: Time, mean_up: f64, mean_down: f64) -> FaultEvent {
-        let (t, is_crash) = self.next.expect("advance on exhausted cycle");
-        let ev = if is_crash {
-            FaultEvent {
-                time: t,
-                kind: FaultKind::Crash { node: self.node },
-            }
-        } else {
-            FaultEvent {
-                time: t,
-                kind: FaultKind::Restart { node: self.node },
-            }
-        };
-        let mean = if is_crash { mean_down } else { mean_up };
-        let dt = mean * (0.5 + self.rng.gen_range(0.0..1.0));
-        let nt = Time::new(t.seconds() + dt);
-        self.next = (nt <= horizon).then_some((nt, !is_crash));
-        ev
-    }
-}
-
-impl FaultSource for CrashRestartSource {
-    fn peek_time(&mut self) -> Option<Time> {
-        self.earliest()
-            .and_then(|i| self.cycles[i].next.map(|(t, _)| t))
-    }
-
-    fn pull_until(&mut self, until: Time, buf: &mut Vec<FaultEvent>) {
-        let (mean_up, mean_down) = (self.mean_up, self.mean_down);
-        while let Some(i) = self.earliest() {
-            let (t, _) = self.cycles[i].next.expect("earliest is pending");
-            if t > until {
-                break;
-            }
-            buf.push(self.cycles[i].advance(self.horizon, mean_up, mean_down));
-        }
-    }
-}
-
 /// The engine's accumulated fault state, updated only at fault barriers
 /// (serial, between segments) and read — immutably — by every worker
 /// during parallel dispatch. Window lists are pruned of expired entries
@@ -530,44 +413,6 @@ mod tests {
     #[should_panic(expected = "> 0")]
     fn plan_rejects_time_zero() {
         let _ = FaultPlan::new(vec![FaultEvent::crash(0.0, node(0))]);
-    }
-
-    #[test]
-    fn crash_restart_source_alternates_per_node() {
-        let mut src = CrashRestartSource::new(vec![node(1), node(4)], 10.0, 3.0, 60.0, 7);
-        let mut buf = Vec::new();
-        let first = src.peek_time().expect("events pending");
-        src.pull_until(at(60.0), &mut buf);
-        assert_eq!(buf[0].time, first);
-        assert!(src.peek_time().is_none());
-        assert!(!buf.is_empty());
-        // Nondecreasing times, alternation per node, all within horizon.
-        for w in buf.windows(2) {
-            assert!(w[0].time <= w[1].time);
-        }
-        for target in [node(1), node(4)] {
-            let mine: Vec<_> = buf
-                .iter()
-                .filter(|ev| {
-                    matches!(ev.kind,
-                        FaultKind::Crash { node } | FaultKind::Restart { node } if node == target)
-                })
-                .collect();
-            assert!(!mine.is_empty(), "each target cycles at least once");
-            for (i, ev) in mine.iter().enumerate() {
-                let expect_crash = i % 2 == 0;
-                match ev.kind {
-                    FaultKind::Crash { .. } => assert!(expect_crash),
-                    FaultKind::Restart { .. } => assert!(!expect_crash),
-                    _ => unreachable!(),
-                }
-            }
-        }
-        // Deterministic: the same seed replays the same stream.
-        let mut again = CrashRestartSource::new(vec![node(1), node(4)], 10.0, 3.0, 60.0, 7);
-        let mut buf2 = Vec::new();
-        again.pull_until(at(60.0), &mut buf2);
-        assert_eq!(buf, buf2);
     }
 
     #[test]

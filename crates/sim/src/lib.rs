@@ -54,8 +54,8 @@
 //! # Example
 //!
 //! The time wheel pops in exactly `(time, seq)` order — earliest time
-//! first, insertion order on ties — which is the total order all dispatch
-//! modes (stepped, batched serial, parallel) preserve:
+//! first, insertion order on ties — which is the total order both dispatch
+//! modes (inline and parallel) preserve:
 //!
 //! ```
 //! use gcs_clocks::time::at;
@@ -97,7 +97,7 @@ pub use engine::{
     threads_from_env, DiscoveryDelay, PlaneBytes, SimBuilder, Simulator, Telemetry, THREADS_ENV,
 };
 pub use event::{LinkChange, LinkChangeKind, Message, TimerKind};
-pub use fault::{CrashRestartSource, FaultEvent, FaultKind, FaultPlan, FaultSource};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSource};
 pub use model::ModelParams;
 pub use shard::{EdgeShared, GraphView, PeerLocal, TimerSlots};
 pub use stats::SimStats;

@@ -31,12 +31,6 @@ impl ModelParams {
         );
         ModelParams { rho, t, d }
     }
-
-    /// The defaults used throughout the experiments: `ρ = 0.01`, `T = 1`,
-    /// `D = 2`.
-    pub fn default_experiment() -> Self {
-        Self::new(0.01, 1.0, 2.0)
-    }
 }
 
 #[cfg(test)]
@@ -59,11 +53,5 @@ mod tests {
     #[should_panic(expected = "delay bound")]
     fn rejects_zero_t() {
         let _ = ModelParams::new(0.01, 0.0, 1.0);
-    }
-
-    #[test]
-    fn default_experiment_is_valid() {
-        let p = ModelParams::default_experiment();
-        assert!(p.d > p.t);
     }
 }

@@ -29,7 +29,7 @@
 //!   is [`GraphView`]). Each node additionally keeps the ids of its
 //!   *lower* neighbors, so adjacency is answerable from both endpoints.
 //!   The store is only ever written *between* segments (by topology
-//!   pulls and applications, and by the serial startup/step paths).
+//!   pulls and applications, and by the serial start pass).
 //!   Entries are created **incrementally**: initial edges at build time,
 //!   churned edges the moment their first event is pulled from the
 //!   `TopologySource` — the store never needs to know the future, which

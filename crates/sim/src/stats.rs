@@ -66,9 +66,8 @@ pub struct SimStats {
     /// Sends whose delay was overridden by an open `DelaySpike`.
     pub delay_spiked: u64,
     /// Topology batches applied — one per instant that carried at least
-    /// one topology event (stepped execution applies one event per
-    /// batch). A function of the instant sequence alone, so identical
-    /// across thread counts.
+    /// one topology event. A function of the instant sequence alone, so
+    /// identical across thread counts.
     pub topology_batches: u64,
     /// Widest topology batch applied (events in one instant's batch).
     /// Trace-relevant like [`topology_batches`](Self::topology_batches).
@@ -186,15 +185,6 @@ impl SimStats {
             + self.dropped_crashed
             + self.dropped_fault_window
     }
-
-    /// Delivery ratio over attempted sends (1.0 when nothing was dropped).
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.messages_sent == 0 {
-            1.0
-        } else {
-            self.messages_delivered as f64 / self.messages_sent as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,15 +192,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ratios() {
-        let mut s = SimStats::default();
-        assert_eq!(s.delivery_ratio(), 1.0);
-        s.messages_sent = 10;
-        s.messages_delivered = 8;
-        s.dropped_no_edge = 1;
-        s.dropped_in_flight = 1;
+    fn total_dropped_sums_losses() {
+        let s = SimStats {
+            messages_sent: 10,
+            messages_delivered: 8,
+            dropped_no_edge: 1,
+            dropped_in_flight: 1,
+            ..SimStats::default()
+        };
         assert_eq!(s.total_dropped(), 2);
-        assert!((s.delivery_ratio() - 0.8).abs() < 1e-12);
     }
 
     #[test]

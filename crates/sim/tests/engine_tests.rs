@@ -541,7 +541,10 @@ impl Automaton for TwoAlarms {
 /// Start-time alarms that fire at one instant pop in `(node id,
 /// emission idx)` order at every shard count: the start pass hands the
 /// wheel each node's start effects in that order, so the wheel's
-/// insertion-order tie-break follows it.
+/// insertion-order tie-break follows it. The instant's 26 alarms stay
+/// below the default parallel threshold of 64 events, so `run_until`
+/// dispatches them inline in pop order and the shared log records that
+/// order.
 #[test]
 fn start_alarms_pop_in_node_then_emission_order() {
     let want: Vec<(NodeId, TimerKind)> = (0..START_N)
@@ -558,7 +561,7 @@ fn start_alarms_pop_in_node_then_emission_order() {
         let mut sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
             .threads(threads)
             .build_with(|_| TwoAlarms { log: log.clone() });
-        while sim.step() {}
+        sim.run_until(at(2.0));
         assert_eq!(sim.stats().alarms_fired, want.len() as u64);
         assert_eq!(
             *log.lock().unwrap(),

@@ -70,11 +70,11 @@ pub mod prelude {
     pub use gcs_core::baseline::MaxSyncNode;
     pub use gcs_core::{AlgoParams, BudgetPolicy, GradientNode, InvariantMonitor};
     pub use gcs_net::{
-        churn, generators, greedy_worst_case, node, workloads, AdversarialChurnSource,
-        BridgeAttack, Edge, NodeId, ScheduleSource, TopologySchedule, TopologySource,
+        adversarial_churn, churn, generators, greedy_worst_case, node, workloads, BridgeAttack,
+        Edge, NodeId, ScheduleSource, TopologySchedule, TopologySource,
     };
     pub use gcs_sim::{
-        CrashRestartSource, DelayStrategy, DiscoveryDelay, FaultEvent, FaultKind, FaultPlan,
-        FaultSource, ModelParams, SimBuilder, Simulator,
+        DelayStrategy, DiscoveryDelay, FaultEvent, FaultKind, FaultPlan, FaultSource, ModelParams,
+        SimBuilder, Simulator,
     };
 }

@@ -7,6 +7,11 @@ use gcs_net::ScheduleSource;
 use gradient_clock_sync::net::schedule::remove_at;
 use gradient_clock_sync::prelude::*;
 use gradient_clock_sync::sim::engine::DiscoveryDelay;
+use gradient_clock_sync::sim::{
+    Automaton, Context, LinkChange, Message, RebootUnsupported, TimerKind,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn model() -> ModelParams {
     ModelParams::new(0.01, 1.0, 2.0)
@@ -160,4 +165,55 @@ fn lmax_rate_bounded() {
         assert!(cur >= prev, "Lmax decreased");
         prev = cur;
     }
+}
+
+/// Counts the alarm handlers that run. On its first boot node 0 arms
+/// `Lost(1)` 5 s ahead; the replacement `try_reboot` builds arms nothing.
+struct ArmsOnFirstBoot {
+    first_boot: bool,
+    alarms: Arc<AtomicU64>,
+}
+
+impl Automaton for ArmsOnFirstBoot {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        if self.first_boot && ctx.node == node(0) {
+            ctx.set_timer(5.0, TimerKind::Lost(node(1)));
+        }
+    }
+    fn on_receive(&mut self, _: &mut Context<'_>, _: NodeId, _: Message) {}
+    fn on_discover(&mut self, _: &mut Context<'_>, _: LinkChange) {}
+    fn on_alarm(&mut self, _: &mut Context<'_>, _: TimerKind) {
+        self.alarms.fetch_add(1, Ordering::Relaxed);
+    }
+    fn logical_clock(&self, hw: f64) -> f64 {
+        hw
+    }
+    fn try_reboot(&self) -> Result<Self, RebootUnsupported> {
+        Ok(ArmsOnFirstBoot {
+            first_boot: false,
+            alarms: self.alarms.clone(),
+        })
+    }
+}
+
+/// Crash/restart with state loss (§3): an alarm armed before the crash
+/// never reaches the restarted automaton. It pops as stale, and no
+/// handler runs.
+#[test]
+fn alarm_armed_before_a_crash_is_stale_after_the_restart() {
+    let alarms = Arc::new(AtomicU64::new(0));
+    let schedule = TopologySchedule::static_graph(2, [Edge::between(0, 1)]);
+    let mut sim = SimBuilder::topology(model(), ScheduleSource::new(schedule))
+        .faults(FaultPlan::new(vec![
+            FaultEvent::crash(1.0, node(0)),
+            FaultEvent::restart(2.0, node(0)),
+        ]))
+        .build_with(|_| ArmsOnFirstBoot {
+            first_boot: true,
+            alarms: alarms.clone(),
+        });
+    sim.run_until(at(10.0));
+    assert_eq!(alarms.load(Ordering::Relaxed), 0, "an alarm handler ran");
+    assert_eq!(sim.stats().alarms_fired, 0);
+    assert_eq!(sim.stats().alarms_stale, 1);
 }
