@@ -21,7 +21,10 @@
 //!
 //! `BENCH_engine.json` is one [`Json`] tree written by the one writer:
 //! every timed run is the same [`RunRecord`] object, next to the E15
-//! outcomes and the model-check suite totals. Before the committed file
+//! outcomes and the model-check suites. Each suite is explored once to
+//! warm up and then [`MC_TIMED_RUNS`] times; its entry holds the totals,
+//! the min, median and max wall time and the states per second at the
+//! median. Before the committed file
 //! is replaced, [`plane_regressions`] compares the new E14 plane meters
 //! and each E12/E13 family's wheel meter against it. If any grew by more
 //! than 10%, or is missing from the new document, the new document goes
@@ -38,13 +41,17 @@ use gcs_bench::e15_faults as e15;
 use gcs_bench::engine_bench::{measure_threads, Workload};
 use gcs_bench::record::{plane_regressions, RunRecord};
 use gcs_bench::scenario::{driver_plan, print_report, run_parallel, OUTPUT_DIR};
-use gcs_mc::explore::SuiteReport;
+use gcs_mc::explore::{explore_suite, SuiteReport};
 use gcs_mc::json::{Json, JsonObj};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
 /// The committed trajectory, relative to the repository root.
 const BENCH_FILE: &str = "BENCH_engine.json";
+
+/// Timed explorations of each model-check suite after its warm-up: odd,
+/// so the median is one of them.
+const MC_TIMED_RUNS: usize = 5;
 
 /// The usage error unless `args` is empty: `run_all` takes no argument.
 fn parse_args(args: &[String]) -> Result<(), String> {
@@ -148,16 +155,63 @@ fn e15_json(n: usize, o: &e15::Outcomes) -> Json {
     ])
 }
 
-fn suite_json(s: &SuiteReport) -> Json {
-    Json::obj([
-        ("n", s.n.into()),
-        ("scenarios", s.reports.len().into()),
-        ("states", s.states.into()),
-        ("runs", s.runs.into()),
-        ("max_depth", s.max_depth.into()),
-        ("wall_s", s.wall_s.into()),
-        ("violations", s.violations().into()),
-    ])
+/// One model-check suite: the warm-up exploration's report, and the
+/// wall times of the [`MC_TIMED_RUNS`] explorations after it, ascending.
+struct TimedSuite {
+    report: SuiteReport,
+    walls_s: Vec<f64>,
+}
+
+impl TimedSuite {
+    /// Explores `suite(n)` once to warm up, then [`MC_TIMED_RUNS`] times.
+    ///
+    /// # Panics
+    /// If a timed exploration's totals differ from the warm-up's:
+    /// exploration is deterministic.
+    fn explore(n: usize) -> Self {
+        let report = explore_suite(n);
+        let totals = |s: &SuiteReport| (s.states, s.runs, s.max_depth, s.violations());
+        let mut walls_s: Vec<f64> = (0..MC_TIMED_RUNS)
+            .map(|_| {
+                let timed = explore_suite(n);
+                assert_eq!(totals(&timed), totals(&report), "n = {n} explores alike");
+                timed.wall_s
+            })
+            .collect();
+        walls_s.sort_by(f64::total_cmp);
+        TimedSuite { report, walls_s }
+    }
+
+    fn median_s(&self) -> f64 {
+        self.walls_s[self.walls_s.len() / 2]
+    }
+
+    fn states_per_s(&self) -> f64 {
+        self.report.states as f64 / self.median_s()
+    }
+
+    fn json(&self) -> Json {
+        let s = &self.report;
+        let walls = &self.walls_s;
+        Json::obj([
+            ("n", s.n.into()),
+            ("scenarios", s.reports.len().into()),
+            ("states", s.states.into()),
+            ("runs", s.runs.into()),
+            ("max_depth", s.max_depth.into()),
+            ("violations", s.violations().into()),
+            ("timed_runs", walls.len().into()),
+            (
+                "wall_s",
+                Json::obj([
+                    ("min", walls[0].into()),
+                    ("median", self.median_s().into()),
+                    ("max", walls[walls.len() - 1].into()),
+                ]),
+            ),
+            ("states_per_s", self.states_per_s().into()),
+        ])
+    }
 }
 
 fn main() {
@@ -260,17 +314,23 @@ fn main() {
         e15_outcomes.fault.restarts,
         e15_outcomes.control.violations
     );
-    let mc_suites: Vec<_> = (2..=4).map(gcs_mc::explore::explore_suite).collect();
-    for s in &mc_suites {
+    let mc_suites: Vec<_> = (2..=4).map(TimedSuite::explore).collect();
+    for t in &mc_suites {
+        let s = &t.report;
         println!(
-            "MC  n={:>7} {:>16}: {:>10} states  ({} runs over {} scenarios, max depth {}, {:.2}s, {} violations)",
+            "MC  n={:>7} {:>16}: {:>10.0} states/s  ({} states, {} runs over {} scenarios, \
+             max depth {}, median {:.3}s of {} in [{:.3}, {:.3}]s, {} violations)",
             s.n,
             "explorer",
+            t.states_per_s(),
             s.states,
             s.runs,
             s.reports.len(),
             s.max_depth,
-            s.wall_s,
+            t.median_s(),
+            t.walls_s.len(),
+            t.walls_s[0],
+            t.walls_s[t.walls_s.len() - 1],
             s.violations()
         );
     }
@@ -278,7 +338,7 @@ fn main() {
     let mut e11_section = engines(&w11, &e11);
     e11_section.push("best_parallel_speedup_vs_serial", speedup);
     let doc = Json::obj([
-        ("schema", "bench-engine/v11".into()),
+        ("schema", "bench-engine/v12".into()),
         ("generated_by", "gcs-bench run_all".into()),
         (
             "baseline",
@@ -302,7 +362,7 @@ fn main() {
         ("e15_faults", e15_json(e15_config.n, &e15_outcomes)),
         (
             "model_check",
-            Json::obj([("suites", mc_suites.iter().map(suite_json).collect())]),
+            Json::obj([("suites", mc_suites.iter().map(TimedSuite::json).collect())]),
         ),
     ]);
 

@@ -202,7 +202,7 @@ pub fn plane_regressions(committed: &Json, candidate: &Json) -> Vec<String> {
 
 /// `("<section> <family> <meter>", bytes)` for every gated meter of
 /// `doc`. Sections, families and meters that are absent or not integers
-/// contribute nothing, so v9 to v11 files read alike.
+/// contribute nothing, so v9 to v12 files read alike.
 fn plane_meters(doc: &Json) -> Vec<(String, u64)> {
     let section = |name: &str| match doc {
         Json::Obj(doc) => doc.get(name).and_then(|s| s.as_obj(name).ok()),

@@ -10,12 +10,12 @@ use gcs_bench::record::plane_regressions;
 use gcs_mc::json::Json;
 
 #[test]
-fn committed_bench_file_is_v11_and_a_writer_fixpoint() {
+fn committed_bench_file_is_v12_and_a_writer_fixpoint() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     let text = std::fs::read_to_string(path).expect("BENCH_engine.json is committed");
     let doc = Json::parse(&text).expect("BENCH_engine.json parses");
     let schema = doc.as_obj("root").unwrap().field("schema").unwrap();
-    assert_eq!(schema.as_str("schema"), Ok("bench-engine/v11"));
+    assert_eq!(schema.as_str("schema"), Ok("bench-engine/v12"));
     assert!(
         doc.write(usize::MAX) == text,
         "BENCH_engine.json is not byte-identical to its re-serialization"

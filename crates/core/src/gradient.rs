@@ -201,7 +201,11 @@ impl Clone for GradientNode {
             lmax,
             table,
         } = source;
-        self.shared.clone_from(shared);
+        // Nodes copied from one another share the plane: keep the `Arc`
+        // instead of paying two atomic refcount updates per copy.
+        if !Arc::ptr_eq(&self.shared, shared) {
+            self.shared = Arc::clone(shared);
+        }
         self.l = *l;
         self.lmax = *lmax;
         self.table.clone_from(table);
@@ -283,6 +287,13 @@ impl GradientNode {
     /// Current `Υ_u`.
     pub fn upsilon(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.table.entries().iter().map(|e| e.v)
+    }
+
+    /// `Γ_u` with each neighbor's state, in ascending node-id order: one
+    /// walk of the table, where [`GradientNode::neighbor_state`] searches
+    /// it once per neighbor.
+    pub fn gamma_states(&self) -> impl Iterator<Item = (NodeId, &NeighborState)> + '_ {
+        self.table.gamma().map(|e| (e.v, &e.state))
     }
 
     /// Per-neighbor state, if `v ∈ Γ_u`.

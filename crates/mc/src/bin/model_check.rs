@@ -5,7 +5,8 @@
 //! 1. the bounded exhaustive explorer over the full scenario suites at
 //!    `n = 2, 3, 4`, writing any counterexample to
 //!    `target/mc/<scenario>.itf.json` and exiting non-zero — also when a
-//!    suite's totals differ from the recorded ones in [`RECORDED`];
+//!    suite's totals differ from the recorded ones in [`RECORDED`], or an
+//!    `n = 4` scenario's from [`RECORDED_N4`];
 //! 2. the mutation smoke test — every seeded mutant must be caught and
 //!    the unmutated control must pass (a checker that stops rejecting
 //!    mutants fails the build, not just the mutant);
@@ -30,6 +31,16 @@ const RECORDED: [(usize, usize, usize, usize); 3] = [
     (2, 6016, 2463, 8),
     (3, 32576, 20480, 12),
     (4, 379520, 294912, 17),
+];
+
+/// The recorded `(scenario, states, runs, max depth)` of every `n = 4`
+/// scenario, so a change that moves states between scenarios fails too
+/// (`tests/model_check.rs` pins the `n = 2` and `n = 3` scenarios).
+const RECORDED_N4: [(&str, usize, usize, usize); 4] = [
+    ("n4-static-r0", 145600, 131072, 17),
+    ("n4-static-r1", 69696, 32768, 15),
+    ("n4-churn", 80064, 65536, 16),
+    ("n4-crash-restart", 84160, 65536, 16),
 ];
 
 fn fail(msg: &str) -> ! {
@@ -72,6 +83,18 @@ fn main() {
                  {states} / {runs} / {max_depth}",
                 suite.states, suite.runs, suite.max_depth
             ));
+        }
+        if n == 4 {
+            let explored: Vec<_> = suite
+                .reports
+                .iter()
+                .map(|r| (r.scenario.as_str(), r.states, r.runs, r.max_depth))
+                .collect();
+            if explored != RECORDED_N4 {
+                failures.push(format!(
+                    "n=4 scenarios explored {explored:?}, recorded {RECORDED_N4:?}"
+                ));
+            }
         }
     }
     if !failures.is_empty() {

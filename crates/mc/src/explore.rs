@@ -54,15 +54,25 @@
 //! trail's snapshot in place.
 //!
 //! Snapshots are shared through `Rc` by the trails that branch in the
-//! instant following them and dropped with the last of those trails, so
-//! the live snapshots are bounded by the trails on the stack.
+//! instant following them. Once the last of those trails has run, the
+//! snapshot's buffers go to a free list, and the next boundary copy
+//! refills them with `clone_from` instead of allocating a whole model:
+//! live and free snapshots together never outnumber the most snapshots
+//! live at once, which the trails on the stack bound. A copy keeps an
+//! `Arc` the two sides already share — the model's fixed scenario data,
+//! each node's shared parameters — so it touches no reference count. A
+//! finished run's forced prefix is reused the same way, as the buffer of
+//! a trail pushed next.
 //!
 //! # Seen-state pruning
 //!
-//! After each instant the model's canonical encoding ([`Model::encode`])
-//! is digested into a 128-bit key — two independent 64-bit lanes that
-//! each absorb one word per folded multiply — and inserted into a seen
-//! set. A run may stop early at a previously-seen state —
+//! After each instant the model's canonical encoding ([`Model::encode`],
+//! one pass per table) is digested into a 128-bit key and inserted into
+//! a seen set. The key is two 64-bit lanes, each of which absorbs every
+//! word; four independent chains absorb two words per folded multiply
+//! (see `digest`). The lanes are already uniform, so the seen set hashes
+//! a key to their XOR instead of re-hashing it. A run may stop early at
+//! a previously-seen state —
 //! different delay paths frequently converge (e.g. once every in-flight
 //! message is delivered and the queue shape matches) — but **only once
 //! it has made at least one free decision** (`decisions ≥ forced.len()`):
@@ -84,6 +94,7 @@ use crate::model::{DelayDecider, Model, ModelNode, Scenario};
 use crate::oracle::Oracle;
 use gcs_core::GradientNode;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -102,9 +113,13 @@ pub struct Report {
     pub violation: Option<(Trace, String)>,
 }
 
-/// The lanes' multipliers: wyhash's first two secrets, odd and distinct.
-const LANE_A: u64 = 0xa076_1d64_78bd_642f;
-const LANE_B: u64 = 0xe703_7ed1_a0b4_28db;
+/// wyhash's four secrets: the digest's chain seeds and word masks.
+const SECRET: [u64; 4] = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+    0x5899_65cc_7537_4cc3,
+];
 
 /// wyhash's folded multiply: the 128-bit product's halves XORed.
 fn mum(a: u64, b: u64) -> u64 {
@@ -112,20 +127,61 @@ fn mum(a: u64, b: u64) -> u64 {
     (p as u64) ^ ((p >> 64) as u64)
 }
 
-/// The 128-bit seen-set digest of `words`: two independent 64-bit lanes,
-/// each starting from the other's multiplier and absorbing one word per
-/// step through a folded multiply — the second lane under its own
-/// multiplier and a rotated word — with the word count folded in at the
-/// end.
+/// The 128-bit seen-set digest of `words`: two 64-bit lanes of two chains
+/// each. Words go in blocks of four, the last one zero-padded, and every
+/// folded multiply absorbs two words, one into each factor. Lane A's
+/// chains take words `(0, 1)` and `(2, 3)` of a block, lane B's take
+/// `(0, 2)` and `(1, 3)`: each lane absorbs every word, the lanes pair
+/// them differently, and the four chains run independently. Each lane
+/// folds its two chains and the word count at the end.
 fn digest(words: &[u64]) -> (u64, u64) {
-    let (mut a, mut b) = (LANE_B, LANE_A);
-    for &w in words {
-        a = mum(a ^ w, LANE_A);
-        b = mum(b ^ w.rotate_left(32), LANE_B);
+    let mut c = SECRET;
+    let mut absorb = |w: &[u64]| {
+        c = [
+            mum(c[0] ^ w[0], SECRET[1] ^ w[1]),
+            mum(c[1] ^ w[2], SECRET[2] ^ w[3]),
+            mum(c[2] ^ w[0], SECRET[3] ^ w[2]),
+            mum(c[3] ^ w[1], SECRET[0] ^ w[3]),
+        ];
+    };
+    let mut blocks = words.chunks_exact(4);
+    blocks.by_ref().for_each(&mut absorb);
+    let rest = blocks.remainder();
+    if !rest.is_empty() {
+        let mut last = [0; 4];
+        last[..rest.len()].copy_from_slice(rest);
+        absorb(&last);
     }
     let len = words.len() as u64;
-    (mum(a ^ len, LANE_A), mum(b ^ len, LANE_B))
+    (
+        mum(c[0] ^ len, c[1] ^ SECRET[0]),
+        mum(c[2] ^ len, c[3] ^ SECRET[1]),
+    )
 }
+
+/// The seen set's hasher. Its keys are [`digest`]s, whose lanes are
+/// already uniform, so it hashes a key to the XOR of its lanes instead
+/// of re-hashing them through SipHash. The digests come from model
+/// states, not from outside input, so nothing crafts colliding keys.
+#[derive(Default)]
+struct LaneHasher(u64);
+
+impl Hasher for LaneHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the seen set hashes digest lanes only")
+    }
+
+    fn write_u64(&mut self, lane: u64) {
+        self.0 ^= lane;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The digests of every state inserted so far.
+type SeenSet = HashSet<(u64, u64), BuildHasherDefault<LaneHasher>>;
 
 /// A state trails resume from (see the module docs).
 struct Snapshot<N: ModelNode> {
@@ -159,7 +215,7 @@ pub fn explore<N: ModelNode>(
         record: Vec::new(),
         checked: false,
     };
-    let mut seen: HashSet<(u64, u64)> = HashSet::new();
+    let mut seen = SeenSet::default();
     let mut report = Report {
         scenario: sc.name.clone(),
         runs: 0,
@@ -174,12 +230,19 @@ pub fn explore<N: ModelNode>(
     let mut oracle = root.oracle.clone();
     let mut record = Vec::new();
     // A copy of the last boundary the current run continued past, and
-    // its decision count while that copy is current.
-    let mut spare: Option<(Model<N>, Oracle)> = None;
+    // its decision count while that copy is current. The copy sits in an
+    // unshared `Rc`, so keeping it as a snapshot allocates nothing.
+    let mut spare: Option<Rc<Snapshot<N>>> = None;
     let mut held: Option<usize> = None;
-    // `(decisions made, model, oracle)` at every boundary of the current
-    // run that a trail resumes from, in run order.
-    let mut taken: Vec<(usize, Model<N>, Oracle)> = Vec::new();
+    // `(decisions made, copy)` at every boundary of the current run that
+    // a trail resumes from, in run order.
+    let mut taken: Vec<(usize, Rc<Snapshot<N>>)> = Vec::new();
+    // Snapshots no pending trail resumes from, whose buffers the next
+    // boundary copies reuse.
+    let mut free: Vec<Rc<Snapshot<N>>> = Vec::new();
+    // Forced prefixes of finished runs, whose buffers the next pushed
+    // trails reuse.
+    let mut spent: Vec<Vec<usize>> = Vec::new();
     // Pending trails: the snapshot each resumes from, and its forced
     // choices from decision 0.
     let mut stack: Vec<(Rc<Snapshot<N>>, Vec<usize>)> = vec![(Rc::new(root), Vec::new())];
@@ -204,8 +267,7 @@ pub fn explore<N: ModelNode>(
             // The held boundary is a resumption point iff a free decision
             // was drawn after it (see module docs).
             if let Some(d) = held.take().filter(|&d| decisions > d.max(forced_len)) {
-                let (copy, copy_oracle) = spare.take().expect("a held boundary has a copy");
-                taken.push((d, copy, copy_oracle));
+                taken.push((d, spare.take().expect("a held boundary has a copy")));
             }
             if !oracle.check(m) {
                 return false;
@@ -217,21 +279,32 @@ pub fn explore<N: ModelNode>(
             // did not force — see module docs for the soundness argument.
             let go_on = fresh || decisions < forced_len;
             if go_on {
-                match &mut spare {
-                    Some((copy, copy_oracle)) => {
-                        copy.clone_from(m);
-                        copy_oracle.clone_from(&oracle);
-                    }
-                    None => spare = Some((m.clone(), oracle.clone())),
-                }
+                let copy = spare.get_or_insert_with(|| {
+                    free.pop().unwrap_or_else(|| {
+                        Rc::new(Snapshot {
+                            model: m.clone(),
+                            oracle: oracle.clone(),
+                            record: Vec::new(),
+                            checked: true,
+                        })
+                    })
+                });
+                let copy = Rc::get_mut(copy).expect("a boundary copy is unshared");
+                copy.model.clone_from(m);
+                copy.oracle.clone_from(&oracle);
                 held = Some(decisions);
             }
             go_on
         });
         held = None;
-        let DelayDecider::Trail { record: done, .. } = decider else {
+        let DelayDecider::Trail {
+            forced,
+            record: done,
+        } = decider
+        else {
             unreachable!("explore uses trail deciders");
         };
+        spent.push(forced);
         record = done;
         report.max_depth = report.max_depth.max(record.len());
         if let Some(v) = oracle.violation() {
@@ -251,24 +324,33 @@ pub fn explore<N: ModelNode>(
         let mut boundaries = taken.drain(..).peekable();
         for (j, &(arity, chosen)) in record.iter().enumerate().skip(forced_len) {
             debug_assert_eq!(chosen, 0, "free decisions default to choice 0");
-            if let Some((d, model, oracle)) = boundaries.next_if(|&(d, ..)| d <= j) {
-                from = Rc::new(Snapshot {
-                    model,
-                    oracle,
-                    record: record[..d].to_vec(),
-                    checked: true,
-                });
+            if let Some((d, mut kept)) = boundaries.next_if(|&(d, _)| d <= j) {
+                let snapshot = Rc::get_mut(&mut kept).expect("a kept copy is unshared");
+                snapshot.record.clear();
+                snapshot.record.extend_from_slice(&record[..d]);
+                snapshot.checked = true;
+                release(std::mem::replace(&mut from, kept), &mut free);
             }
             for alt in 1..arity {
-                let mut trail = Vec::with_capacity(j + 1);
+                let mut trail = spent.pop().unwrap_or_default();
+                trail.clear();
                 trail.extend(record[..j].iter().map(|&(_, c)| c));
                 trail.push(alt);
                 stack.push((Rc::clone(&from), trail));
             }
         }
+        release(from, &mut free);
     }
     report.states = seen.len();
     report
+}
+
+/// Returns `snapshot` to the free list once no pending trail resumes
+/// from it.
+fn release<N: ModelNode>(snapshot: Rc<Snapshot<N>>, free: &mut Vec<Rc<Snapshot<N>>>) {
+    if Rc::strong_count(&snapshot) == 1 {
+        free.push(snapshot);
+    }
 }
 
 /// Replays one trail to completion (no pruning) and exports its trace —
@@ -567,6 +649,49 @@ mod tests {
             leaves > 2_000,
             "the unpruned n = 2 trees have {leaves} leaves"
         );
+    }
+
+    /// Each 64-bit lane alone tells every reachable `n = 2` encoding
+    /// apart, and flipping any one bit of an encoding of any length mod 4
+    /// changes both lanes: neither lane skips a word, the zero-padded
+    /// remainder words included.
+    #[test]
+    fn each_digest_lane_absorbs_every_word() {
+        let mut encodings: Vec<Vec<u64>> = suite(2)
+            .iter()
+            .flat_map(|sc| reachable_encodings(sc).0)
+            .collect::<HashSet<_>>()
+            .into_iter()
+            .collect();
+        let lane_a: HashSet<u64> = encodings.iter().map(|w| digest(w).0).collect();
+        let lane_b: HashSet<u64> = encodings.iter().map(|w| digest(w).1).collect();
+        assert_eq!(
+            (lane_a.len(), lane_b.len()),
+            (encodings.len(), encodings.len())
+        );
+        // The longest encoding and its cuts by one to three words cover
+        // every length mod 4.
+        encodings.sort();
+        let longest = encodings
+            .iter()
+            .max_by_key(|w| w.len())
+            .expect("n = 2 reaches states");
+        for cut in 0..4 {
+            let mut words = longest[..longest.len() - cut].to_vec();
+            let (a, b) = digest(&words);
+            for i in 0..words.len() {
+                for bit in 0..64 {
+                    words[i] ^= 1 << bit;
+                    let (flipped_a, flipped_b) = digest(&words);
+                    words[i] ^= 1 << bit;
+                    assert!(
+                        flipped_a != a && flipped_b != b,
+                        "flipping bit {bit} of word {i} of {} left a lane unchanged",
+                        words.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

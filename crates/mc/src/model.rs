@@ -257,20 +257,33 @@ impl ModelNode for GradientNode {
     fn encode(&self, out: &mut Vec<u64>) {
         // ClockVar state is an offset from the hardware clock; probing at
         // hw = 0 returns exactly that offset (`offset + 0.0 == offset`).
-        out.push(self.logical_clock(0.0).to_bits());
-        out.push(self.max_estimate(0.0).to_bits());
-        out.push(self.gamma().count() as u64);
-        for v in self.gamma() {
-            let st = self.neighbor_state(v).expect("gamma key");
-            out.push(v.index() as u64);
-            out.push(st.joined_hw.to_bits());
-            out.push(st.estimate.offset().to_bits());
-        }
-        out.push(self.upsilon().count() as u64);
-        for v in self.upsilon() {
-            out.push(v.index() as u64);
-        }
+        out.extend_from_slice(&[
+            self.logical_clock(0.0).to_bits(),
+            self.max_estimate(0.0).to_bits(),
+        ]);
+        counted(out, 3, |out| {
+            for (v, st) in self.gamma_states() {
+                out.extend_from_slice(&[
+                    v.index() as u64,
+                    st.joined_hw.to_bits(),
+                    st.estimate.offset().to_bits(),
+                ]);
+            }
+        });
+        counted(out, 1, |out| {
+            out.extend(self.upsilon().map(|v| v.index() as u64));
+        });
     }
+}
+
+/// Appends a count, then the `width`-word records `records` appends, and
+/// back-patches the count: one pass over a table whose record count is
+/// known only once it has been walked.
+fn counted(out: &mut Vec<u64>, width: usize, records: impl FnOnce(&mut Vec<u64>)) {
+    let at = out.len();
+    out.push(0);
+    records(out);
+    out[at] = ((out.len() - at - 1) / width) as u64;
 }
 
 /// The model's event queue: same total order as the engine's wheel —
@@ -301,9 +314,18 @@ impl ModelQueue {
     fn push(&mut self, time: Time, payload: EventPayload) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = QueuedEvent { time, seq, payload };
-        let at = self.events.partition_point(|e| e.key() < ev.key());
-        self.events.insert(at, ev);
+        // `seq` exceeds every queued one, so the event goes after every
+        // event at or before its `(time, class)`. Queued times are
+        // non-negative, where an `f64`'s bits order like its value.
+        assert!(
+            time.seconds().is_sign_positive(),
+            "queued times are non-negative"
+        );
+        let key = (time.seconds().to_bits(), payload.class_rank());
+        let at = self
+            .events
+            .partition_point(|e| (e.time.seconds().to_bits(), e.payload.class_rank()) <= key);
+        self.events.insert(at, QueuedEvent { time, seq, payload });
     }
 
     fn peek_time(&self) -> Option<Time> {
@@ -444,7 +466,11 @@ impl<N: ModelNode> Clone for Model<N> {
             effects: _,
             actions: _,
         } = source;
-        self.fixed.clone_from(fixed);
+        // Copies of one model share its fixed data: keep the `Arc` instead
+        // of paying two atomic refcount updates per copy.
+        if !Arc::ptr_eq(&self.fixed, fixed) {
+            self.fixed = Arc::clone(fixed);
+        }
         self.nodes.clone_from(nodes);
         self.timers.clone_from(timers);
         self.peers.clone_from(peers);
@@ -1031,106 +1057,103 @@ impl<N: ModelNode> Model<N> {
     pub fn encode(&self, out: &mut Vec<u64>) {
         out.push(self.now.seconds().to_bits());
         for (i, node) in self.nodes.iter().enumerate() {
-            let u = NodeId::from_index(i);
-            out.push(u64::from(self.is_crashed(u)));
+            out.push(u64::from(self.is_crashed(NodeId::from_index(i))));
             node.encode(out);
             let timers = self.timers[i].iter();
             out.push(timers.len() as u64);
             for (kind, gen) in timers {
-                out.push(timer_code(kind));
-                out.push(gen);
+                out.extend_from_slice(&[timer_code(kind), gen]);
             }
             // Engine peer slots materialize lazily with fresh content, so
             // fresh entries encode as absent.
-            let live_peers = || {
-                self.peers[i]
-                    .iter()
-                    .filter(|p| **p != PeerLocal::new(p.neighbor))
-            };
-            out.push(live_peers().count() as u64);
-            for p in live_peers() {
-                out.push(p.neighbor.index() as u64);
-                out.push(p.discovered_version);
-                out.push(p.fifo_out.seconds().to_bits());
-            }
+            counted(out, 3, |out| {
+                for p in &self.peers[i] {
+                    if *p != PeerLocal::new(p.neighbor) {
+                        out.extend_from_slice(&[
+                            p.neighbor.index() as u64,
+                            p.discovered_version,
+                            p.fifo_out.seconds().to_bits(),
+                        ]);
+                    }
+                }
+            });
         }
         out.push(self.edges.len() as u64);
         for (e, st) in &self.edges {
-            out.push(e.lo().index() as u64);
-            out.push(e.hi().index() as u64);
-            out.push(u64::from(st.live));
-            out.push(st.epoch);
-            out.push(st.versions);
-            out.push(st.last_add_version);
-            out.push(st.last_remove_version);
+            out.extend_from_slice(&[
+                e.lo().index() as u64,
+                e.hi().index() as u64,
+                u64::from(st.live),
+                st.epoch,
+                st.versions,
+                st.last_add_version,
+                st.last_remove_version,
+            ]);
         }
-        out.push(self.topo_cursor as u64);
-        out.push(self.fault_cursor as u64);
+        out.extend_from_slice(&[self.topo_cursor as u64, self.fault_cursor as u64]);
         // The queue is kept in pop order.
         let pending = &self.queue.events;
         out.push(pending.len() as u64);
         for ev in pending {
-            out.push(ev.time.seconds().to_bits());
+            let time = ev.time.seconds().to_bits();
             match ev.payload {
                 EventPayload::Deliver {
                     from,
                     to,
                     msg,
                     epoch,
-                } => {
-                    out.push(0);
-                    out.push(from.index() as u64);
-                    out.push(to.index() as u64);
-                    out.push(msg.logical.to_bits());
-                    out.push(msg.max_estimate.to_bits());
-                    out.push(epoch);
-                }
+                } => out.extend_from_slice(&[
+                    time,
+                    0,
+                    from.index() as u64,
+                    to.index() as u64,
+                    msg.logical.to_bits(),
+                    msg.max_estimate.to_bits(),
+                    epoch,
+                ]),
                 EventPayload::Alarm {
                     node,
                     kind,
                     generation,
-                } => {
-                    out.push(1);
-                    out.push(node.index() as u64);
-                    out.push(timer_code(kind));
-                    out.push(generation);
-                }
+                } => out.extend_from_slice(&[
+                    time,
+                    1,
+                    node.index() as u64,
+                    timer_code(kind),
+                    generation,
+                ]),
                 EventPayload::Topology {
                     kind,
                     edge,
                     version,
-                } => {
-                    out.push(2);
-                    out.push(u64::from(kind == LinkChangeKind::Added));
-                    out.push(edge.lo().index() as u64);
-                    out.push(edge.hi().index() as u64);
-                    out.push(version);
-                }
+                } => out.extend_from_slice(&[
+                    time,
+                    2,
+                    u64::from(kind == LinkChangeKind::Added),
+                    edge.lo().index() as u64,
+                    edge.hi().index() as u64,
+                    version,
+                ]),
                 EventPayload::Discover {
                     node,
                     change,
                     version,
-                } => {
-                    out.push(3);
-                    out.push(node.index() as u64);
-                    out.push(u64::from(change.kind == LinkChangeKind::Added));
-                    out.push(change.edge.lo().index() as u64);
-                    out.push(change.edge.hi().index() as u64);
-                    out.push(version);
-                }
+                } => out.extend_from_slice(&[
+                    time,
+                    3,
+                    node.index() as u64,
+                    u64::from(change.kind == LinkChangeKind::Added),
+                    change.edge.lo().index() as u64,
+                    change.edge.hi().index() as u64,
+                    version,
+                ]),
                 EventPayload::Fault { kind } => {
-                    out.push(4);
-                    match kind {
-                        FaultKind::Crash { node } => {
-                            out.push(0);
-                            out.push(node.index() as u64);
-                        }
-                        FaultKind::Restart { node } => {
-                            out.push(1);
-                            out.push(node.index() as u64);
-                        }
+                    let (code, node) = match kind {
+                        FaultKind::Crash { node } => (0, node),
+                        FaultKind::Restart { node } => (1, node),
                         _ => unreachable!("validated scenario"),
-                    }
+                    };
+                    out.extend_from_slice(&[time, 4, code, node.index() as u64]);
                 }
             }
         }
