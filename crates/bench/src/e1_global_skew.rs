@@ -94,6 +94,38 @@ pub fn run(config: &Config) -> Outcome {
     Outcome { points, fit }
 }
 
+/// E1's fail-closed gates, run by `run_scenario` (so by `exp E1` and
+/// `run_all`) and by the unit test: at every swept `n` the invariant
+/// monitor saw no violation and `0 < measured ≤ G(n)` (Theorem 6.9), and
+/// the least-squares fit of measured skew against `n` has a positive
+/// slope with `r² > 0.9` (the bound's linear shape).
+///
+/// # Panics
+/// On the first gate that fails, naming it and its values.
+pub fn check(outcome: &Outcome) {
+    for p in &outcome.points {
+        assert!(
+            p.violations == 0,
+            "E1 monitor gate at n = {}: {} invariant violations, must be 0",
+            p.n,
+            p.violations
+        );
+        assert!(
+            p.measured > 0.0 && p.measured <= p.bound,
+            "E1 bound gate at n = {}: measured skew {} outside (0, G(n) = {}]",
+            p.n,
+            p.measured,
+            p.bound
+        );
+    }
+    let (slope, _, r2) = outcome.fit;
+    assert!(
+        slope > 0.0 && r2 > 0.9,
+        "E1 shape gate: linear fit of skew vs n has slope {slope} and r² {r2}, \
+         must be > 0 and > 0.9"
+    );
+}
+
 /// Renders the paper-vs-measured table.
 pub fn render(outcome: &Outcome) -> Table {
     let mut t = Table::new(
@@ -140,6 +172,7 @@ impl crate::scenario::Scenario for Experiment {
     }
     fn run_scenario(&self) -> crate::scenario::ScenarioReport {
         let out = run(&self.config);
+        check(&out);
         let mut rep = crate::scenario::ScenarioReport::new();
         rep.table(render(&out));
         let (slope, intercept, r2) = out.fit;
@@ -169,22 +202,58 @@ mod tests {
             ns: vec![8, 16, 32],
             ..Config::default()
         };
-        let out = run(&config);
-        for p in &out.points {
-            assert_eq!(p.violations, 0, "n={} had violations", p.n);
-            assert!(
-                p.measured <= p.bound,
-                "n={}: {} > {}",
-                p.n,
-                p.measured,
-                p.bound
-            );
-            assert!(p.measured > 0.0);
+        check(&run(&config));
+    }
+
+    /// An outcome that passes every gate: skew `n/8` under `G(n) = n`,
+    /// exactly linear.
+    fn passing() -> Outcome {
+        let point = |n: usize| Point {
+            n,
+            measured: n as f64 / 8.0,
+            bound: n as f64,
+            violations: 0,
+        };
+        Outcome {
+            points: vec![point(8), point(16)],
+            fit: (0.125, 0.0, 1.0),
         }
-        // Shape: linear fit of measured vs n explains the data well and
-        // has positive slope.
-        let (slope, _, r2) = out.fit;
-        assert!(slope > 0.0, "skew should grow with n");
-        assert!(r2 > 0.9, "expected near-linear growth, r² = {r2}");
+    }
+
+    #[test]
+    fn monitor_gate_rejects_a_violation() {
+        check(&passing());
+        let mut out = passing();
+        out.points[1].violations = 2;
+        crate::assert_gate_fails(
+            "E1 monitor gate at n = 16: 2 invariant violations, must be 0",
+            || check(&out),
+        );
+    }
+
+    #[test]
+    fn bound_gate_rejects_skew_outside_zero_to_g() {
+        for measured in [16.5, 0.0] {
+            let mut out = passing();
+            out.points[1].measured = measured;
+            crate::assert_gate_fails(
+                &format!(
+                    "E1 bound gate at n = 16: measured skew {measured} outside (0, G(n) = 16]"
+                ),
+                || check(&out),
+            );
+        }
+    }
+
+    #[test]
+    fn shape_gate_rejects_a_flat_or_scattered_fit() {
+        for (slope, r2) in [(0.0, 1.0), (0.125, 0.5)] {
+            let mut out = passing();
+            out.fit = (slope, 0.0, r2);
+            crate::assert_gate_fails(
+                &format!("E1 shape gate: linear fit of skew vs n has slope {slope} and r² {r2}"),
+                || check(&out),
+            );
+        }
     }
 }

@@ -309,3 +309,23 @@ fn logical_clocks_progress_at_least_half_rate() {
         assert!(rate <= 1.0 + 0.01 + 1e-9, "node {i} rate {rate} > 1+ρ");
     }
 }
+
+/// A node's stream materializes exactly when something draws from it:
+/// under uniformly random delays every node of a connected path draws for
+/// its sends, under maximal delays none does.
+#[test]
+fn node_streams_exist_exactly_for_drawing_delays() {
+    let n = 6;
+    let params = AlgoParams::with_minimal_b0(model(), n, 0.5);
+    let streams = |delay: DelayStrategy| {
+        let schedule = TopologySchedule::static_graph(n, generators::path(n));
+        let mut sim = SimBuilder::topology(model(), ScheduleSource::new(schedule))
+            .delay(delay)
+            .seed(5)
+            .build_with(|_| GradientNode::new(params));
+        sim.run_until(at(20.0));
+        sim.telemetry().rng_streams
+    };
+    assert_eq!(streams(DelayStrategy::Uniform { lo: 0.0, hi: 1.0 }), n);
+    assert_eq!(streams(DelayStrategy::Max), 0);
+}

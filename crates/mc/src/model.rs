@@ -729,8 +729,7 @@ impl<N: ModelNode> Model<N> {
     }
 
     /// Assigns the pulled event its per-edge change version and queues it
-    /// plus both endpoint discoveries at `time + D` (the model fixes the
-    /// engine's `DiscoveryDelay::Constant(D)`, which draws nothing).
+    /// plus both endpoint discoveries at `time + D`, as the engine does.
     fn schedule_topology(&mut self, ev: TopologyEvent) {
         let version = edge_entry(&mut self.edges, ev.edge).next_version();
         let kind = match ev.kind {
@@ -745,10 +744,10 @@ impl<N: ModelNode> Model<N> {
                 version,
             },
         );
-        let lat = self.discovery_latency();
+        let discovered = ev.time + Duration::new(self.fixed.algo.model.d);
         for w in [ev.edge.lo(), ev.edge.hi()] {
             self.queue.push(
-                ev.time + Duration::new(lat),
+                discovered,
                 EventPayload::Discover {
                     node: w,
                     change: LinkChange {
@@ -759,12 +758,6 @@ impl<N: ModelNode> Model<N> {
                 },
             );
         }
-    }
-
-    /// `DiscoveryDelay::Constant(D)` as the engine evaluates it.
-    fn discovery_latency(&self) -> f64 {
-        let d = self.fixed.algo.model.d;
-        d.clamp(f64::MIN_POSITIVE, d)
     }
 
     /// One instant: topology barriers, then fault barriers, then a single
@@ -829,9 +822,9 @@ impl<N: ModelNode> Model<N> {
                 self.with_effects(|m, effects| {
                     m.run_handler(node, seq, decider, effects, |a, c| a.on_start(c));
                 });
-                // Rediscover currently-live edges within D, under each
+                // Rediscover currently-live edges D later, under each
                 // edge's last applied add version.
-                let lat = self.discovery_latency();
+                let discovered = self.now + Duration::new(self.fixed.algo.model.d);
                 for v in (0..self.nodes.len()).map(NodeId::from_index) {
                     if v == node {
                         continue;
@@ -842,7 +835,7 @@ impl<N: ModelNode> Model<N> {
                     };
                     let version = state.last_add_version;
                     self.queue.push(
-                        self.now + Duration::new(lat),
+                        discovered,
                         EventPayload::Discover {
                             node,
                             change: LinkChange {
@@ -988,12 +981,12 @@ impl<N: ModelNode> Model<N> {
                             },
                         });
                     } else {
-                        // No edge: not delivered, sender discovers within D.
+                        // No edge: not delivered, sender discovers D later.
                         let version = state.map(|e| e.last_remove_version).unwrap_or(0);
                         effects.push(ModelEffect {
                             seq,
                             k,
-                            time: self.now + Duration::new(self.discovery_latency()),
+                            time: self.now + Duration::new(self.fixed.algo.model.d),
                             payload: EventPayload::Discover {
                                 node: u,
                                 change: LinkChange {

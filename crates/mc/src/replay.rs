@@ -8,8 +8,9 @@
 //! `SimBuilder::clocks` installs. A trace that breaks a schedule rule
 //! (say, removing an absent edge) fails in that adapter's validator
 //! before the run. The recorded per-send delays go in as a
-//! [`DelayStrategy::Scripted`] script and discovery is pinned at the
-//! model's `DiscoveryDelay::Constant(D)`.
+//! [`DelayStrategy::Scripted`] script; discovery needs no input, because
+//! the engine, like the model, discovers every change exactly `D` after
+//! it.
 //!
 //! With every nondeterministic input pinned, the engine's trace is a
 //! pure function of the trace file — and because the model interpreter
@@ -27,9 +28,7 @@ use crate::itf::Trace;
 use gcs_clocks::{HardwareClock, ScheduleDrift, Time};
 use gcs_core::{AlgoParams, GradientNode};
 use gcs_net::{Edge, NodeId, ScheduleSource, TopologyEvent, TopologySchedule};
-use gcs_sim::{
-    DelayScript, DelayStrategy, DiscoveryDelay, FaultEvent, FaultPlan, ModelParams, SimBuilder,
-};
+use gcs_sim::{DelayScript, DelayStrategy, FaultEvent, FaultPlan, ModelParams, SimBuilder};
 
 /// Replays `trace` through the real engine at `threads` workers and
 /// checks bit identity against the recorded snapshots.
@@ -75,7 +74,6 @@ pub fn replay_trace(trace: &Trace, threads: usize) -> Result<(), String> {
         .drift(ScheduleDrift::new(clocks.collect()))
         .faults(FaultPlan::new(faults.collect()))
         .delay(DelayStrategy::Scripted(script.clone()))
-        .discovery(DiscoveryDelay::Constant(model.d))
         .seed(0)
         .threads(threads)
         .build_with(|_| GradientNode::new(algo));

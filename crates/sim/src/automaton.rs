@@ -47,17 +47,30 @@ pub enum Action {
     },
 }
 
-/// Where a [`Context`] gets its random stream: either a borrowed live
-/// generator (tests) or the owner's lazy shard slot, materialized on the
-/// first draw (the engine; seeding is a pure function of
-/// `(seed, node id)`, so *when* the stream is created is unobservable).
-enum RngHandle<'a> {
+/// A node's random stream: either a borrowed live generator (tests) or
+/// the owner's lazy shard slot, materialized on the first draw (the
+/// engine; seeding is a pure function of `(seed, node id)`, so *when* the
+/// stream is created is unobservable). The engine hands the same lazy
+/// handle to the node's handlers (through [`Context::rng`]) and to the
+/// delay strategy timing its sends, so the stream exists exactly when
+/// one of them drew.
+pub(crate) enum RngHandle<'a> {
     Ready(&'a mut StdRng),
     Lazy {
         slot: &'a mut Option<Box<StdRng>>,
         seed: u64,
         index: usize,
     },
+}
+
+impl RngHandle<'_> {
+    /// The stream, materializing a lazy one on first use.
+    pub(crate) fn get(&mut self) -> &mut StdRng {
+        match self {
+            RngHandle::Ready(rng) => rng,
+            RngHandle::Lazy { slot, seed, index } => crate::shard::lazy_rng(slot, *seed, *index),
+        }
+    }
 }
 
 /// Per-event execution context handed to automaton handlers.
@@ -144,10 +157,7 @@ impl<'a> Context<'a> {
     /// **lazy**: the generator materializes on the first draw, so nodes
     /// that never draw cost no stream state.
     pub fn rng(&mut self) -> &mut StdRng {
-        match &mut self.rng {
-            RngHandle::Ready(rng) => rng,
-            RngHandle::Lazy { slot, seed, index } => crate::shard::lazy_rng(slot, *seed, *index),
-        }
+        self.rng.get()
     }
 }
 

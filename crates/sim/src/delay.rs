@@ -7,9 +7,9 @@
 //! and "downhill" messages take `0`. [`DelayStrategy`] covers all the
 //! adversaries used in the paper and the experiments.
 
+use crate::automaton::RngHandle;
 use gcs_clocks::Time;
 use gcs_net::{Edge, NodeId};
-use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -200,25 +200,6 @@ pub fn beta_delay(alpha: f64, tb_send: f64, jx: usize, jy: usize, rho: f64, big_
 }
 
 impl DelayStrategy {
-    /// True when [`delay`](Self::delay) may draw from the RNG. The engine
-    /// only materializes a node's lazy private stream for drawing
-    /// strategies; a non-drawing strategy is handed a never-consumed
-    /// stand-in. **Contract**: any strategy that can draw must return
-    /// `true` here — drawing from the stand-in would break the
-    /// node-stream determinism argument.
-    pub fn draws(&self) -> bool {
-        match self {
-            DelayStrategy::Uniform { lo, hi } => lo != hi,
-            DelayStrategy::Masked { default, .. } => default.draws(),
-            DelayStrategy::Constant(_)
-            | DelayStrategy::Max
-            | DelayStrategy::Zero
-            | DelayStrategy::Layered { .. }
-            | DelayStrategy::Scripted(_)
-            | DelayStrategy::BetaLayered { .. } => false,
-        }
-    }
-
     /// Panics unless every delay this strategy fixes up front is finite
     /// and in `[0, T]` and its layer vector covers all `n` nodes — the
     /// release-build check `SimBuilder::build_with` runs, so an
@@ -277,13 +258,22 @@ impl DelayStrategy {
         }
     }
 
-    /// The delay for a message sent at `now` from `from` across `edge`.
+    /// The delay for a message sent at `now` from `from` across `edge`,
+    /// drawing (if at all) from `rng`, the sender's stream: a lazy one
+    /// materializes only when the strategy draws.
     ///
     /// `big_t` is the model's delay bound `T`; the returned value is always
     /// clamped into `[0, T]` and asserted against the strategy's own
     /// parameters in debug builds. Static delays are range-checked once,
     /// in every build, by `validate`.
-    pub fn delay(&self, edge: Edge, from: NodeId, now: Time, big_t: f64, rng: &mut StdRng) -> f64 {
+    pub(crate) fn delay(
+        &self,
+        edge: Edge,
+        from: NodeId,
+        now: Time,
+        big_t: f64,
+        rng: &mut RngHandle<'_>,
+    ) -> f64 {
         let raw = match self {
             DelayStrategy::Constant(d) => *d,
             DelayStrategy::Max => big_t,
@@ -293,7 +283,7 @@ impl DelayStrategy {
                 if lo == hi {
                     *lo
                 } else {
-                    rng.gen_range(*lo..=*hi)
+                    rng.get().gen_range(*lo..=*hi)
                 }
             }
             DelayStrategy::Layered {
@@ -333,10 +323,24 @@ mod tests {
     use super::*;
     use gcs_clocks::time::at;
     use gcs_net::node;
-    use rand::SeedableRng;
+    use rand::rngs::StdRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(1)
+    /// `s.delay` at `T = 1` for a send from node `from` across `edge` at
+    /// time `now`, drawing through a lazy handle over `slot`, as the
+    /// engine hands one to the strategy.
+    fn delay(
+        s: &DelayStrategy,
+        slot: &mut Option<Box<StdRng>>,
+        edge: Edge,
+        from: usize,
+        now: f64,
+    ) -> f64 {
+        let mut rng = RngHandle::Lazy {
+            slot,
+            seed: 1,
+            index: from,
+        };
+        s.delay(edge, node(from), at(now), 1.0, &mut rng)
     }
 
     fn e(i: usize, j: usize) -> Edge {
@@ -345,28 +349,21 @@ mod tests {
 
     #[test]
     fn constant_and_extremes() {
-        let mut r = rng();
-        let t = at(0.0);
+        let slot = &mut None;
         assert_eq!(
-            DelayStrategy::Constant(0.3).delay(e(0, 1), node(0), t, 1.0, &mut r),
+            delay(&DelayStrategy::Constant(0.3), slot, e(0, 1), 0, 0.0),
             0.3
         );
-        assert_eq!(
-            DelayStrategy::Max.delay(e(0, 1), node(0), t, 1.0, &mut r),
-            1.0
-        );
-        assert_eq!(
-            DelayStrategy::Zero.delay(e(0, 1), node(0), t, 1.0, &mut r),
-            0.0
-        );
+        assert_eq!(delay(&DelayStrategy::Max, slot, e(0, 1), 0, 0.0), 1.0);
+        assert_eq!(delay(&DelayStrategy::Zero, slot, e(0, 1), 0, 0.0), 0.0);
     }
 
     #[test]
     fn uniform_in_range() {
-        let mut r = rng();
+        let slot = &mut None;
         let s = DelayStrategy::Uniform { lo: 0.2, hi: 0.8 };
         for _ in 0..100 {
-            let d = s.delay(e(0, 1), node(0), at(0.0), 1.0, &mut r);
+            let d = delay(&s, slot, e(0, 1), 0, 0.0);
             assert!((0.2..=0.8).contains(&d));
         }
     }
@@ -378,16 +375,16 @@ mod tests {
             constrained: [(e(1, 2), 0.5)].into_iter().collect(),
             intra: 0.0,
         };
-        let mut r = rng();
+        let slot = &mut None;
         // uphill 0->1: T
-        assert_eq!(s.delay(e(0, 1), node(0), at(0.0), 1.0, &mut r), 1.0);
+        assert_eq!(delay(&s, slot, e(0, 1), 0, 0.0), 1.0);
         // downhill 1->0: 0
-        assert_eq!(s.delay(e(0, 1), node(1), at(0.0), 1.0, &mut r), 0.0);
+        assert_eq!(delay(&s, slot, e(0, 1), 1, 0.0), 0.0);
         // constrained edge: prescribed delay regardless of direction
-        assert_eq!(s.delay(e(1, 2), node(1), at(0.0), 1.0, &mut r), 0.5);
-        assert_eq!(s.delay(e(1, 2), node(2), at(0.0), 1.0, &mut r), 0.5);
+        assert_eq!(delay(&s, slot, e(1, 2), 1, 0.0), 0.5);
+        assert_eq!(delay(&s, slot, e(1, 2), 2, 0.0), 0.5);
         // uphill 2->3 (layer 1 -> 2): T
-        assert_eq!(s.delay(e(2, 3), node(2), at(0.0), 1.0, &mut r), 1.0);
+        assert_eq!(delay(&s, slot, e(2, 3), 2, 0.0), 1.0);
     }
 
     #[test]
@@ -396,29 +393,56 @@ mod tests {
             pattern: [(e(0, 1), 0.25)].into_iter().collect(),
             default: Box::new(DelayStrategy::Max),
         };
-        let mut r = rng();
-        assert_eq!(s.delay(e(0, 1), node(0), at(0.0), 1.0, &mut r), 0.25);
-        assert_eq!(s.delay(e(1, 2), node(1), at(0.0), 1.0, &mut r), 1.0);
+        let slot = &mut None;
+        assert_eq!(delay(&s, slot, e(0, 1), 0, 0.0), 0.25);
+        assert_eq!(delay(&s, slot, e(1, 2), 1, 0.0), 1.0);
     }
 
+    /// The sender's stream materializes exactly when a strategy draws:
+    /// every strategy that fixes its delays leaves the slot empty, and a
+    /// drawing one (alone or as a mask's default) fills it.
     #[test]
-    fn draws_declares_randomness_exactly() {
-        assert!(!DelayStrategy::Max.draws());
-        assert!(!DelayStrategy::Zero.draws());
-        assert!(!DelayStrategy::Constant(0.5).draws());
-        assert!(DelayStrategy::Uniform { lo: 0.1, hi: 0.9 }.draws());
-        // Degenerate uniform never samples — and declares so.
-        assert!(!DelayStrategy::Uniform { lo: 0.5, hi: 0.5 }.draws());
-        assert!(!DelayStrategy::Masked {
+    fn only_drawing_strategies_materialize_the_stream() {
+        let layer = vec![0, 1];
+        let script = DelayScript::new();
+        script.push(node(0), node(1), 0.5);
+        let masked = |default: DelayStrategy| DelayStrategy::Masked {
             pattern: BTreeMap::new(),
-            default: Box::new(DelayStrategy::Max),
+            default: Box::new(default),
+        };
+        let drawing = DelayStrategy::Uniform { lo: 0.1, hi: 0.9 };
+        let fixed = [
+            DelayStrategy::Max,
+            DelayStrategy::Zero,
+            DelayStrategy::Constant(0.5),
+            DelayStrategy::Uniform { lo: 0.5, hi: 0.5 },
+            DelayStrategy::Layered {
+                layer: layer.clone(),
+                constrained: BTreeMap::new(),
+                intra: 0.0,
+            },
+            DelayStrategy::BetaLayered {
+                layer,
+                constrained: BTreeMap::new(),
+                rho: 0.1,
+                intra: 0.0,
+            },
+            DelayStrategy::Scripted(script),
+            masked(DelayStrategy::Max),
+        ];
+        for s in &fixed {
+            let mut slot = None;
+            delay(s, &mut slot, e(0, 1), 0, 1.0);
+            assert!(slot.is_none(), "{s:?} materialized the stream");
         }
-        .draws());
-        assert!(DelayStrategy::Masked {
-            pattern: BTreeMap::new(),
-            default: Box::new(DelayStrategy::Uniform { lo: 0.0, hi: 1.0 }),
+        for s in [drawing.clone(), masked(drawing)] {
+            let mut slot = None;
+            delay(&s, &mut slot, e(0, 1), 0, 1.0);
+            assert!(
+                slot.is_some(),
+                "{s:?} drew without materializing the stream"
+            );
         }
-        .draws());
     }
 
     #[test]
@@ -428,13 +452,12 @@ mod tests {
         script.push(node(0), node(1), 0.75);
         script.push(node(1), node(0), 0.0);
         let s = DelayStrategy::Scripted(script.clone());
-        assert!(!s.draws());
         assert_eq!(script.remaining(), 3);
-        let mut r = rng();
+        let slot = &mut None;
         // Directed: 0 -> 1 and 1 -> 0 consume independent queues.
-        assert_eq!(s.delay(e(0, 1), node(0), at(0.0), 1.0, &mut r), 0.25);
-        assert_eq!(s.delay(e(0, 1), node(1), at(0.0), 1.0, &mut r), 0.0);
-        assert_eq!(s.delay(e(0, 1), node(0), at(1.0), 1.0, &mut r), 0.75);
+        assert_eq!(delay(&s, slot, e(0, 1), 0, 0.0), 0.25);
+        assert_eq!(delay(&s, slot, e(0, 1), 1, 0.0), 0.0);
+        assert_eq!(delay(&s, slot, e(0, 1), 0, 1.0), 0.75);
         assert_eq!(script.remaining(), 0, "script fully drained");
     }
 
@@ -444,18 +467,16 @@ mod tests {
         let script = DelayScript::new();
         script.push(node(0), node(1), 0.5);
         let s = DelayStrategy::Scripted(script);
-        let mut r = rng();
-        let _ = s.delay(e(0, 1), node(0), at(0.0), 1.0, &mut r);
-        let _ = s.delay(e(0, 1), node(0), at(1.0), 1.0, &mut r);
+        let slot = &mut None;
+        let _ = delay(&s, slot, e(0, 1), 0, 0.0);
+        let _ = delay(&s, slot, e(0, 1), 0, 1.0);
     }
 
     #[test]
     fn clamps_to_bound() {
         // A constant above T is clamped (and would assert in debug for the
         // strategy's own parameter — use release-style tolerance here).
-        let s = DelayStrategy::Constant(0.5);
-        let mut r = rng();
-        let d = s.delay(e(0, 1), node(0), at(0.0), 1.0, &mut r);
+        let d = delay(&DelayStrategy::Constant(0.5), &mut None, e(0, 1), 0, 0.0);
         assert!(d <= 1.0);
     }
 }

@@ -35,17 +35,16 @@
 //! either: every draw comes from the consuming node's private stream
 //! (see [`Context::rng`](crate::Context::rng)), never from a shared one.
 
-use crate::automaton::{Action, Automaton, Context};
+use crate::automaton::{Action, Automaton, Context, RngHandle};
 use crate::delay::DelayStrategy;
-use crate::engine::{DiscoveryDelay, MAX_THREADS};
+use crate::engine::MAX_THREADS;
 use crate::event::{EventPayload, LinkChange, LinkChangeKind, QueuedEvent};
 use crate::fault::FaultState;
 use crate::model::ModelParams;
-use crate::shard::{lazy_rng, EdgeStore, Shard};
+use crate::shard::{EdgeStore, Shard};
 use crate::wheel::TimeWheel;
-use gcs_clocks::{DriftCursor, DriftSource, Time};
+use gcs_clocks::{DriftCursor, DriftSource, Duration, Time};
 use gcs_net::{Edge, NodeId};
-use rand::rngs::StdRng;
 
 /// Default parallel threshold: segments shorter than this run inline on
 /// the coordinating thread — forking threads for a few events costs
@@ -152,7 +151,6 @@ pub(crate) struct DispatchCtx<'a> {
     /// shard as a lazy cursor.
     pub drift: &'a dyn DriftSource,
     pub delay: &'a DelayStrategy,
-    pub discovery: &'a DiscoveryDelay,
     /// Accumulated fault state (crashed set, loss/delay windows, drift
     /// warp) — written only at fault barriers, read by every worker.
     pub faults: &'a FaultState,
@@ -187,34 +185,6 @@ pub(crate) fn read_hw(
     }
     let cursor = slot.get_or_insert_with(|| Box::new(ctx.drift.init(u.index())));
     ctx.drift.read(u.index(), cursor, t)
-}
-
-/// Hands `f` the right stream for a maybe-drawing strategy: the node's
-/// lazy stream when the strategy declares it draws, else the shard's
-/// never-drawn scratch stand-in. In debug builds the stand-in is checked
-/// to come back untouched — a strategy that draws while declaring
-/// `draws() == false` would silently sample shard-shared state and break
-/// the trace-invariance argument, so it fails loudly here instead.
-pub(crate) fn sample_with_rng<R>(
-    draws: bool,
-    slot: &mut Option<Box<StdRng>>,
-    scratch: &mut StdRng,
-    seed: u64,
-    index: usize,
-    f: impl FnOnce(&mut StdRng) -> R,
-) -> R {
-    if draws {
-        return f(lazy_rng(slot, seed, index));
-    }
-    #[cfg(debug_assertions)]
-    let before = scratch.clone();
-    let out = f(scratch);
-    #[cfg(debug_assertions)]
-    debug_assert!(
-        *scratch == before,
-        "strategy drew from the scratch stream while declaring draws() == false"
-    );
-    out
 }
 
 /// Subjective-timer inversion for `u` at `now` through the lazy plane.
@@ -364,7 +334,6 @@ pub(crate) fn run_handler<A: Automaton>(
         stats,
         touched,
         actions,
-        scratch_rng,
         ..
     } = shard;
     table.wake(local, &mut nodes[local]);
@@ -431,22 +400,21 @@ pub(crate) fn run_handler<A: Automaton>(
                     let epoch = state.expect("live edge has an entry").epoch;
                     // A delay spike overrides the strategy (and skips its
                     // draw — spike windows are deterministic, so this is
-                    // thread-count invariant); otherwise the node's stream
-                    // materializes only for strategies that actually draw.
+                    // thread-count invariant); otherwise the strategy gets
+                    // the node's lazy stream, which materializes only if
+                    // it draws.
                     let d = if let Some(spike) = ctx.faults.delay_override(ctx.now) {
                         stats.delay_spiked += 1;
                         spike
                     } else {
-                        sample_with_rng(
-                            ctx.delay.draws(),
-                            &mut table.rng[local],
-                            scratch_rng,
-                            ctx.seed,
-                            u.index(),
-                            |rng| ctx.delay.delay(edge, u, ctx.now, ctx.params.t, rng),
-                        )
+                        let mut rng = RngHandle::Lazy {
+                            slot: &mut table.rng[local],
+                            seed: ctx.seed,
+                            index: u.index(),
+                        };
+                        ctx.delay.delay(edge, u, ctx.now, ctx.params.t, &mut rng)
                     };
-                    let due = ctx.now + gcs_clocks::Duration::new(d);
+                    let due = ctx.now + Duration::new(d);
                     let deliver_at = table.peer(local, to).fifo(due);
                     effects.push(Effect {
                         seq,
@@ -461,21 +429,13 @@ pub(crate) fn run_handler<A: Automaton>(
                     });
                 } else {
                     // The edge does not exist: the message is not delivered
-                    // and the sender discovers that within D.
+                    // and the sender discovers that D after the send.
                     stats.dropped_no_edge += 1;
                     let version = state.map(|e| e.last_remove_version).unwrap_or(0);
-                    let lat = sample_with_rng(
-                        ctx.discovery.draws(),
-                        &mut table.rng[local],
-                        scratch_rng,
-                        ctx.seed,
-                        u.index(),
-                        |rng| ctx.discovery.sample(ctx.params.d, rng),
-                    );
                     effects.push(Effect {
                         seq,
                         k,
-                        time: ctx.now + gcs_clocks::Duration::new(lat),
+                        time: ctx.now + Duration::new(ctx.params.d),
                         payload: EventPayload::Discover {
                             node: u,
                             change: LinkChange {

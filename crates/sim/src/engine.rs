@@ -15,8 +15,11 @@
 //!   than `send time + D` (we schedule it at the failed delivery instant,
 //!   which is `≤ send + T < send + D`).
 //! * **Discovery**: each endpoint of a changed edge receives a
-//!   `discover` event within `D`; per-edge version numbers let the engine
-//!   skip *stale* discoveries (an older change superseded by a newer one),
+//!   `discover` event exactly `D` after the change (the paper allows any
+//!   time within `D`; every run takes the bound in full), and a send on
+//!   an absent edge hands its sender a `discover(remove)` exactly `D`
+//!   after the send; per-edge version numbers let the engine skip
+//!   *stale* discoveries (an older change superseded by a newer one),
 //!   which models the paper's "transient link formations or failures … may
 //!   or may not be detected".
 //! * **Subjective timers**: `set_timer(Δt)` fires when the node's hardware
@@ -36,11 +39,10 @@
 //! pull time, exactly where a direct push would have assigned them).
 //! Admission into the wheel is horizon-gated: a staged event converts
 //! into its wheel-event trio only once it is due no later than the
-//! wheel's next event, with discovery latencies drawn at admission from
-//! a dedicated per-`(edge, version, endpoint)` stream — a pure function
-//! of the event identity, never a node's stream, so the draw is
-//! independent of *when* the event is pulled or admitted. The pulled
-//! backlog therefore never materializes as full events (no overflow-map
+//! wheel's next event, its two discoveries landing exactly `D` after the
+//! change — a function of the event alone, so nothing depends on *when*
+//! the event is pulled or admitted. The pulled backlog therefore never
+//! materializes as full events (no overflow-map
 //! churn on the push path), and peak memory is `O(backlog window)`
 //! compact records, independent of the total churn-event count. Pull
 //! decisions compare the source against the merged front of the wheel
@@ -110,8 +112,6 @@ use crate::wheel::TimeWheel;
 use gcs_clocks::{DriftModel, DriftSource, Duration, ModelDrift, Time};
 use gcs_net::schedule::TopologyEventKind;
 use gcs_net::{Edge, NodeId, TopologyEvent, TopologySource};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// Environment variable consulted for the default worker count, so a CI
@@ -160,108 +160,6 @@ fn checked_threads(threads: Option<usize>, origin: std::fmt::Arguments<'_>) -> u
     }
 }
 
-/// How long the environment waits before telling an endpoint about a
-/// topology change. Every variant is validated against the bound `D`
-/// when the simulator is built: values must be finite, `0 < delay ≤ D`
-/// and `0 < lo ≤ hi ≤ D`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum DiscoveryDelay {
-    /// Every change discovered exactly `delay` after it happens.
-    Constant(f64),
-    /// Uniformly random discovery latency in `[lo, hi]`.
-    Uniform {
-        /// Lower bound (must be `> 0`).
-        lo: f64,
-        /// Upper bound (must be `≤ D`).
-        hi: f64,
-    },
-}
-
-impl DiscoveryDelay {
-    /// Panics unless every latency this model can produce lies in
-    /// `(0, d_bound]` — the model's discovery bound `D`.
-    fn validate(&self, d_bound: f64) {
-        let ok = |v: f64| v.is_finite() && v > 0.0 && v <= d_bound;
-        match *self {
-            DiscoveryDelay::Constant(d) => {
-                assert!(ok(d), "discovery delay {d} outside (0, D = {d_bound}]")
-            }
-            DiscoveryDelay::Uniform { lo, hi } => assert!(
-                ok(lo) && ok(hi) && lo <= hi,
-                "discovery range [{lo}, {hi}] outside 0 < lo <= hi <= D = {d_bound}"
-            ),
-        }
-    }
-
-    /// True when [`sample`](Self::sample) may draw from the RNG — same
-    /// contract as [`DelayStrategy::draws`]: the engine only materializes
-    /// a node's lazy stream for drawing models.
-    pub(crate) fn draws(&self) -> bool {
-        match self {
-            DiscoveryDelay::Constant(_) => false,
-            DiscoveryDelay::Uniform { lo, hi } => lo != hi,
-        }
-    }
-
-    pub(crate) fn sample(&self, d_bound: f64, rng: &mut StdRng) -> f64 {
-        let v = match self {
-            DiscoveryDelay::Constant(d) => *d,
-            DiscoveryDelay::Uniform { lo, hi } => {
-                if lo == hi {
-                    *lo
-                } else {
-                    rng.gen_range(*lo..=*hi)
-                }
-            }
-        };
-        debug_assert!(
-            v > 0.0 && v <= d_bound + 1e-12,
-            "discovery delay {v} outside (0, {d_bound}]"
-        );
-        v.clamp(f64::MIN_POSITIVE, d_bound)
-    }
-
-    /// Latency of a *scheduled* topology discovery, drawn from a dedicated
-    /// stream keyed by `(seed, edge, version, endpoint)`. Topology is
-    /// pulled lazily, so this draw must not touch any node's private
-    /// stream: its position there would depend on how far the simulation
-    /// had progressed when the pull happened, and with it the trace.
-    /// A keyed one-shot stream makes the latency a pure function of the
-    /// event identity instead.
-    pub(crate) fn scheduled_latency(
-        &self,
-        d_bound: f64,
-        seed: u64,
-        edge: Edge,
-        version: u64,
-        endpoint: NodeId,
-    ) -> f64 {
-        match self {
-            DiscoveryDelay::Constant(d) => d.clamp(f64::MIN_POSITIVE, d_bound),
-            DiscoveryDelay::Uniform { .. } => {
-                let mut rng =
-                    StdRng::seed_from_u64(discovery_stream_seed(seed, edge, version, endpoint));
-                self.sample(d_bound, &mut rng)
-            }
-        }
-    }
-}
-
-/// Domain-separation salt for restart-rediscovery latency streams: a
-/// rebooted node re-learns a live edge under the edge's last applied add
-/// version, and the latency draw must not collide with the draw the
-/// original discovery of that `(edge, version, endpoint)` already made.
-const RESTART_DISCOVERY_SALT: u64 = 0x94D0_49BB_1331_11EB;
-
-/// Decorrelated one-shot stream seed for scheduled-discovery latencies.
-fn discovery_stream_seed(seed: u64, edge: Edge, version: u64, endpoint: NodeId) -> u64 {
-    seed ^ 0xBB67_AE85_84CA_A73B
-        ^ (edge.lo().index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (edge.hi().index() as u64 + 1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-        ^ version.wrapping_mul(0xD6E8_FEB8_6659_FD93)
-        ^ (endpoint.index() as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F)
-}
-
 /// A pulled topology event parked in the staging buffer: the compact
 /// form the horizon-gated admission path holds instead of the three
 /// materialized wheel events (change + two discovers). `seq` is the
@@ -269,8 +167,7 @@ fn discovery_stream_seed(seed: u64, edge: Edge, version: u64, endpoint: NodeId) 
 /// at pull time so the eventual pop order is fixed by the pull order —
 /// exactly as if the trio had been pushed eagerly — no matter when
 /// admission happens. The version is also assigned at pull time (stream
-/// order); only the discovery-latency draws (pure functions of
-/// `(edge, version, endpoint)`) are deferred to admission.
+/// order), so admission only writes the trio into the wheel.
 #[derive(Clone, Copy, Debug)]
 struct StagedTopology {
     time: Time,
@@ -320,7 +217,6 @@ pub struct SimBuilder {
     drift: DriftSpec,
     faults: Option<Box<dyn FaultSource>>,
     delay: DelayStrategy,
-    discovery: DiscoveryDelay,
     seed: u64,
     threads: Option<usize>,
     par_threshold: Option<usize>,
@@ -332,12 +228,10 @@ impl SimBuilder {
     /// adapt through [`ScheduleSource`](gcs_net::ScheduleSource); lazy
     /// sources keep peak memory independent of the total churn-event
     /// count. Defaults: perfect clocks, no faults, maximum delays,
-    /// worst-case (`= D`) discovery latency, seed 0, worker count from
-    /// [`threads_from_env`].
+    /// seed 0, worker count from [`threads_from_env`].
     pub fn topology(params: ModelParams, source: impl TopologySource + 'static) -> Self {
         let n = source.n();
         SimBuilder {
-            discovery: DiscoveryDelay::Constant(params.d),
             params,
             source: Box::new(source),
             n,
@@ -370,9 +264,9 @@ impl SimBuilder {
     /// keyed stream (a pure function of the builder's *final* seed and
     /// the node index, resolved at [`build_with`](Self::build_with) —
     /// `.drift_model(..).seed(s)` and `.seed(s).drift_model(..)` are
-    /// equivalent). Drift streams are domain-separated from
-    /// delay/discovery streams. This is the sugar form of
-    /// [`drift`](Self::drift) for models; it exists because a
+    /// equivalent). Drift streams are domain-separated from the per-node
+    /// streams. This is the sugar form of [`drift`](Self::drift) for
+    /// models; it exists because a
     /// [`ModelDrift`] built *here* would have to commit to a seed before
     /// [`seed`](Self::seed) runs.
     pub fn drift_model(mut self, model: DriftModel, horizon: f64) -> Self {
@@ -396,15 +290,7 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the discovery-latency model (validated against `D` by
-    /// [`build_with`](Self::build_with)).
-    pub fn discovery(mut self, discovery: DiscoveryDelay) -> Self {
-        self.discovery = discovery;
-        self
-    }
-
-    /// Seeds all randomness (per-node streams, discovery jitter, drift
-    /// generation).
+    /// Seeds all randomness (per-node streams, drift generation).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -445,16 +331,14 @@ impl SimBuilder {
     /// the source as the simulation advances.
     ///
     /// # Panics
-    /// When the discovery model violates the bound `D` (see
-    /// [`DiscoveryDelay`]), when a static delay of the delay strategy is
-    /// not in `[0, T]` or its layer vector does not cover the `n` nodes,
+    /// When a static delay of the delay strategy is not in `[0, T]` or
+    /// its layer vector does not cover the `n` nodes,
     /// when the source's initial edges are not sorted and distinct or
     /// name a node `≥ n`, or when [`THREADS_ENV`] is malformed and no
     /// explicit [`threads`](Self::threads) was given.
     /// Later pulls panic as well when the source breaks its contract
     /// (see [`Simulator::run_until`]).
     pub fn build_with<A: Automaton>(mut self, make_node: impl FnMut(usize) -> A) -> Simulator<A> {
-        self.discovery.validate(self.params.d);
         self.delay.validate(self.params.t, self.n);
         let n = self.n;
         let workers = self.threads.unwrap_or_else(threads_from_env);
@@ -521,7 +405,6 @@ impl SimBuilder {
             fault_source: self.faults,
             faults: FaultState::default(),
             delay: self.delay,
-            discovery: self.discovery,
             seed: self.seed,
             now: Time::ZERO,
             stats: SimStats::default(),
@@ -636,7 +519,7 @@ pub struct Telemetry {
     /// [`Simulator::node_state_watermark`].
     pub node_state_watermark: usize,
     /// Lazy per-node RNG streams materialized — zero for runs whose
-    /// delay/discovery strategies and automata never draw.
+    /// delay strategy and automata never draw.
     pub rng_streams: usize,
     /// Nodes evicted into the cold tier and not woken since (their bytes
     /// are `planes.automaton_cold`).
@@ -669,8 +552,7 @@ pub struct Simulator<A: Automaton> {
     /// Accumulated fault state, written only at fault barriers.
     faults: FaultState,
     delay: DelayStrategy,
-    discovery: DiscoveryDelay,
-    /// Simulation seed (scheduled-discovery latency streams key off it).
+    /// Simulation seed (the lazy per-node streams key off it).
     seed: u64,
     now: Time,
     stats: SimStats,
@@ -963,7 +845,7 @@ impl<A: Automaton> Simulator<A> {
     /// pop merged with the fronts of both staging buffers (staged
     /// buffers are FIFO in nondecreasing time, so their fronts are their
     /// minima; a staged topology event's materialized trio would pop at
-    /// its own instant — the discovery latencies are strictly positive).
+    /// its own instant — its discoveries land `D > 0` later).
     /// This is exactly the set of events the pre-staging engine kept in
     /// the wheel, so pull decisions keyed on it are unchanged.
     fn effective_next(&mut self) -> Option<Time> {
@@ -1138,10 +1020,8 @@ impl<A: Automaton> Simulator<A> {
     }
 
     /// Materializes one staged topology event into the wheel: the change
-    /// plus its two endpoint discoveries, under the trio's reserved
-    /// sequence numbers. Discovery latencies are drawn here — they are
-    /// pure functions of `(seed, edge, version, endpoint)`, so drawing
-    /// at admission instead of pull time changes nothing.
+    /// plus its two endpoint discoveries `D` later, under the trio's
+    /// reserved sequence numbers.
     fn admit_topology(&mut self, s: StagedTopology) {
         self.queue.push_reserved(
             s.time,
@@ -1152,12 +1032,10 @@ impl<A: Automaton> Simulator<A> {
                 version: s.version,
             },
         );
+        let discovered = s.time + Duration::new(self.params.d);
         for (i, w) in [s.edge.lo(), s.edge.hi()].into_iter().enumerate() {
-            let lat =
-                self.discovery
-                    .scheduled_latency(self.params.d, self.seed, s.edge, s.version, w);
             self.queue.push_reserved(
-                s.time + Duration::new(lat),
+                discovered,
                 s.seq + 1 + i as u64,
                 EventPayload::Discover {
                     node: w,
@@ -1294,7 +1172,6 @@ impl<A: Automaton> Simulator<A> {
             edges: &self.edges,
             drift: &*self.drift,
             delay: &self.delay,
-            discovery: &self.discovery,
             faults: &self.faults,
             params: self.params,
             now: self.now,
@@ -1406,21 +1283,15 @@ impl<A: Automaton> Simulator<A> {
                 });
                 self.merge_effects();
                 // The rebooted node rediscovers its currently-live edges
-                // within D, in ascending neighbor order, under each edge's
+                // D later, in ascending neighbor order, under each edge's
                 // last *applied* add version (stale-suppression then still
                 // admits any newer change).
+                let discovered = now + Duration::new(self.params.d);
                 for (v, shared) in self.edges.incident(node).filter(|(_, e)| e.live) {
                     let edge = Edge::new(node, v);
                     let version = shared.last_add_version;
-                    let lat = self.discovery.scheduled_latency(
-                        self.params.d,
-                        self.seed ^ RESTART_DISCOVERY_SALT,
-                        edge,
-                        version,
-                        node,
-                    );
                     self.queue.push(
-                        now + Duration::new(lat),
+                        discovered,
                         EventPayload::Discover {
                             node,
                             change: LinkChange {

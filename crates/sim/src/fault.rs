@@ -18,7 +18,7 @@
 //!   suppressed) and later reboots **with state loss** via
 //!   [`Automaton::reboot`](crate::Automaton::reboot): the replacement
 //!   instance runs `on_start` at the restart instant and rediscovers its
-//!   live edges within the discovery bound `D`.
+//!   live edges exactly the discovery bound `D` later.
 //! * [`FaultKind::DropWindow`] — for a window of real time, sends
 //!   matching an edge filter vanish silently at the model boundary (the
 //!   sender is *not* notified — unlike a removed edge, a lossy window is
@@ -67,7 +67,7 @@ pub enum FaultKind {
     /// The node reboots with state loss: the automaton is replaced by
     /// [`Automaton::reboot`](crate::Automaton::reboot), `on_start` runs at
     /// the restart instant, per-neighbor discovery watermarks reset, and
-    /// every currently-live incident edge is rediscovered within `D`.
+    /// every currently-live incident edge is rediscovered `D` later.
     /// Restarting a node that never crashed is allowed and models an
     /// in-place reboot (state loss without downtime).
     Restart {

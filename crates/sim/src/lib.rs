@@ -11,8 +11,9 @@
 //! * messages on edges removed mid-flight are either delivered before the
 //!   removal or dropped, in which case the sender discovers the removal no
 //!   later than `send time + D`,
-//! * topology changes are discovered by the endpoints within `D` time
-//!   (transient changes may be skipped, exactly as the model allows),
+//! * topology changes are discovered by the endpoints within `D` time —
+//!   the engine always takes exactly `D`, the bound in full (transient
+//!   changes may be skipped, exactly as the model allows),
 //! * timers measure *subjective* (hardware) time and are fired by exact
 //!   inversion of the node's rate schedule.
 //!
@@ -93,9 +94,7 @@ pub mod wheel;
 
 pub use automaton::{Action, Automaton, Context, RebootUnsupported};
 pub use delay::{DelayScript, DelayStrategy};
-pub use engine::{
-    threads_from_env, DiscoveryDelay, PlaneBytes, SimBuilder, Simulator, Telemetry, THREADS_ENV,
-};
+pub use engine::{threads_from_env, PlaneBytes, SimBuilder, Simulator, Telemetry, THREADS_ENV};
 pub use event::{LinkChange, LinkChangeKind, Message, TimerKind};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSource};
 pub use model::ModelParams;

@@ -524,7 +524,7 @@ pub(crate) struct NodeTable {
     pub timers: Vec<TimerSlots>,
     /// Per-neighbor local state, sorted by neighbor id.
     pub peers: Vec<Vec<PeerLocal>>,
-    /// The node's private random stream (delay/discovery sampling and
+    /// The node's private random stream (delay sampling and
     /// `Context::rng`), seeded from `(simulation seed, node id)` on the
     /// **first draw** — identical stream whenever created, so laziness
     /// never shows in a trace.
@@ -741,10 +741,6 @@ pub(crate) struct Shard<A> {
     pub actions: Vec<crate::automaton::Action>,
     /// This shard's slice of the current segment (reused across rounds).
     pub events: Vec<crate::event::QueuedEvent>,
-    /// Never-drawn stand-in stream handed to strategies that declare
-    /// [`DelayStrategy::draws`](crate::DelayStrategy::draws) `== false`,
-    /// so non-random runs never materialize per-node streams.
-    pub scratch_rng: StdRng,
 }
 
 /// All shards plus the id ↔ (shard, local) mapping.
@@ -779,7 +775,6 @@ impl<A> Shards<A> {
                 touched: Vec::new(),
                 actions: Vec::new(),
                 events: Vec::new(),
-                scratch_rng: StdRng::seed_from_u64(0),
             })
             .collect();
         for (i, node) in nodes.enumerate() {

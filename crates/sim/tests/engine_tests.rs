@@ -10,7 +10,6 @@ use gcs_net::schedule::{add_at, remove_at};
 use gcs_net::{
     generators, node, Edge, NodeId, ScheduleSource, TopologyEvent, TopologySchedule, TopologySource,
 };
-use gcs_sim::engine::DiscoveryDelay;
 use gcs_sim::{
     Automaton, Context, DelayStrategy, FaultEvent, FaultPlan, FaultSource, LinkChange,
     LinkChangeKind, Message, ModelParams, RebootUnsupported, SimBuilder, TimerKind,
@@ -138,7 +137,6 @@ fn topology_changes_discovered_within_d() {
         ],
     );
     let mut sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
-        .discovery(DiscoveryDelay::Uniform { lo: 0.5, hi: 2.0 })
         .seed(3)
         .build_with(|_| Flood::new(0.0, 0.5));
     sim.run_until(at(30.0));
@@ -171,7 +169,6 @@ fn messages_dropped_after_removal_notify_sender() {
         vec![remove_at(10.0, Edge::between(0, 1))],
     );
     let mut sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
-        .discovery(DiscoveryDelay::Constant(2.0))
         .build_with(|_| Flood::new(1.0, 0.5));
     sim.run_until(at(30.0));
     let stats = sim.stats();
@@ -378,7 +375,6 @@ fn transient_change_may_be_skipped() {
     let e = Edge::between(0, 1);
     let schedule = TopologySchedule::new(2, [e], vec![remove_at(10.0, e), add_at(10.5, e)]);
     let mut sim = SimBuilder::topology(params(), ScheduleSource::new(schedule))
-        .discovery(DiscoveryDelay::Uniform { lo: 0.2, hi: 2.0 })
         .seed(12)
         .build_with(|_| Flood::new(1.0, 0.5));
     sim.run_until(at(20.0));
@@ -624,50 +620,6 @@ fn restart_wakes_an_evicted_node_before_reboot() {
     assert_eq!(sim.stats().restarts, 1);
     assert_eq!(sim.rehydrations(), 1, "only the restart woke a node");
     assert_eq!(sim.telemetry().cold_nodes, 1, "node 1 stays cold");
-}
-
-/// Builds a two-node path under `discovery` with `D = 2`.
-fn build_with_discovery(discovery: DiscoveryDelay) {
-    let schedule = TopologySchedule::static_graph(2, generators::path(2));
-    SimBuilder::topology(params(), ScheduleSource::new(schedule))
-        .discovery(discovery)
-        .build_with(|_| Flood::new(0.0, 0.5));
-}
-
-#[test]
-#[should_panic(expected = "discovery delay 5 outside (0, D = 2]")]
-fn constant_discovery_above_d_rejected() {
-    build_with_discovery(DiscoveryDelay::Constant(5.0));
-}
-
-#[test]
-#[should_panic(expected = "discovery delay 0 outside (0, D = 2]")]
-fn constant_discovery_of_zero_rejected() {
-    build_with_discovery(DiscoveryDelay::Constant(0.0));
-}
-
-#[test]
-#[should_panic(expected = "discovery delay NaN outside (0, D = 2]")]
-fn non_finite_discovery_rejected() {
-    build_with_discovery(DiscoveryDelay::Constant(f64::NAN));
-}
-
-#[test]
-#[should_panic(expected = "discovery range [0, 1] outside 0 < lo <= hi <= D = 2")]
-fn uniform_discovery_from_zero_rejected() {
-    build_with_discovery(DiscoveryDelay::Uniform { lo: 0.0, hi: 1.0 });
-}
-
-#[test]
-#[should_panic(expected = "discovery range [1.5, 0.5] outside 0 < lo <= hi <= D = 2")]
-fn inverted_uniform_discovery_rejected() {
-    build_with_discovery(DiscoveryDelay::Uniform { lo: 1.5, hi: 0.5 });
-}
-
-#[test]
-#[should_panic(expected = "discovery range [0.5, 2.5] outside 0 < lo <= hi <= D = 2")]
-fn uniform_discovery_above_d_rejected() {
-    build_with_discovery(DiscoveryDelay::Uniform { lo: 0.5, hi: 2.5 });
 }
 
 /// Builds a two-node path under the delay strategy `delay` with `T = 1`.

@@ -74,7 +74,7 @@ pub mod prelude {
         Edge, NodeId, ScheduleSource, TopologySchedule, TopologySource,
     };
     pub use gcs_sim::{
-        DelayStrategy, DiscoveryDelay, FaultEvent, FaultKind, FaultPlan, FaultSource, ModelParams,
-        SimBuilder, Simulator,
+        DelayStrategy, FaultEvent, FaultKind, FaultPlan, FaultSource, ModelParams, SimBuilder,
+        Simulator,
     };
 }

@@ -4,14 +4,13 @@
 //! toy protocol.
 
 use gcs_net::ScheduleSource;
-use gradient_clock_sync::net::schedule::remove_at;
+use gradient_clock_sync::net::schedule::{add_at, remove_at};
 use gradient_clock_sync::prelude::*;
-use gradient_clock_sync::sim::engine::DiscoveryDelay;
 use gradient_clock_sync::sim::{
-    Automaton, Context, LinkChange, Message, RebootUnsupported, TimerKind,
+    Automaton, Context, LinkChange, LinkChangeKind, Message, RebootUnsupported, TimerKind,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn model() -> ModelParams {
     ModelParams::new(0.01, 1.0, 2.0)
@@ -66,7 +65,6 @@ fn removal_clears_neighbor_sets_within_bounds() {
     let e = Edge::between(0, 1);
     let schedule = TopologySchedule::new(2, [e], vec![remove_at(50.0, e)]);
     let mut sim = SimBuilder::topology(model(), ScheduleSource::new(schedule))
-        .discovery(DiscoveryDelay::Constant(2.0))
         .delay(DelayStrategy::Max)
         .build_with(|_| GradientNode::new(params));
     sim.run_until(at(49.0));
@@ -95,16 +93,14 @@ fn lost_timer_drops_silent_neighbors() {
     let params = AlgoParams::with_minimal_b0(model(), 2, 0.5);
     let e = Edge::between(0, 1);
     let schedule = TopologySchedule::new(2, [e], vec![remove_at(50.0, e)]);
-    // Discovery takes (almost) the full D = 2; the lost timer ΔT′ ≈ 1.53
-    // fires first, so Γ must already be empty before the discover event.
+    // Discovery takes the full D = 2; the lost timer ΔT′ ≈ 1.53 fires
+    // first, so Γ must already be empty before the discover event.
     let mut sim = SimBuilder::topology(model(), ScheduleSource::new(schedule))
-        .discovery(DiscoveryDelay::Constant(1.999))
         .delay(DelayStrategy::Zero)
         .build_with(|_| GradientNode::new(params));
-    // Just before the discovery instant (50 + 1.999), but after
-    // 50 + ΔT′/(1−ρ):
+    // Before the discovery instant (50 + D), but after 50 + ΔT′/(1−ρ):
     let check = 50.0 + params.delta_t_prime() / (1.0 - model().rho) + 0.05;
-    assert!(check < 51.999, "test setup: lost timer must beat discovery");
+    assert!(check < 52.0, "test setup: lost timer must beat discovery");
     sim.run_until(at(check));
     for i in 0..2 {
         assert_eq!(
@@ -216,4 +212,135 @@ fn alarm_armed_before_a_crash_is_stale_after_the_restart() {
     assert_eq!(alarms.load(Ordering::Relaxed), 0, "an alarm handler ran");
     assert_eq!(sim.stats().alarms_fired, 0);
     assert_eq!(sim.stats().alarms_stale, 1);
+}
+
+/// What a [`Witness`] run saw, shared across reboots.
+#[derive(Debug, Default)]
+struct WitnessLog {
+    /// `(node, real time, change)` for every discovery handled.
+    discoveries: Vec<(NodeId, f64, LinkChange)>,
+    /// Real times at which node 0 sent to node 1.
+    sends: Vec<f64>,
+}
+
+/// Logs every discovery it handles. With `send_after` set, node 0 arms a
+/// tick that far ahead at every boot and, when it fires, sends one
+/// message to node 1 whether or not the two are neighbors.
+struct Witness {
+    log: Arc<Mutex<WitnessLog>>,
+    send_after: Option<f64>,
+}
+
+impl Automaton for Witness {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        if let (Some(dt), true) = (self.send_after, ctx.node == node(0)) {
+            ctx.set_timer(dt, TimerKind::Tick);
+        }
+    }
+    fn on_receive(&mut self, _: &mut Context<'_>, _: NodeId, _: Message) {}
+    fn on_discover(&mut self, ctx: &mut Context<'_>, change: LinkChange) {
+        let mut log = self.log.lock().unwrap();
+        log.discoveries.push((ctx.node, ctx.now.seconds(), change));
+    }
+    fn on_alarm(&mut self, ctx: &mut Context<'_>, _: TimerKind) {
+        self.log.lock().unwrap().sends.push(ctx.now.seconds());
+        let msg = Message {
+            logical: ctx.hw,
+            max_estimate: ctx.hw,
+        };
+        ctx.send(node(1), msg);
+    }
+    fn logical_clock(&self, hw: f64) -> f64 {
+        hw
+    }
+    fn try_reboot(&self) -> Result<Self, RebootUnsupported> {
+        Ok(Witness {
+            log: self.log.clone(),
+            send_after: self.send_after,
+        })
+    }
+}
+
+/// Runs two [`Witness`] nodes over `schedule` and `faults` until t = 30.
+fn witness(
+    schedule: TopologySchedule,
+    faults: Vec<FaultEvent>,
+    send_after: Option<f64>,
+) -> WitnessLog {
+    let log = Arc::new(Mutex::new(WitnessLog::default()));
+    let mut sim = SimBuilder::topology(model(), ScheduleSource::new(schedule))
+        .faults(FaultPlan::new(faults))
+        .build_with(|_| Witness {
+            log: log.clone(),
+            send_after,
+        });
+    sim.run_until(at(30.0));
+    drop(sim);
+    Arc::into_inner(log).unwrap().into_inner().unwrap()
+}
+
+/// Every discovery the engine schedules lands exactly `D` after its
+/// cause (§3 allows any time within `D`; the engine takes the bound in
+/// full): both endpoints of a scheduled add and of a scheduled remove,
+/// the sender of a message to a non-neighbor, and a restarted node
+/// rediscovering its live edges.
+#[test]
+fn every_discovery_lands_exactly_d_after_its_cause() {
+    let d = model().d;
+    let e = Edge::between(0, 1);
+    let change = |kind| LinkChange { kind, edge: e };
+    let (added, removed) = (
+        change(LinkChangeKind::Added),
+        change(LinkChangeKind::Removed),
+    );
+
+    let churn = TopologySchedule::new(2, [], vec![add_at(5.0, e), remove_at(20.0, e)]);
+    assert_eq!(
+        witness(churn, vec![], None).discoveries,
+        [
+            (node(0), 5.0 + d, added),
+            (node(1), 5.0 + d, added),
+            (node(0), 20.0 + d, removed),
+            (node(1), 20.0 + d, removed),
+        ],
+        "scheduled changes"
+    );
+
+    // A removal's own discovery reaches a sender before any discovery a
+    // later send triggers, which then is stale. A restart forgets what the
+    // node learned, so node 0, rebooted after its edge went down, handles
+    // the `discover(remove)` of its send (at 12) to the former neighbor.
+    let cut = TopologySchedule::new(2, [e], vec![remove_at(5.0, e)]);
+    let reboot = vec![
+        FaultEvent::crash(8.0, node(0)),
+        FaultEvent::restart(9.0, node(0)),
+    ];
+    let log = witness(cut, reboot, Some(3.0));
+    assert_eq!(log.sends, [3.0, 12.0]);
+    assert_eq!(
+        log.discoveries,
+        [
+            (node(0), 0.0, added),
+            (node(1), 0.0, added),
+            (node(0), 5.0 + d, removed),
+            (node(1), 5.0 + d, removed),
+            (node(0), log.sends[1] + d, removed),
+        ],
+        "send to a non-neighbor"
+    );
+
+    let linked = TopologySchedule::static_graph(2, [e]);
+    let restart = vec![
+        FaultEvent::crash(4.0, node(0)),
+        FaultEvent::restart(6.0, node(0)),
+    ];
+    assert_eq!(
+        witness(linked, restart, None).discoveries,
+        [
+            (node(0), 0.0, added),
+            (node(1), 0.0, added),
+            (node(0), 6.0 + d, added),
+        ],
+        "restart rediscovery"
+    );
 }
